@@ -20,8 +20,15 @@ func LocalSensitivity(q *query.Query, db *relation.Database, opts Options) (*Res
 }
 
 // Result assembles the local-sensitivity outcome from the solver's current
-// pass state, scanning every non-skipped member's multiplicity table.
+// pass state: it builds every non-skipped member's multiplicity table in
+// one parallel pass (MultiplicityTables), then reduces each factor group to
+// its selection-filtered maximum and assembles the per-relation results in
+// member order.
 func (s *Solver) Result(db *relation.Database) (*Result, error) {
+	tables, err := s.MultiplicityTables()
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		PerRelation:   make(map[string]*TupleResult),
 		Count:         s.CountTotal(),
@@ -29,23 +36,78 @@ func (s *Solver) Result(db *relation.Database) (*Result, error) {
 		MaxDegree:     s.Tree.MaxDegree(),
 		Approximate:   s.Opts.TopK > 0,
 	}
-	for ui := range s.Units {
-		for _, md := range s.Units[ui].Members {
-			if md.Skip {
-				continue
-			}
-			tr, err := s.MostSensitive(ui, md, db)
-			if err != nil {
-				return nil, err
-			}
-			res.PerRelation[md.Atom.Relation] = tr
-			if tr.Sensitivity > res.LS {
-				res.LS = tr.Sensitivity
-				res.Best = tr
-			}
+	inDB := DBLookup(s.Q, db)
+	for _, mt := range tables {
+		md := s.Units[mt.Unit].Members[mt.Member]
+		maxima := make([]GroupMax, len(mt.Groups))
+		for i, g := range mt.Groups {
+			row, cnt := md.maxRow(g.Table)
+			maxima[i] = GroupMax{Attrs: g.Table.Attrs, Row: row, Cnt: cnt}
+		}
+		tr, err := s.TupleResultFromMaxima(mt.Unit, md, maxima, inDB)
+		if err != nil {
+			return nil, err
+		}
+		res.PerRelation[md.Atom.Relation] = tr
+		if tr.Sensitivity > res.LS {
+			res.LS = tr.Sensitivity
+			res.Best = tr
 		}
 	}
 	return res, nil
+}
+
+// FactorGroup is one factor group of a member's multiplicity table T^i: a
+// connected group of pieces (see GroupPieces) and its join grouped by the
+// member's effective variables (see GroupTable), before selection filtering.
+type FactorGroup struct {
+	Pieces []*relation.Counted
+	Table  *relation.Counted
+}
+
+// MemberTables is the factorized multiplicity table of member Member of
+// unit Unit: the product of its factor groups' tables.
+type MemberTables struct {
+	Unit, Member int
+	Groups       []FactorGroup
+}
+
+// MultiplicityTables builds the factor groups of every non-skipped member's
+// multiplicity table in one pass over Opts.Do, one task per group, and
+// returns them in member order (units in order, members in unit order).
+// When several groups fail, the error of the first in that order is
+// returned, so the outcome does not depend on the parallelism.
+func (s *Solver) MultiplicityTables() ([]MemberTables, error) {
+	var out []MemberTables
+	type task struct{ member, group int }
+	var tasks []task
+	for ui, u := range s.Units {
+		for mi, md := range u.Members {
+			if md.Skip {
+				continue
+			}
+			groups := GroupPieces(s.Pieces(ui, md))
+			mt := MemberTables{Unit: ui, Member: mi, Groups: make([]FactorGroup, len(groups))}
+			for gi, g := range groups {
+				mt.Groups[gi].Pieces = g
+				tasks = append(tasks, task{len(out), gi})
+			}
+			out = append(out, mt)
+		}
+	}
+	errs := make([]error, len(tasks))
+	_ = s.Opts.Do(len(tasks), func(i int) error {
+		mt := &out[tasks[i].member]
+		g := &mt.Groups[tasks[i].group]
+		g.Table, errs[i] = GroupTable(g.Pieces, s.Units[mt.Unit].Members[mt.Member].EffVars)
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Pieces gathers the operands of the multiplicity-table join for a member
@@ -196,16 +258,6 @@ func (md *Member) PredFilter(attrs []string) func(relation.Tuple) bool {
 	}
 }
 
-// filterByPreds drops rows violating md's selection predicates on the
-// covered attributes.
-func filterByPreds(c *relation.Counted, md *Member) *relation.Counted {
-	keep := md.PredFilter(c.Attrs)
-	if keep == nil {
-		return c
-	}
-	return c.Filter(keep)
-}
-
 // GroupMax is the selection-filtered maximum of one factor group of a
 // multiplicity table: the group's attributes, its most frequent row, and
 // that row's count. A nil Row with positive Cnt means the top-k truncation
@@ -250,21 +302,23 @@ func DBLookup(q *query.Query, db *relation.Database) InDBFunc {
 	}
 }
 
-// MostSensitive builds the (factorized) multiplicity table T^i for one
-// member and returns its most sensitive tuple.
-func (s *Solver) MostSensitive(ui int, md *Member, db *relation.Database) (*TupleResult, error) {
-	groups := GroupPieces(s.Pieces(ui, md))
-	maxima := make([]GroupMax, 0, len(groups))
-	for _, group := range groups {
-		gt, err := GroupTable(group, md.EffVars)
-		if err != nil {
-			return nil, err
+// maxRow is Counted.MaxRow over the rows of c that satisfy md's selection
+// predicates (Section 5.4: tuples failing a selection have zero
+// sensitivity), without materializing the filtered table.
+func (md *Member) maxRow(c *relation.Counted) (relation.Tuple, int64) {
+	keep := md.PredFilter(c.Attrs)
+	var best relation.Tuple
+	bestCnt := int64(0)
+	for i, v := range c.Cnt {
+		if v > bestCnt && (keep == nil || keep(c.Rows[i])) {
+			bestCnt = v
+			best = c.Rows[i]
 		}
-		gt = filterByPreds(gt, md)
-		row, cnt := gt.MaxRow()
-		maxima = append(maxima, GroupMax{Attrs: gt.Attrs, Row: row, Cnt: cnt})
 	}
-	return s.TupleResultFromMaxima(ui, md, maxima, DBLookup(s.Q, db))
+	if c.Default > bestCnt {
+		return nil, c.Default
+	}
+	return best, bestCnt
 }
 
 // TupleResultFromMaxima assembles a member's most sensitive tuple from
@@ -312,7 +366,7 @@ func (s *Solver) TupleResultFromMaxima(ui int, md *Member, maxima []GroupMax, in
 			continue
 		}
 		wildcard[i] = true
-		val, ok := pickValue(predsFor(md, v))
+		val, ok := pickValue(predsFor(md.Preds, v))
 		if !ok {
 			// Contradictory predicates: no insertable tuple exists and the
 			// filtered base is empty, so nothing achieves this sensitivity.
@@ -330,10 +384,10 @@ func (s *Solver) TupleResultFromMaxima(ui int, md *Member, maxima []GroupMax, in
 	return tr, nil
 }
 
-// predsFor returns md's predicates over exactly the variable v.
-func predsFor(md *Member, v string) []query.Predicate {
+// predsFor returns the predicates of preds over exactly the variable v.
+func predsFor(preds []query.Predicate, v string) []query.Predicate {
 	var out []query.Predicate
-	for _, p := range md.Preds {
+	for _, p := range preds {
 		if p.Var == v {
 			out = append(out, p)
 		}

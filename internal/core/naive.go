@@ -109,8 +109,10 @@ func NaiveLocalSensitivity(q *query.Query, db *relation.Database, opts NaiveOpti
 // representativeDomains returns, for each variable of atom a, its
 // representative domain with respect to that relation (Definition 3.1): the
 // intersection of the active domains of every other atom containing the
-// variable, or a single arbitrary active value when the variable occurs
-// nowhere else.
+// variable, or a single witness when the variable occurs nowhere else. Any
+// value of such a variable joins alike, so one witness suffices as long as
+// it satisfies a's selection predicates on the variable: the first active
+// value that does, else any value that does (none when they contradict).
 func representativeDomains(q *query.Query, db *relation.Database, a query.Atom) ([][]int64, error) {
 	out := make([][]int64, len(a.Vars))
 	for i, v := range a.Vars {
@@ -141,22 +143,39 @@ func representativeDomains(q *query.Query, db *relation.Database, a query.Atom) 
 			}
 		}
 		if first {
-			// Variable occurs only in a: one arbitrary value from a's own
-			// active domain, or 0 when the relation is empty.
 			r := db.Relation(a.Relation)
 			act, err := r.ActiveDomain(r.Attrs[i])
 			if err != nil {
 				return nil, err
 			}
-			if len(act) > 0 {
-				dom = act[:1]
-			} else {
-				dom = []int64{0}
-			}
+			dom = privateWitness(act, predsFor(q.Selections[a.Relation], v))
 		}
 		out[i] = dom
 	}
 	return out, nil
+}
+
+// privateWitness picks the single value a variable private to one atom
+// ranges over in the oracle: the first of act satisfying preds, else 0 when
+// there are no preds, else any value satisfying them, or none when they
+// contradict.
+func privateWitness(act []int64, preds []query.Predicate) []int64 {
+	for _, v := range act {
+		ok := true
+		for _, p := range preds {
+			ok = ok && p.Op.Eval(v, p.Value)
+		}
+		if ok {
+			return []int64{v}
+		}
+	}
+	if len(preds) == 0 {
+		return []int64{0}
+	}
+	if v, ok := pickValue(preds); ok {
+		return []int64{v}
+	}
+	return nil
 }
 
 func intersectSorted(a, b []int64) []int64 {

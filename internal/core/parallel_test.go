@@ -1,61 +1,79 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"tsens/internal/core"
 	"tsens/internal/query"
 	"tsens/internal/relation"
+	"tsens/internal/workload"
 )
 
-// TestParallelismInvariance checks that the engine returns identical results
-// at every Parallelism setting, on the Figure 1 fixture and on randomized
-// star-join instances (several independent subtrees, exercising concurrent
-// botjoin/topjoin scheduling).
+// TestParallelismInvariance checks that the engine returns identical
+// results at every Parallelism setting: the whole Result (LS, Count, the
+// Best relation and values, and every PerRelation tuple with its wildcards
+// and InDatabase flag), on the Figure 1 fixture, on randomized star joins
+// (several independent subtrees, exercising concurrent botjoin/topjoin
+// scheduling), and on all seven paper queries over small generated data
+// (GHD bags, skipped relations, and many multiplicity-table factor groups
+// built concurrently).
 func TestParallelismInvariance(t *testing.T) {
 	type instance struct {
 		name string
-		run  func(parallelism int) (*Result, error)
+		q    *query.Query
+		db   *relation.Database
+		opts core.Options
 	}
-	var instances []instance
-
-	instances = append(instances, instance{"figure1", func(p int) (*Result, error) {
-		return LocalSensitivity(figure1Query(), figure1DB(), Options{Parallelism: p})
-	}})
+	instances := []instance{{"figure1", core.Figure1Query(), core.Figure1DB(), core.Options{}}}
 
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 3; trial++ {
 		db, q := randomStar(rng, 4, 60)
-		trial := trial
-		instances = append(instances, instance{
-			fmt.Sprintf("star%d", trial),
-			func(p int) (*Result, error) { return LocalSensitivity(q, db, Options{Parallelism: p}) },
-		})
+		instances = append(instances, instance{fmt.Sprintf("star%d", trial), q, db, core.Options{}})
+	}
+
+	tpch, fb := workload.TPCHData(0.0005, 11), workload.FacebookDataSized(40, 150, 40, 11)
+	for i, s := range workload.All() {
+		db := fb
+		if i < len(workload.TPCH()) {
+			db = tpch
+		}
+		instances = append(instances, instance{s.Name, s.Query, db, s.Options()})
 	}
 
 	for _, inst := range instances {
-		base, err := inst.run(1)
+		opts := inst.opts
+		opts.Parallelism = 1
+		base, err := core.LocalSensitivity(inst.q, inst.db, opts)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", inst.name, err)
 		}
 		for _, p := range []int{0, 2, 8} {
-			got, err := inst.run(p)
+			opts.Parallelism = p
+			got, err := core.LocalSensitivity(inst.q, inst.db, opts)
 			if err != nil {
 				t.Fatalf("%s par=%d: %v", inst.name, p, err)
 			}
-			if got.LS != base.LS || got.Count != base.Count {
-				t.Fatalf("%s par=%d: (LS=%d,Count=%d) != sequential (LS=%d,Count=%d)",
-					inst.name, p, got.LS, got.Count, base.LS, base.Count)
-			}
-			for rel, tr := range base.PerRelation {
-				if got.PerRelation[rel].Sensitivity != tr.Sensitivity {
-					t.Fatalf("%s par=%d: relation %s sensitivity %d != %d",
-						inst.name, p, rel, got.PerRelation[rel].Sensitivity, tr.Sensitivity)
-				}
+			if !reflect.DeepEqual(got, base) {
+				t.Fatalf("%s par=%d:\n got %s\nwant %s", inst.name, p, describe(got), describe(base))
 			}
 		}
 	}
+}
+
+// describe renders a Result with its tuples spelled out.
+func describe(r *core.Result) string {
+	s := fmt.Sprintf("LS=%d Count=%d", r.LS, r.Count)
+	if r.Best != nil {
+		s += fmt.Sprintf(" Best=%s", r.Best.Relation)
+	}
+	for rel, tr := range r.PerRelation {
+		s += fmt.Sprintf(" %s:%+v", rel, *tr)
+	}
+	return s
 }
 
 // randomStar builds a star join R0(X1..Xk) ⋈ S1(X1,Y1) ⋈ … ⋈ Sk(Xk,Yk):

@@ -138,8 +138,7 @@ func PathLocalSensitivity(q *query.Query, db *relation.Database) (*Result, error
 		covered := make(map[string]int64)
 		ok := true
 		take := func(c *relation.Counted) {
-			c = filterByPreds(c, md)
-			row, cnt := c.MaxRow()
+			row, cnt := md.maxRow(c)
 			sens = relation.MulSat(sens, cnt)
 			if cnt == 0 {
 				ok = false
@@ -169,7 +168,7 @@ func PathLocalSensitivity(q *query.Query, db *relation.Database) (*Result, error
 					continue
 				}
 				wildcard[x] = true
-				val, can := pickValue(predsFor(md, v))
+				val, can := pickValue(predsFor(md.Preds, v))
 				if !can {
 					feasible = false
 					break

@@ -204,17 +204,25 @@ func TestPropertyFourCycleGHDAgainstNaive(t *testing.T) {
 }
 
 // With selections, TSens must still match the oracle (the oracle evaluates
-// through the same selection-aware counting).
+// through the same selection-aware counting). Predicates fall on a join
+// variable (R1.C) and on the atom-private variables R0.A and R2.D, whose
+// values may lie outside the active domain [0, 3): the oracle must then
+// insert a witness that satisfies them.
 func TestPropertySelectionsAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 40; trial++ {
+	pred := func(v string) query.Predicate {
+		return query.Predicate{Var: v, Op: query.Op(rng.Intn(6)), Value: int64(rng.Intn(5))}
+	}
+	for trial := 0; trial < 60; trial++ {
 		atomsList := []query.Atom{
 			{Relation: "R0", Vars: []string{"A", "B"}},
 			{Relation: "R1", Vars: []string{"B", "C"}},
 			{Relation: "R2", Vars: []string{"C", "D"}},
 		}
 		sel := map[string][]query.Predicate{
-			"R1": {{Var: "C", Op: query.Op(rng.Intn(6)), Value: int64(rng.Intn(3))}},
+			"R0": {pred("A")},
+			"R1": {pred("C")},
+			"R2": {pred("D")},
 		}
 		db := relation.MustNewDatabase(
 			randRelation(rng, "R0", []string{"x", "y"}, 5, 3),

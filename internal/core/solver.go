@@ -46,9 +46,10 @@ type Options struct {
 	TopK int
 	// Parallelism bounds the worker goroutines used for per-atom
 	// preprocessing, GHD bag materialization, the botjoin/topjoin passes
-	// (independent subtrees run concurrently), and tuple-sensitivity
-	// scans. 0 means runtime.GOMAXPROCS(0); 1 forces sequential execution.
-	// Results are identical at any setting.
+	// (independent subtrees run concurrently), the multiplicity tables
+	// (one task per factor group of every member's table), and
+	// tuple-sensitivity scans. 0 means runtime.GOMAXPROCS(0); 1 forces
+	// sequential execution. Results are identical at any setting.
 	Parallelism int
 	// Pool, when non-nil, supplies the worker goroutines for every parallel
 	// phase instead of spawning fresh ones per call, amortizing goroutine

@@ -227,27 +227,28 @@ func (s *Session) build() error {
 			// Above the Skip guard: propagation still patches a skipped
 			// member's base, so it belongs in the watermark denominator.
 			s.tables.track(md.Base)
-			if md.Skip {
-				continue
+		}
+	}
+	tables, err := sol.MultiplicityTables()
+	if err != nil {
+		return err
+	}
+	for _, mt := range tables {
+		ref := memberRef{mt.Unit, mt.Member}
+		md := sol.Units[mt.Unit].Members[mt.Member]
+		for _, g := range mt.Groups {
+			st := &gtState{
+				ref:    ref,
+				pieces: g.Pieces,
+				table:  g.Table,
+				keepFn: md.PredFilter(g.Table.Attrs),
+				plans:  make([]*relation.ExpandPlan, len(g.Pieces)),
 			}
-			for _, group := range core.GroupPieces(sol.Pieces(ui, md)) {
-				gt, err := core.GroupTable(group, md.EffVars)
-				if err != nil {
-					return err
-				}
-				st := &gtState{
-					ref:    ref,
-					pieces: group,
-					table:  gt,
-					keepFn: md.PredFilter(gt.Attrs),
-					plans:  make([]*relation.ExpandPlan, len(group)),
-				}
-				s.tables.track(gt)
-				s.gts = append(s.gts, st)
-				s.memberGts[ref] = append(s.memberGts[ref], st)
-				for pi, p := range group {
-					s.deps[p] = append(s.deps[p], pieceRef{st, pi})
-				}
+			s.tables.track(g.Table)
+			s.gts = append(s.gts, st)
+			s.memberGts[ref] = append(s.memberGts[ref], st)
+			for pi, p := range g.Pieces {
+				s.deps[p] = append(s.deps[p], pieceRef{st, pi})
 			}
 		}
 	}

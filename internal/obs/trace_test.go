@@ -92,7 +92,10 @@ func record(r *TraceRecorder, name string, d time.Duration) *Trace {
 
 // TestTraceRecorderSlowAlwaysKept overflows the reservoir with fast
 // traffic and checks the slow ring still holds the most recent slow
-// traces regardless.
+// traces regardless. Traces merges the ring with the reservoir, whose
+// clock-seeded sampling may also still hold an older slow trace the ring
+// has evicted: any trace beyond the most recent 4 must be one the
+// reservoir holds.
 func TestTraceRecorderSlowAlwaysKept(t *testing.T) {
 	reg := NewRegistry()
 	r := NewTraceRecorder(reg, 4, 10*time.Millisecond)
@@ -104,19 +107,28 @@ func TestTraceRecorderSlowAlwaysKept(t *testing.T) {
 		slow = append(slow, record(r, "slow", 20*time.Millisecond))
 	}
 	got := r.Traces(TraceFilter{MinDuration: 10 * time.Millisecond})
-	if len(got) != 4 {
-		t.Fatalf("slow traces kept = %d, want 4", len(got))
-	}
-	want := map[string]bool{}
-	for _, s := range slow[2:] {
-		want[s.IDText] = true
-	}
+	returned := map[*Trace]bool{}
 	for _, g := range got {
 		if !g.Slow {
 			t.Fatalf("trace %s over threshold not marked slow", g.IDText)
 		}
-		if !want[g.IDText] {
-			t.Fatalf("slow ring kept %s, want the most recent 4", g.IDText)
+		returned[g] = true
+	}
+	for _, s := range slow[2:] {
+		if !returned[s] {
+			t.Fatalf("slow trace %s missing: the ring must keep the most recent 4", s.IDText)
+		}
+		delete(returned, s)
+	}
+	r.mu.Lock()
+	sampled := map[*Trace]bool{}
+	for _, s := range r.sample {
+		sampled[s] = true
+	}
+	r.mu.Unlock()
+	for g := range returned {
+		if !sampled[g] {
+			t.Fatalf("trace %s returned but neither in the slow ring nor in the reservoir", g.IDText)
 		}
 	}
 	if v, _ := reg.Value("tsens_traces_slow_total"); v != 6 {

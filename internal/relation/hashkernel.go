@@ -1,12 +1,13 @@
 package relation
 
 // This file holds the hash-kernel primitives behind the counted-relation
-// operators: an open-addressing hash table over fixed-width int64 keys (no
-// per-row byte encoding or string interning), a chunked tuple arena that
-// batches row storage into flat []int64 blocks, a chained join index over
-// one side of a hash join, and a group-by aggregator with a map[int64] fast
-// path for single-column keys. Every structure is deterministic: iteration
-// follows insertion order, never Go map order.
+// operators: a tag-filtered open-addressing hash table over fixed-width
+// int64 keys held in a chunked arena (no per-row byte encoding or string
+// interning), a chunked tuple arena that batches row storage into flat
+// []int64 blocks, a chained join index over one side of a hash join, and a
+// group-by aggregator with a map[int64] fast path for single-column keys.
+// Every structure is deterministic: iteration follows insertion order,
+// never Go map order.
 
 // mix64 is the splitmix64 finalizer, a strong cheap mixer for 64-bit lanes.
 func mix64(x uint64) uint64 {
@@ -29,13 +30,27 @@ func hashKey(key []int64) uint64 {
 
 // intTable is an open-addressing (linear probing) hash table mapping
 // fixed-width []int64 keys to dense ids 0,1,2,… in insertion order. Distinct
-// keys live contiguously in the keys arena, so the table doubles as the
-// row storage of a group-by result.
+// keys live in a chunked key arena, so the table doubles as the row storage
+// of a group-by result.
+//
+// Each slot is 4 bytes. A table of 2^k slots holds fewer than 2^k ids, so
+// the low k bits hold id+1 (0 means empty) and the 32-k bits above them a
+// tag taken from the high bits of the key's hash (10 or more tag bits below
+// 4M slots). The slot index comes from the low hash bits, so tag and index
+// are independent, and a probe compares keys only on a tag match: a miss
+// almost never reads the arena.
+//
+// The arena stores keys in chunks of arenaChunkRows rows. Only the first
+// chunk grows (by doubling, from at most 64 rows up to a full chunk); later
+// chunks are allocated full-size once, so a growing table never copies the
+// keys of a full chunk, and its unused capacity stays under one chunk. grow
+// rehashes from the arena, a sequential read.
 type intTable struct {
 	width  int
-	slots  []int32 // id+1; 0 means empty
-	mask   uint64
-	keys   []int64 // arena of distinct keys, width values each
+	slots  []uint32 // tag | id+1; 0 means empty
+	mask   uint64   // len(slots)-1
+	idMask uint32   // low bits of a slot holding id+1
+	chunks [][]int64
 	n      int
 	growAt int
 }
@@ -57,21 +72,38 @@ func newIntTable(width, hint int) *intTable {
 	for size*3 < hint*4 { // keep load factor under 3/4 at the hint
 		size *= 2
 	}
-	return &intTable{
-		width:  width,
-		slots:  make([]int32, size),
-		mask:   uint64(size - 1),
-		growAt: size * 3 / 4,
-	}
+	t := &intTable{width: width}
+	t.resize(size)
+	// The hint bounds the distinct keys from above (a RowIndex may see few
+	// distinct keys among many rows), so the first chunk starts small and
+	// doubles as keys arrive.
+	t.chunks = [][]int64{make([]int64, 0, min(max(hint, 8), 64)*width)}
+	return t
+}
+
+// resize replaces the slot array with an empty one of size slots (a power
+// of two) and derives the id mask and growth threshold from it.
+func (t *intTable) resize(size int) {
+	t.slots = make([]uint32, size)
+	t.mask = uint64(size - 1)
+	t.idMask = uint32(size - 1)
+	t.growAt = size * 3 / 4
+}
+
+// tag returns the slot tag of hash h: its high 32 bits with the id bits
+// cleared.
+func (t *intTable) tag(h uint64) uint32 {
+	return uint32(h>>32) &^ t.idMask
 }
 
 func (t *intTable) keyAt(id int32) []int64 {
-	off := int(id) * t.width
-	return t.keys[off : off+t.width]
+	u := uint32(id)
+	off := int(u&(arenaChunkRows-1)) * t.width
+	return t.chunks[u>>arenaChunkShift][off : off+t.width]
 }
 
 func (t *intTable) equalAt(id int32, key []int64) bool {
-	k := t.keys[int(id)*t.width:]
+	k := t.keyAt(id)
 	for i, v := range key {
 		if k[i] != v {
 			return false
@@ -82,16 +114,18 @@ func (t *intTable) equalAt(id int32, key []int64) bool {
 
 // find returns the id of key, or -1.
 func (t *intTable) find(key []int64) int32 {
-	i := hashKey(key) & t.mask
-	for {
+	h := hashKey(key)
+	tag := t.tag(h)
+	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
 			return -1
 		}
-		if t.equalAt(s-1, key) {
-			return s - 1
+		if s&^t.idMask == tag {
+			if id := int32(s&t.idMask) - 1; t.equalAt(id, key) {
+				return id
+			}
 		}
-		i = (i + 1) & t.mask
 	}
 }
 
@@ -100,43 +134,56 @@ func (t *intTable) insert(key []int64) (id int32, added bool) {
 	if t.n >= t.growAt {
 		t.grow()
 	}
-	i := hashKey(key) & t.mask
-	for {
+	h := hashKey(key)
+	tag := t.tag(h)
+	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
 			id = int32(t.n)
-			t.keys = append(t.keys, key...)
-			t.slots[i] = id + 1
+			t.appendKey(key)
+			t.slots[i] = tag | uint32(id+1)
 			t.n++
 			return id, true
 		}
-		if t.equalAt(s-1, key) {
-			return s - 1, false
+		if s&^t.idMask == tag {
+			if id := int32(s&t.idMask) - 1; t.equalAt(id, key) {
+				return id, false
+			}
 		}
-		i = (i + 1) & t.mask
 	}
 }
 
+// appendKey copies key into the arena as row t.n.
+func (t *intTable) appendKey(key []int64) {
+	c := t.n >> arenaChunkShift
+	if c == len(t.chunks) {
+		t.chunks = append(t.chunks, make([]int64, 0, arenaChunkRows*t.width))
+	}
+	ch := t.chunks[c]
+	if len(ch)+t.width > cap(ch) { // only the first chunk grows
+		ch = append(make([]int64, 0, min(2*cap(ch), arenaChunkRows*t.width)), ch...)
+	}
+	t.chunks[c] = append(ch, key...)
+}
+
 func (t *intTable) grow() {
-	size := len(t.slots) * 2
-	t.slots = make([]int32, size)
-	t.mask = uint64(size - 1)
-	t.growAt = size * 3 / 4
+	t.resize(len(t.slots) * 2)
 	for id := 0; id < t.n; id++ {
-		i := hashKey(t.keyAt(int32(id))) & t.mask
+		h := hashKey(t.keyAt(int32(id)))
+		i := h & t.mask
 		for t.slots[i] != 0 {
 			i = (i + 1) & t.mask
 		}
-		t.slots[i] = int32(id) + 1
+		t.slots[i] = t.tag(h) | uint32(id+1)
 	}
 }
 
 // rows materializes the distinct keys as tuples sharing the arena storage.
 func (t *intTable) rows() []Tuple {
 	out := make([]Tuple, t.n)
-	for id := 0; id < t.n; id++ {
-		off := id * t.width
-		out[id] = Tuple(t.keys[off : off+t.width : off+t.width])
+	for id := range out {
+		k := t.keyAt(int32(id))
+		out[id] = Tuple(k[:t.width:t.width])
 	}
 	return out
 }
@@ -152,7 +199,10 @@ type tupleArena struct {
 	nextRows int
 }
 
-const arenaChunkRows = 4096
+const (
+	arenaChunkShift = 12
+	arenaChunkRows  = 1 << arenaChunkShift
+)
 
 func newTupleArena(width, hintRows int) *tupleArena {
 	if hintRows > arenaChunkRows {

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -208,6 +210,84 @@ func TestIntTable(t *testing.T) {
 	}
 }
 
+// TestIntTableAgainstMap is a differential test of intTable against a Go
+// map for key widths 2–4: random, negative and extreme int64 keys with
+// duplicates, inserted through at least 12 slot-array doublings and across
+// several key-arena chunks. It checks every id (those at the chunk
+// boundaries explicitly), misses, and that rows() lists the distinct keys
+// in insertion order.
+func TestIntTableAgainstMap(t *testing.T) {
+	const distinct = 30000 // > 3/4 of 8<<12 slots: at least 12 doublings
+	extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	for width := 2; width <= 4; width++ {
+		rng := rand.New(rand.NewSource(int64(width)))
+		randKey := func() [4]int64 {
+			var k [4]int64
+			for c := 0; c < width; c++ {
+				switch rng.Intn(4) {
+				case 0:
+					k[c] = extremes[rng.Intn(len(extremes))]
+				case 1:
+					k[c] = -rng.Int63n(64)
+				case 2:
+					k[c] = rng.Int63n(64)
+				default:
+					k[c] = int64(rng.Uint64())
+				}
+			}
+			return k
+		}
+		tbl := newIntTable(width, 0)
+		ids := map[[4]int64]int32{}
+		var order [][4]int64
+		for len(order) < distinct {
+			k := randKey()
+			if len(order) > 0 && rng.Intn(4) == 0 {
+				k = order[rng.Intn(len(order))] // duplicate
+			}
+			id, added := tbl.insert(k[:width])
+			want, seen := ids[k]
+			if !seen {
+				want = int32(len(order))
+				ids[k] = want
+				order = append(order, k)
+			}
+			if id != want || added == seen {
+				t.Fatalf("width %d: insert %v = (%d, added %v), want (%d, added %v)", width, k[:width], id, added, want, !seen)
+			}
+		}
+		if doublings := bits.Len(uint(len(tbl.slots))) - bits.Len(8); doublings < 12 {
+			t.Fatalf("width %d: %d slot doublings, want at least 12", width, doublings)
+		}
+		for _, id := range []int32{0, arenaChunkRows - 1, arenaChunkRows, 2*arenaChunkRows - 1, 2 * arenaChunkRows, distinct - 1} {
+			k := order[id]
+			if got := tbl.keyAt(id); !Tuple(got).Equal(Tuple(k[:width])) {
+				t.Fatalf("width %d: keyAt(%d) = %v, want %v", width, id, got, k[:width])
+			}
+		}
+		for k, want := range ids {
+			if got := tbl.find(k[:width]); got != want {
+				t.Fatalf("width %d: find %v = %d, want %d", width, k[:width], got, want)
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			k := randKey()
+			if _, ok := ids[k]; (tbl.find(k[:width]) >= 0) != ok {
+				t.Fatalf("width %d: find %v disagrees with the map", width, k[:width])
+			}
+		}
+		rows := tbl.rows()
+		if len(rows) != len(order) {
+			t.Fatalf("width %d: rows() has %d rows, want %d", width, len(rows), len(order))
+		}
+		for i, r := range rows {
+			if !r.Equal(Tuple(order[i][:width])) || cap(r) != width {
+				t.Fatalf("width %d: rows()[%d] = %v (cap %d), want %v", width, i, r, cap(r), order[i][:width])
+			}
+		}
+	}
+}
+
 // --- allocation regression tests -------------------------------------------
 
 // benchRelPair builds a single-shared-column join pair of the given size.
@@ -270,6 +350,36 @@ func TestJoinGroupFusedAllocs(t *testing.T) {
 	})
 	if allocs > 64 {
 		t.Errorf("fused JoinGroup allocates %v times per run, want <= 64", allocs)
+	}
+}
+
+// TestGroupByTwoColumnAllocs pins the multi-column group-by, which runs on
+// intTable: its slot array and chunked key arena must cost O(groups/chunk)
+// allocations, not one per group (1,024 groups here).
+func TestGroupByTwoColumnAllocs(t *testing.T) {
+	a, _ := benchRelPair(1024)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := a.GroupBy([]string{"B", "A"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 24 {
+		t.Errorf("two-column GroupBy allocates %v times per run, want <= 24", allocs)
+	}
+}
+
+// TestJoinGroupTwoColumnAllocs pins the fused kernel grouping onto two
+// columns, one from each side: its intTable grows through several slot
+// doublings and arena chunks (13,312 groups here).
+func TestJoinGroupTwoColumnAllocs(t *testing.T) {
+	a, b := benchRelPair(1024)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := JoinGroup(a, b, []string{"A", "C"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Errorf("two-column JoinGroup allocates %v times per run, want <= 64", allocs)
 	}
 }
 

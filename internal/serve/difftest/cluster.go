@@ -365,12 +365,14 @@ func RunCluster(t *testing.T, cfg Config) {
 	kill := func(step int) {
 		t.Helper()
 		total := int64(len(log))
+		// The horizon covers every acknowledged record (SyncEvery=1: acked
+		// means durable), registrations and releases included, not just the
+		// update LSN.
+		lg, li := srv.WAL().DurablePosition()
 		if !partitioned {
-			// A healthy link: let the follower fully catch up — the WHOLE
-			// durable stream, trailing registers and releases included, not
-			// just the update LSN — then kill. This is the failover where
-			// promotion must succeed and nothing acknowledged may be lost.
-			lg, li := srv.WAL().DurablePosition()
+			// A healthy link: let the follower fully catch up to that
+			// horizon, then kill. This is the failover where promotion must
+			// succeed and nothing acknowledged may be lost.
 			deadline := time.Now().Add(wait)
 			for {
 				fg, fi := fol.Position()
@@ -389,13 +391,14 @@ func RunCluster(t *testing.T, cfg Config) {
 		clockOff.Add(int64(ttl + time.Second)) // even an unreleased lease ages out
 
 		promoted, err := fol.Promote(replica.PromoteOptions{
-			MinLSN: total, Lease: store, Holder: followerNode.name, TTL: ttl,
+			MinLSN: total, MinGen: lg, MinIdx: li,
+			Lease: store, Holder: followerNode.name, TTL: ttl,
 		})
 		switch {
 		case err == nil:
 			if partitioned {
-				// Legal: nothing was acknowledged during the partition, so the
-				// follower's horizon covers everything.
+				// Legal: the follower had mirrored every record acknowledged
+				// before the partition, and none was acknowledged during it.
 				t.Logf("seed %d: step %d: partitioned follower was caught up; promoted", cfg.Seed, step)
 			}
 			swapRoles(promoted)

@@ -421,6 +421,13 @@ type PromoteOptions struct {
 	// spent ε. The caller's fallback is restarting the old leader from its
 	// own directory, which has everything it ever acknowledged.
 	MinLSN int64
+	// MinGen and MinIdx, when set, are the old leader's durable WAL position
+	// (wal.Log.DurablePosition): every record it acknowledged lies before
+	// it. MinLSN counts update records only, so a registration or an
+	// ε-spending release acknowledged but never shipped would pass it; a
+	// follower whose mirror (Position) stops short of this position refuses
+	// too.
+	MinGen, MinIdx int64
 	// Lease, when set, must be acquired before promotion; ErrLeaseHeld
 	// (an unexpired lease naming someone else) refuses the promotion.
 	Lease  LeaseStore
@@ -449,6 +456,9 @@ func (f *Follower) Promote(p PromoteOptions) (*serve.Server, error) {
 	}
 	if applied := f.srv.Stats().Appended; applied < p.MinLSN {
 		return nil, fmt.Errorf("replica: refusing promotion: durable horizon %d short of acknowledged %d — promoting would lose acknowledged writes", applied, p.MinLSN)
+	}
+	if fg, fi := f.mirror.Position(); fg < p.MinGen || (fg == p.MinGen && fi < p.MinIdx) {
+		return nil, fmt.Errorf("replica: refusing promotion: replicated WAL position (%d,%d) short of the leader's durable (%d,%d) — promoting would lose acknowledged records", fg, fi, p.MinGen, p.MinIdx)
 	}
 	if p.Lease != nil {
 		if _, err := p.Lease.Acquire(p.Holder, p.TTL); err != nil {

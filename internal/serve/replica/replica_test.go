@@ -113,6 +113,20 @@ func waitFollowerEpoch(t *testing.T, f *Follower, lsn int64) *serve.Server {
 	return nil
 }
 
+// waitFollowerPosition waits until the follower has mirrored and applied
+// every record before the leader's WAL position (gen, idx).
+func waitFollowerPosition(t *testing.T, f *Follower, gen, idx int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if fg, fi := f.Position(); f.Server() != nil && fg == gen && fi == idx {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("follower never replicated to (%d,%d)", gen, idx)
+}
+
 func registerPath(t *testing.T, srv *serve.Server) string {
 	t.Helper()
 	id, _, err := srv.Register(serve.QueryConfig{
@@ -366,7 +380,10 @@ func TestPromoteFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFollowerEpoch(t, cl.follower, to)
+	// Caught up means the whole durable stream, the release record
+	// included, not just the update epoch.
+	lg, li := cl.srv.WAL().DurablePosition()
+	waitFollowerPosition(t, cl.follower, lg, li)
 
 	// SIGKILL equivalent: graceful Close releases the lease (a crashed leader
 	// would instead age out of it); CloseNow abandons the server state.
@@ -374,7 +391,7 @@ func TestPromoteFailover(t *testing.T) {
 	cl.srv.CloseNow()
 
 	promoted, err := cl.follower.Promote(PromoteOptions{
-		MinLSN: to, Lease: store, Holder: "promoted", TTL: time.Minute,
+		MinLSN: to, MinGen: lg, MinIdx: li, Lease: store, Holder: "promoted", TTL: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -447,6 +464,42 @@ func TestPromoteRefusesShortHorizon(t *testing.T) {
 	_, err = cl.follower.Promote(PromoteOptions{MinLSN: to2})
 	if err == nil || !strings.Contains(err.Error(), "refusing promotion") {
 		t.Fatalf("promotion with a short horizon: %v, want refusal", err)
+	}
+	cl.follower.Close()
+}
+
+// TestPromoteRefusesUnshippedRegistration: a registration acknowledged
+// during a partition moves no update LSN, so a follower caught up on
+// updates passes MinLSN. The leader's durable WAL position covers the
+// registration record, and the follower refuses rather than lose it.
+func TestPromoteRefusesUnshippedRegistration(t *testing.T) {
+	db := testDB(t, 12, 4, 3, "R1", "R2", "R3")
+	nf := &NetFault{}
+	cl := startCluster(t, db, LeaderOptions{Fault: nf}, FollowerOptions{Fault: nf})
+	defer func() { cl.leader.Close(); cl.srv.CloseNow() }()
+
+	registerPath(t, cl.srv)
+	_, to, err := cl.srv.Append(workload.UpdateStream(db, 12, 0.4, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, li := cl.srv.WAL().DurablePosition()
+	waitFollowerPosition(t, cl.follower, lg, li)
+
+	nf.Partition(true)
+	if _, _, err := cl.srv.Register(serve.QueryConfig{ID: "late", Query: pathQuery(t)}); err != nil {
+		t.Fatal(err)
+	}
+	lg, li = cl.srv.WAL().DurablePosition()
+	cl.leader.Close()
+	cl.srv.CloseNow()
+
+	if applied := cl.follower.Server().Stats().Appended; applied != to {
+		t.Fatalf("follower applied %d updates, want %d: MinLSN alone would pass", applied, to)
+	}
+	_, err = cl.follower.Promote(PromoteOptions{MinLSN: to, MinGen: lg, MinIdx: li})
+	if err == nil || !strings.Contains(err.Error(), "refusing promotion") {
+		t.Fatalf("promotion missing an acknowledged registration: %v, want refusal", err)
 	}
 	cl.follower.Close()
 }
