@@ -656,9 +656,8 @@ func TestServeTraceAcrossReplication(t *testing.T) {
 		}
 	}
 
-	// The leader finishes the trace when the last shard drains the round
-	// (async epochs: per-shard drains replace the coordinated patch/publish
-	// stages); the follower records its half when the shipped record applies.
+	// The leader finishes the trace when the last shard drains the round;
+	// the follower records its half when the shipped record applies.
 	waitStages(lts.URL, "update", []string{"ingress", "shard-route", "wal-append", "drain", "shard-drain"})
 	waitStages(fts.URL, "replicated-update", []string{"mirror", "apply"})
 }

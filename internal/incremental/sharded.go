@@ -89,11 +89,11 @@ func SplitDatabase(db *relation.Database, pcol func(rel string) int, n int) ([]*
 // part it is returned as-is.
 //
 // Callers that cache per-partition results and merge lazily (the serving
-// layer's async epochs assemble a read-time cut from per-shard version
-// rings) additionally need every part to be stamped at the same log
-// position: the identities above hold only over a partition of one
-// database state, so merging parts from different cuts silently produces
-// counts and witnesses no single database ever had.
+// layer assembles a read-time cut from per-shard version rings)
+// additionally need every part to be stamped at the same log position: the
+// identities above hold only over a partition of one database state, so
+// merging parts from different cuts silently produces counts and witnesses
+// no single database ever had.
 func MergeResults(parts []*core.Result) *core.Result {
 	if len(parts) == 1 {
 		return parts[0]

@@ -34,7 +34,7 @@ package incremental
 // called from other goroutines — they touch only the refcount maps, under
 // the store mutex — but Adopt additionally requires the store quiescent
 // (no round in flight), which the serving layer guarantees by adopting
-// either under the coordinator's lock or inside the shard loop at a round
+// either while the owning shard is idle or inside the shard loop at a round
 // boundary.
 
 import (

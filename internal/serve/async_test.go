@@ -305,7 +305,7 @@ func TestServeRegisterChaseUnderLoad(t *testing.T) {
 
 // BenchmarkServeStalledShardRead measures the read path of a query whose
 // owning shard is healthy while another shard is frozen mid-drain — the
-// wait-free property async epochs buys: the read assembles its cut from
+// wait-free property per-shard drains buy: the read assembles its cut from
 // the healthy shard's watermark and never blocks on the stalled one.
 func BenchmarkServeStalledShardRead(b *testing.B) {
 	rng := rand.New(rand.NewSource(101))

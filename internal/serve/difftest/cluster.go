@@ -72,7 +72,6 @@ func RunCluster(t *testing.T, cfg Config) {
 			Shards:      cfg.Shards,
 			Parallelism: cfg.Parallelism,
 			BatchSize:   cfg.BatchSize,
-			AsyncEpochs: cfg.AsyncEpochs,
 			SharedPlans: cfg.SharedPlans,
 			WALDir:      n.dir,
 			WALFS:       n.fs,

@@ -41,12 +41,8 @@ type Config struct {
 	// Parallelism is forwarded to the server (default 2).
 	Parallelism int
 	// BatchSize is forwarded to the server (default 4, so most flushes span
-	// several coordinated rounds).
+	// several drain rounds).
 	BatchSize int
-	// AsyncEpochs is forwarded to the server (nil = server default, async).
-	// The matrix runs every harness in both drain disciplines so the two
-	// implementations diff against each other.
-	AsyncEpochs *bool
 	// SharedPlans is forwarded to the server (nil = server default, on).
 	// The matrix runs every harness with and without subplan sharing so the
 	// hash-consed and fully-private session paths diff against each other.
@@ -179,7 +175,6 @@ func Run(t *testing.T, cfg Config) {
 		Shards:      cfg.Shards,
 		Parallelism: cfg.Parallelism,
 		BatchSize:   cfg.BatchSize,
-		AsyncEpochs: cfg.AsyncEpochs,
 		SharedPlans: cfg.SharedPlans,
 	})
 	if err != nil {

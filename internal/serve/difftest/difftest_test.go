@@ -51,11 +51,6 @@ func boolAxis(t *testing.T, env string) []bool {
 	return out
 }
 
-// asyncModes returns the drain-discipline matrix: TSENS_TEST_ASYNC ("1",
-// "0", or a comma-separated combination) or the default both — the matrix
-// diffs the async and coordinated implementations against the same model.
-func asyncModes(t *testing.T) []bool { return boolAxis(t, "TSENS_TEST_ASYNC") }
-
 // sharedModes returns the subplan-sharing matrix: TSENS_TEST_SHARED ("1",
 // "0", or both) or the default both — the matrix diffs the hash-consed and
 // fully-private session paths against the same model.
@@ -75,22 +70,19 @@ func seed(t *testing.T) int64 {
 	return time.Now().UnixNano()
 }
 
-func matrixName(shards int, async, shared bool) string {
-	return fmt.Sprintf("shards=%d/async=%v/shared=%v", shards, async, shared)
+func matrixName(shards int, shared bool) string {
+	return fmt.Sprintf("shards=%d/shared=%v", shards, shared)
 }
 
-// matrix invokes fn for every (shards, async, shared) combination of the
+// matrix invokes fn for every (shards, shared) combination of the
 // env-configurable axes.
 func matrix(t *testing.T, s int64, fn func(t *testing.T, cfg Config)) {
 	for _, shards := range shardCounts(t) {
-		for _, async := range asyncModes(t) {
-			for _, shared := range sharedModes(t) {
-				cfg := Config{Seed: s, Shards: shards,
-					AsyncEpochs: serve.Bool(async), SharedPlans: serve.Bool(shared)}
-				t.Run(matrixName(shards, async, shared), func(t *testing.T) {
-					fn(t, cfg)
-				})
-			}
+		for _, shared := range sharedModes(t) {
+			cfg := Config{Seed: s, Shards: shards, SharedPlans: serve.Bool(shared)}
+			t.Run(matrixName(shards, shared), func(t *testing.T) {
+				fn(t, cfg)
+			})
 		}
 	}
 }
@@ -103,22 +95,18 @@ func TestServeDifferentialRandomized(t *testing.T) {
 
 // TestServeDifferentialPinned replays two fixed seeds so every CI run —
 // even without the env matrix — covers a deterministic script at both
-// shard extremes, in both drain disciplines, and on both sides of the
-// subplan-sharing switch.
+// shard extremes and on both sides of the subplan-sharing switch.
 func TestServeDifferentialPinned(t *testing.T) {
 	for _, c := range []Config{
 		{Seed: 1, Shards: 1},
 		{Seed: 2, Shards: 4},
 	} {
-		for _, async := range []bool{true, false} {
-			for _, shared := range []bool{true, false} {
-				c := c
-				c.AsyncEpochs = serve.Bool(async)
-				c.SharedPlans = serve.Bool(shared)
-				t.Run(fmt.Sprintf("seed=%d/%s", c.Seed, matrixName(c.Shards, async, shared)), func(t *testing.T) {
-					Run(t, c)
-				})
-			}
+		for _, shared := range []bool{true, false} {
+			c := c
+			c.SharedPlans = serve.Bool(shared)
+			t.Run(fmt.Sprintf("seed=%d/%s", c.Seed, matrixName(c.Shards, shared)), func(t *testing.T) {
+				Run(t, c)
+			})
 		}
 	}
 }
@@ -136,22 +124,19 @@ func TestServeCrashRecoveryMatrix(t *testing.T) {
 }
 
 // TestServeCrashRecoveryPinned replays fixed crash scripts at both shard
-// extremes so every CI run covers a deterministic kill/reopen sequence in
-// both drain disciplines and on both sides of the sharing switch.
+// extremes so every CI run covers a deterministic kill/reopen sequence on
+// both sides of the sharing switch.
 func TestServeCrashRecoveryPinned(t *testing.T) {
 	for _, c := range []Config{
 		{Seed: 3, Shards: 1},
 		{Seed: 4, Shards: 4},
 	} {
-		for _, async := range []bool{true, false} {
-			for _, shared := range []bool{true, false} {
-				c := c
-				c.AsyncEpochs = serve.Bool(async)
-				c.SharedPlans = serve.Bool(shared)
-				t.Run(fmt.Sprintf("seed=%d/%s", c.Seed, matrixName(c.Shards, async, shared)), func(t *testing.T) {
-					RunCrash(t, c, t.TempDir(), 4)
-				})
-			}
+		for _, shared := range []bool{true, false} {
+			c := c
+			c.SharedPlans = serve.Bool(shared)
+			t.Run(fmt.Sprintf("seed=%d/%s", c.Seed, matrixName(c.Shards, shared)), func(t *testing.T) {
+				RunCrash(t, c, t.TempDir(), 4)
+			})
 		}
 	}
 }
@@ -170,20 +155,15 @@ func TestServeClusterFailoverMatrix(t *testing.T) {
 
 // TestServeClusterFailoverPinned replays fixed failover scripts at both
 // shard extremes so every CI run covers a deterministic kill/promote/reset
-// sequence in both drain disciplines. The sharing axis is pinned per seed
-// (failover scripts are the slowest harness; the full cross product runs
-// in the randomized matrix).
+// sequence. The sharing axis is pinned per seed (failover scripts are the
+// slowest harness; the full cross product runs in the randomized matrix).
 func TestServeClusterFailoverPinned(t *testing.T) {
 	for _, c := range []Config{
 		{Seed: 5, Shards: 1, SharedPlans: serve.Bool(true)},
 		{Seed: 6, Shards: 4, SharedPlans: serve.Bool(false)},
 	} {
-		for _, async := range []bool{true, false} {
-			c := c
-			c.AsyncEpochs = serve.Bool(async)
-			t.Run(fmt.Sprintf("seed=%d/%s", c.Seed, matrixName(c.Shards, async, *c.SharedPlans)), func(t *testing.T) {
-				RunCluster(t, c)
-			})
-		}
+		t.Run(fmt.Sprintf("seed=%d/%s", c.Seed, matrixName(c.Shards, *c.SharedPlans)), func(t *testing.T) {
+			RunCluster(t, c)
+		})
 	}
 }

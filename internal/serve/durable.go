@@ -468,11 +468,11 @@ func decodeCheckpoint(data []byte, codec Codec) (*checkpoint, error) {
 // captureCheckpointLocked snapshots the recoverable state at the current
 // fold frontier. Caller holds stateMu (the coordinator between rounds, or
 // boot/Close), under which the master rows reflect exactly the frontier —
-// in async mode shards may still be draining queued rounds below it, but
-// those rounds are already folded into the master, so recovery replaying
-// the log past the frontier reconstructs the same state without any global
-// quiesce. The capture rolls the WAL first so every record in older
-// segments is covered by what it reads afterwards.
+// shards may still be draining queued rounds below it, but those rounds
+// are already folded into the master, so recovery replaying the log past
+// the frontier reconstructs the same state without any global quiesce.
+// The capture rolls the WAL first so every record in older segments is
+// covered by what it reads afterwards.
 func (s *Server) captureCheckpointLocked() (*checkpoint, error) {
 	gen, err := s.wal.log.Roll()
 	if err != nil {
@@ -525,7 +525,8 @@ func (s *Server) captureCheckpointLocked() (*checkpoint, error) {
 }
 
 // maybeCheckpointLocked triggers an asynchronous checkpoint at the
-// configured cadence. Coordinator-only, under stateMu post-publish.
+// configured cadence. Coordinator-only, under stateMu after enqueueing a
+// round.
 func (s *Server) maybeCheckpointLocked(epoch int64) {
 	dl := s.wal
 	if !dl.enabled() || s.opts.CheckpointEvery <= 0 {

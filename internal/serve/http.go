@@ -15,10 +15,8 @@ package serve
 //
 // Reads answer from published epoch views and never wait on the writers;
 // POST /updates?wait=1 (or "wait": true) blocks until the shards owning the
-// appended entries have folded them (their watermarks cover the range;
-// within the current round this never waits on a shard the updates don't
-// touch, though entries past the round's cut wait for the coordinator to
-// start the next round), and ?wait=epoch (or
+// appended entries have folded them (their watermarks cover the range; this
+// never waits on a shard the updates don't touch), and ?wait=epoch (or
 // "wait_epoch": true) blocks until the joined cut reaches them, so a
 // subsequent view read is guaranteed to reflect them. /epoch reports the
 // joined cut next to the per-shard watermarks; the "epoch" field of every
@@ -663,8 +661,8 @@ func (a *API) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	owners := srv.Owners(ups)
 	// The request's trace starts at the HTTP edge: "ingress" covers decode
 	// and routing up to the append; the server and its drain round add the
-	// wal-append/fsync, shard-route, patch, publish, and drain stages and
-	// finish the trace at publish.
+	// wal-append/fsync, shard-route, shard-drain, and drain stages, and the
+	// last shard to fold the round finishes the trace.
 	tr := a.recorder().Start("update")
 	tr.StageAt("ingress", ingressStart, time.Since(ingressStart))
 	from, to, err := srv.AppendTraced(ups, tr)
@@ -711,16 +709,15 @@ func (a *API) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	}
 	st := srv.Stats()
 	// Two distinct notions of progress, reported under distinct names:
-	// "epoch" is the PUBLISHED consistent cut — what every view read
-	// reflects — while "joined" is the minimum per-shard watermark. The
-	// per-shard "watermarks" are the authoritative frontier: in async mode
-	// each shard advances its own entry independently and the epoch chases
-	// their join; in coordinated mode every shard may have folded a round
-	// while the coordinator is still merging views. Either way published ≤
-	// joined always, and equality holds at rest. Nothing readable through
-	// /queries reflects a cut past "joined"
-	// (TestServeEpochPublishedNeverAheadOfJoined pins the invariant under a
-	// stalled shard).
+	// "epoch" is the PUBLISHED server epoch, while "joined" is the minimum
+	// per-shard watermark. The per-shard "watermarks" are the authoritative
+	// frontier: each shard advances its own entry independently and the
+	// epoch chases their join, so epoch ≤ joined always, and equality holds
+	// at rest (TestServeEpochPublishedNeverAheadOfJoined pins the invariant
+	// under a stalled shard). Every view read through /queries is one exact
+	// cut and never moves backwards, but a freshly registered query's first
+	// view is taken at the fold frontier and may be ahead of "joined" until
+	// its shards catch up.
 	var joined int64
 	for i, wm := range st.Watermarks {
 		if i == 0 || wm < joined {
@@ -732,7 +729,6 @@ func (a *API) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		"joined":     joined,
 		"shards":     st.Shards,
 		"watermarks": st.Watermarks,
-		"async":      st.Async,
 		"appended":   st.Appended,
 		"pending":    st.Appended - st.Epoch,
 		"skipped":    st.Skipped,

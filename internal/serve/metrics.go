@@ -28,9 +28,9 @@ type serverMetrics struct {
 	queries  *obs.Gauge // registered queries
 
 	rounds       *obs.Counter      // drain rounds completed
-	drainRound   *obs.Histogram    // whole-round latency (fold+barrier+publish)
+	drainRound   *obs.Histogram    // fold to last shard's finish, queue wait included
 	drainBatch   *obs.Histogram    // entries per round
-	publishView  *obs.Histogram    // merge+publish portion of a round
+	publishView  *obs.Histogram    // per-shard ring publish after a round's patch
 	shardPatch   *obs.HistogramVec // per-shard patch latency, label shard
 	shardEpoch   *obs.GaugeVec     // per-shard watermark (folded LSN), label shard
 	ringDepth    *obs.GaugeVec     // deepest unit version ring per shard, label shard
@@ -63,19 +63,19 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		skipped:  reg.Gauge("tsens_serve_skipped", "Log entries refused at apply time (deletes of absent tuples)."),
 		queries:  reg.Gauge("tsens_serve_queries", "Registered queries."),
 
-		rounds: reg.Counter("tsens_serve_drain_rounds_total", "Coordinator drain rounds completed."),
+		rounds: reg.Counter("tsens_serve_drain_rounds_total", "Drain rounds completed (every shard has folded the round)."),
 		drainRound: reg.Histogram("tsens_serve_drain_round_seconds",
-			"Drain-round latency: fold into master, shard barrier, merge and publish.", nil),
+			"Drain-round latency: from the fold into the master to the last shard's finish, queue wait included.", nil),
 		drainBatch: reg.Histogram("tsens_serve_drain_batch_entries",
 			"Log entries folded per drain round.", obs.SizeBuckets),
 		publishView: reg.Histogram("tsens_serve_publish_seconds",
-			"Merge-and-publish portion of a drain round.", nil),
+			"Per-shard ring publish: appending a round's unit versions to their version rings.", nil),
 		shardPatch: reg.HistogramVec("tsens_serve_shard_patch_seconds",
 			"Per-shard session patch latency within a round.", nil, "shard"),
 		shardEpoch: reg.GaugeVec("tsens_shard_epoch",
 			"Per-shard watermark: the LSN through which the shard has folded its routed entries.", "shard"),
 		ringDepth: reg.GaugeVec("tsens_serve_ring_depth",
-			"Deepest unit version ring owned by the shard after its last round (async mode).", "shard"),
+			"Deepest unit version ring owned by the shard after its last round.", "shard"),
 		registerSecs: reg.Histogram("tsens_serve_register_seconds",
 			"Register end to end: snapshot, solve, catch-up, install.", nil),
 		viewReads: reg.Counter("tsens_serve_view_reads_total", "View lookups answered from published epochs."),

@@ -18,8 +18,10 @@ package serve
 // points. Rounds are enqueued exclusively by the coordinator under stateMu,
 // and Register/Unregister hold stateMu, so "queue empty and no round in
 // flight" observed there is stable for as long as the lock is held — that
-// is when Adopt/ReleaseShared run inline. A busy shard defers both to the
-// top of a later round (processTransitions), before any unit steps.
+// is when Adopt/ReleaseShared run inline. A busy shard adopts at the top of
+// a later round (processTransitions), before any unit steps, and releases
+// at the end of the round it was busy with (endRound), after every unit
+// stepped.
 
 import (
 	"tsens/internal/incremental"
@@ -54,19 +56,53 @@ func (s *Server) storeFor(u *unit) *incremental.PlanStore {
 
 // idle reports whether the shard has neither queued nor in-flight rounds.
 // Stable only while the caller holds stateMu (the coordinator enqueues
-// rounds under stateMu, so none can appear underneath it); in coordinated
-// mode the whole round runs under stateMu, so the shard is always idle
-// here.
+// rounds under stateMu, so none can appear underneath it).
 func (sh *shard) idle() bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return len(sh.q) == 0 && !sh.applying
 }
 
+// retire releases the shared-plan subscriptions of units Unregister has
+// stripped from the shard: inline when the shard is idle, else at the end
+// of the round that keeps it busy, which may still step them from its unit
+// snapshot. Deciding under mu, the lock endRound clears applying under,
+// means a unit parked here is always collected by that endRound. Caller
+// holds stateMu.
+func (sh *shard) retire(units []*unit) {
+	sh.mu.Lock()
+	idle := len(sh.q) == 0 && !sh.applying
+	if !idle {
+		sh.retired = append(sh.retired, units...)
+	}
+	sh.mu.Unlock()
+	if idle {
+		releaseUnits(units)
+	}
+}
+
+// endRound marks the shard's round finished and returns the units retired
+// while it ran, for the shard to release.
+func (sh *shard) endRound() []*unit {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.applying = false
+	retired := sh.retired
+	sh.retired = nil
+	return retired
+}
+
+// releaseUnits detaches retired units from their plan stores; a unit that
+// never attached is a no-op.
+func releaseUnits(units []*unit) {
+	for _, u := range units {
+		u.sess.ReleaseShared()
+	}
+}
+
 // processTransitions runs at the top of a round, before the unit snapshot
-// and any stepping. It releases the shared-plan subscriptions of units
-// retired by Unregister while the shard was busy, then adopts units
-// Register installed mid-round. Adoption waits for the first round strictly
+// and any stepping. It adopts units Register installed while the shard was
+// busy. Adoption waits for the first round strictly
 // past the unit's installCut: rounds are FIFO with monotone cuts, so at
 // that point every established subscriber has applied exactly the entries
 // the newcomer replayed during catch-up — the quiescent, state-identical
@@ -75,15 +111,10 @@ func (sh *shard) idle() bool {
 //
 // The whole transition runs under umu: store/pendingStore hand-offs must be
 // atomic against a concurrent Unregister stripping the unit, which takes
-// umu before deciding how to release the unit's subscription.
+// umu before retiring it.
 func (sh *shard) processTransitions(s *Server, cut int64) {
 	sh.umu.Lock()
-	changed := len(sh.retired) > 0
-	for _, u := range sh.retired {
-		u.sess.ReleaseShared()
-		u.store = nil
-	}
-	sh.retired = nil
+	changed := false
 	for _, u := range sh.units {
 		if u.pendingStore == nil || cut <= u.installCut {
 			continue

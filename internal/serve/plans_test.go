@@ -155,8 +155,22 @@ func TestSharedPlansDeferredAdopt(t *testing.T) {
 
 	// Mid-round registration: the session catches up from the log, but
 	// the store attach is deferred, so the store still has one subscriber.
-	if _, _, err := srv.Register(QueryConfig{ID: "b", Query: pathQuery(t)}); err != nil {
+	_, bv, err := srv.Register(QueryConfig{ID: "b", Query: pathQuery(t)})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// b's first view is taken at the fold frontier, past the first parked
+	// round, while the joined cut is still 0 — ahead of the published
+	// epoch, yet exactly the state after its own prefix of the log.
+	if bv.Epoch < 4 || srv.Epoch() != 0 {
+		t.Fatalf("b registered at epoch %d with server epoch %d, want ≥ 4 ahead of 0", bv.Epoch, srv.Epoch())
+	}
+	bwant, err := core.LocalSensitivity(pathQuery(t), replayPrefix(t, db, stream, int(bv.Epoch)), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bv.Count != bwant.Count || bv.LS.LS != bwant.LS {
+		t.Fatalf("b's first view at %d: (%d, %d), scratch (%d, %d)", bv.Epoch, bv.Count, bv.LS.LS, bwant.Count, bwant.LS)
 	}
 	if st := adoptStatsOf(t, srv, "b"); st.NodesShared != 0 || st.NodesDonated != 0 {
 		t.Fatalf("adopt stats %+v while the shard is parked, want no adoption yet", st)
@@ -198,7 +212,7 @@ func TestSharedPlansDeferredAdopt(t *testing.T) {
 }
 
 // TestSharedPlansChurnUnderLoad races Register/Unregister churn of
-// overlapping queries against a live writer on the async path, exercising
+// overlapping queries against a live writer, exercising
 // deferred adoption (busy shard at install time) and deferred release
 // (unregister mid-round) under the race detector.
 func TestSharedPlansChurnUnderLoad(t *testing.T) {
@@ -279,21 +293,15 @@ func TestSharedPlansChurnUnderLoad(t *testing.T) {
 		return
 	}
 
-	// One more round flushes any releases a busy shard deferred when the
-	// churners unregistered mid-round.
-	flush := []relation.Update{{Rel: "R1", Insert: true, Row: relation.Tuple{2, 3}}}
-	if _, _, err := srv.Append(flush); err != nil {
-		t.Fatal(err)
-	}
-	log = append(log, flush...)
-	total := int64(len(log))
-	stream := log
-	if err := srv.WaitApplied(total); err != nil {
+	// No later write is needed to flush releases a busy shard deferred
+	// when the churners unregistered mid-round: each shard releases them
+	// at the end of the round that kept it busy.
+	if err := srv.WaitApplied(int64(len(log))); err != nil {
 		t.Fatal(err)
 	}
 
 	// The pinned query survived the churn with exact answers.
-	cur := replayPrefix(t, db, stream, len(stream))
+	cur := replayPrefix(t, db, log, len(log))
 	want, err := core.LocalSensitivity(pathQuery(t), cur, core.Options{})
 	if err != nil {
 		t.Fatal(err)

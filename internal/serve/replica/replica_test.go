@@ -113,8 +113,10 @@ func waitFollowerEpoch(t *testing.T, f *Follower, lsn int64) *serve.Server {
 	return nil
 }
 
-// waitFollowerPosition waits until the follower has mirrored and applied
-// every record before the leader's WAL position (gen, idx).
+// waitFollowerPosition waits until the follower has mirrored every record
+// before the leader's WAL position (gen, idx). The follower applies a record
+// to its live server only after mirroring it, so a caller that reads served
+// state waits for that too (waitFollowerEpoch).
 func waitFollowerPosition(t *testing.T, f *Follower, gen, idx int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -485,6 +487,7 @@ func TestPromoteRefusesUnshippedRegistration(t *testing.T) {
 	}
 	lg, li := cl.srv.WAL().DurablePosition()
 	waitFollowerPosition(t, cl.follower, lg, li)
+	waitFollowerEpoch(t, cl.follower, to)
 
 	nf.Partition(true)
 	if _, _, err := cl.srv.Register(serve.QueryConfig{ID: "late", Query: pathQuery(t)}); err != nil {

@@ -14,28 +14,21 @@
 //     shard owns a writer goroutine plus the session state reachable from
 //     its partition (shard.go). A coordinator goroutine drains the log in
 //     batches, folds each batch into the master rows, and hands every shard
-//     the same round. In async mode (Options.AsyncEpochs, the default) each
-//     shard drains its queue of rounds at its own pace, publishing per-unit
-//     version-ring entries stamped with each round's cut; readers assemble a
-//     consistent cut at read time from the joined minimum of the relevant
-//     shards' watermarks, so one stalled shard delays only the queries it
-//     owns. In coordinated mode the coordinator waits for every shard on a
-//     per-round barrier and then merges and publishes, per query, an
-//     immutable epoch view (count, LS result, and a drift-gated sensitivity
-//     snapshot) through an atomic pointer. Either way a view always
-//     describes one consistent cut of the log, never a mix of shards at
-//     different progress.
-//   - Readers answer Count/LS/noisy-release requests from the last
-//     published view: a read is an atomic pointer load plus (for releases)
-//     a ledger debit. Readers never take the writer's lock, so they are
-//     never blocked on a session patch — only an epoch swap is ever
-//     observable as a view change.
+//     the same round. Each shard drains its queue of rounds at its own pace,
+//     publishing per-unit version-ring entries (count, LS result, and a
+//     drift-gated sensitivity snapshot) stamped with each round's cut.
+//   - Readers assemble a query's view from those rings at the joined minimum
+//     of the relevant shards' watermarks and cache it behind an atomic
+//     pointer, so one stalled shard delays only the queries it owns. A view
+//     always describes one exact cut of the log, never a mix of shards at
+//     different progress. Readers never take the writer's lock, so they are
+//     never blocked on a session patch; a release adds only a ledger debit.
 //
 // The epoch of the server is the number of log entries every shard has
 // folded (the joined cut of the per-shard watermarks); views carry the
-// epoch they were computed at, so every answer is exact for some
-// recently-published epoch (linearizability at epoch granularity — the
-// property TestServeConcurrentReaders and internal/serve/difftest assert).
+// cut they were assembled at, so every answer is exact for that cut
+// (linearizability at epoch granularity — the property
+// TestServeConcurrentReaders and internal/serve/difftest assert).
 //
 // Registration no longer stalls the drain loop for the length of a solve:
 // Register snapshots the master at a cut (a row copy, under the state
@@ -78,8 +71,8 @@ var ErrNoQuery = errors.New("serve: no such query")
 // state change — the fencing half of the ε-single-writer rule.
 var ErrFenced = errors.New("serve: fenced: leadership lost")
 
-// DefaultBatchSize bounds how many log entries one coordinated round folds
-// into a single epoch. It sits below incremental.DefaultBulkThreshold so
+// DefaultBatchSize bounds how many log entries one drain round folds into a
+// single cut. It sits below incremental.DefaultBulkThreshold so
 // drained batches stay on the per-tuple delta path instead of rebuilding.
 const DefaultBatchSize = 32
 
@@ -93,9 +86,7 @@ const DefaultDriftFraction = 0.1
 // incremental.Options.RebuildTombstoneRatio).
 const DefaultRebuildTombstoneRatio = 0.5
 
-// DefaultMaxShards caps the GOMAXPROCS-derived default shard count: past a
-// handful of shards the coordinator's barrier and merge dominate before
-// typical session-patch work does.
+// DefaultMaxShards caps the GOMAXPROCS-derived default shard count.
 const DefaultMaxShards = 8
 
 // Options configures a Server.
@@ -167,9 +158,9 @@ type Options struct {
 	// serving surface should not.
 	Debug bool
 	// Traces collects completed request traces (obs.TraceRecorder): every
-	// appended batch is traced from ingress through shard routing, WAL
-	// append/fsync, the drain round, per-shard patches, and publish, and
-	// served at GET /debug/traces. nil makes the server create its own
+	// appended batch is traced from ingress through WAL append/fsync,
+	// shard routing, and the drain round until the last shard has folded
+	// it, and served at GET /debug/traces. nil makes the server create its own
 	// over Metrics. Pass one process-level recorder when several servers
 	// share a process (follower resets, promotion), mirroring Metrics.
 	Traces *obs.TraceRecorder
@@ -178,15 +169,6 @@ type Options struct {
 	// one structured line with its trace breakdown. 0 means
 	// obs.DefaultSlowThreshold.
 	SlowThreshold time.Duration
-	// AsyncEpochs selects the drain discipline (docs/SERVING.md "Consistent
-	// cuts"). nil or true (the default) lets every shard drain its rounds
-	// independently, with readers assembling consistent cuts from per-unit
-	// version rings at read time; false restores the coordinated per-round
-	// barrier, under which the coordinator publishes every view itself.
-	// Both modes expose identical semantics (the difftest matrix diffs
-	// them); async trades a slightly costlier read path for write-side
-	// isolation between shards. Use Bool to set it.
-	AsyncEpochs *bool
 	// SharedPlans hash-conses join-tree state across registered queries
 	// (docs/SERVING.md "Registration and plan sharing"): each shard keeps
 	// a plan store per sharing domain, and a query registering a subtree
@@ -201,7 +183,7 @@ type Options struct {
 	Logger *obs.Logger
 }
 
-// Bool boxes a bool for optional Options fields (AsyncEpochs, SharedPlans).
+// Bool boxes a bool for optional Options fields (SharedPlans).
 func Bool(v bool) *bool { return &v }
 
 func (o Options) withDefaults() Options {
@@ -267,11 +249,14 @@ type QueryConfig struct {
 }
 
 // View is one published epoch of one query: everything a reader needs,
-// immutable once published. Views are always published at a joined cut —
-// every shard has folded its updates below Epoch — so a view of a
-// partitioned query never mixes shards at different progress.
+// immutable once published. Every view is one exact cut of the log — each
+// of the query's units contributes its state at exactly Epoch — so a view
+// of a partitioned query never mixes shards at different progress, and a
+// query's views never move backwards. A query's first view (the one
+// Register returns) is taken at the fold frontier, so it may be ahead of
+// the joined cut (Server.Epoch) until the query's shards catch up.
 type View struct {
-	// Epoch is the server epoch (log entries applied) this view reflects.
+	// Epoch is the cut (log entries applied) this view reflects.
 	Epoch int64
 	// Count is |Q(D)| at Epoch.
 	Count int64
@@ -351,12 +336,10 @@ type Stats struct {
 	Queries int
 	// Shards is the number of write-path shards; Watermarks[i] is the LSN
 	// through which shard i has folded its routed entries (each ≥ Epoch
-	// while a round is in flight, = Epoch at rest). In async mode the
-	// watermarks are the authoritative frontier — Epoch is their join.
+	// while a round is in flight, = Epoch at rest). The watermarks are the
+	// authoritative frontier — Epoch is their join.
 	Shards     int
 	Watermarks []int64
-	// Async reports the drain discipline (Options.AsyncEpochs).
-	Async bool
 	// WAL reports whether the server is durable (Options.WALDir);
 	// DurableEpoch is then the epoch covered by the last installed
 	// checkpoint (recovery replays the WAL tail past it).
@@ -365,8 +348,8 @@ type Stats struct {
 }
 
 // servedQuery is the per-query state. The shard writers mutate the unit
-// sessions, the coordinator merges and publishes views, and readers load
-// views and share the release cache under relMu.
+// sessions and publish their versions, readers assemble and cache views
+// from those versions and share the release cache under relMu.
 type servedQuery struct {
 	id      string
 	text    string
@@ -431,7 +414,6 @@ type Server struct {
 	queries map[string]*servedQuery
 
 	shards []*shard
-	async  bool // Options.AsyncEpochs resolved (nil → true)
 
 	// sharedPlans is Options.SharedPlans resolved (nil → true); plans
 	// holds each shard's two sharing domains (partitioned / fallback)
@@ -445,13 +427,12 @@ type Server struct {
 
 	// frontier is the fold frontier: the LSN through which the coordinator
 	// has folded the log into the master rows (and enqueued rounds). Under
-	// stateMu the master always reflects exactly frontier — which in async
-	// mode may lead epoch, the joined cut the views have reached. In
-	// coordinated mode the two advance together.
+	// stateMu the master always reflects exactly frontier, which may lead
+	// epoch, the joined cut the shards have reached.
 	frontier atomic.Int64
 
 	// epochGaugeMu serializes refreshing the epoch gauge against the
-	// shard-side CAS races of async mode: a shard that wins the CAS but is
+	// shards' racing epoch CASes: a shard that wins the CAS but is
 	// preempted before the gauge write must not later clobber a newer value,
 	// so writers re-load the epoch under this mutex before setting it.
 	epochGaugeMu sync.Mutex
@@ -516,7 +497,6 @@ func newServer(master *relation.Database, opts Options, init serverInit, dl *dur
 	}
 	s.traces = opts.Traces
 	s.logger = opts.Logger
-	s.async = opts.AsyncEpochs == nil || *opts.AsyncEpochs
 	s.sharedPlans = opts.SharedPlans == nil || *opts.SharedPlans
 	s.epoch.Store(init.epoch)
 	s.frontier.Store(init.epoch)
@@ -733,9 +713,9 @@ func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 	s.reserved[id] = true
 	snap := s.master.Clone()
 	// The snapshot reflects the fold frontier, not the published epoch —
-	// in async mode the coordinator may have folded (and enqueued) rounds
-	// the shards have not finished, and those entries are already in the
-	// master rows the clone copied.
+	// the coordinator may have folded (and enqueued) rounds the shards have
+	// not finished, and those entries are already in the master rows the
+	// clone copied.
 	cut := s.frontier.Load()
 	s.logMu.Lock()
 	token := s.nextReg
@@ -863,12 +843,18 @@ func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 	if err := applyMissed(missed); err != nil {
 		return "", nil, err
 	}
+	// Seed every unit's ring at the install cut and build the first view the
+	// way a read does. Nothing here is visible before the install below.
 	for _, u := range sq.units {
 		u.refresh()
+		u.installCut = cur // queued rounds at or below cur were replayed above
+		u.publishVersion(cur, s.opts.DriftFraction)
 	}
-	if err := sq.publish(cur, s.opts.DriftFraction); err != nil {
-		return "", nil, err
+	first := sq.assemble(cur)
+	if first.Err != nil {
+		return "", nil, first.Err
 	}
+	sq.view.Store(first)
 	// Journal the registration before it becomes visible, so a crash after
 	// a successful Register always recovers the query (and a crash before
 	// the record is durable recovers a server that never acknowledged it).
@@ -880,19 +866,13 @@ func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 	}
 	s.ackMetric("register")
 	for _, u := range sq.units {
-		u.installCut = cur // queued rounds at or below cur were replayed above
-		if s.async {
-			u.publishVersion(cur, s.opts.DriftFraction) // seed the ring pre-install
-		}
 		sh := s.shards[u.shard]
 		if store := s.storeFor(u); store != nil {
-			// Adopt inline if the shard is provably quiescent at cur —
-			// always the case in coordinated mode, where whole rounds run
-			// under the stateMu we hold. A busy shard instead adopts at
-			// its first round strictly past cur (processTransitions),
-			// where the same state alignment holds. A failed Adopt (it
-			// errors only before touching any state) leaves the session
-			// on its private plan.
+			// Adopt inline if the shard is provably quiescent at cur. A
+			// busy shard instead adopts at its first round strictly past
+			// cur (processTransitions), where the same state alignment
+			// holds. A failed Adopt (it errors only before touching any
+			// state) leaves the session on its private plan.
 			if sh.idle() && sh.watermark.Load() == cur {
 				if _, aerr := u.sess.Adopt(store); aerr == nil {
 					u.store = store
@@ -914,7 +894,7 @@ func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 	s.m.queries.Set(float64(len(s.queries)))
 	s.qmu.Unlock()
 	s.budgetMetrics(sq)
-	return id, sq.view.Load(), nil
+	return id, first, nil
 }
 
 // Unregister removes a query. Its sessions and views are dropped.
@@ -956,23 +936,7 @@ func (s *Server) Unregister(id string) error {
 		}
 		sh.units = keep
 		sh.umu.Unlock()
-		for _, u := range dropped {
-			if u.store == nil && u.pendingStore == nil {
-				continue
-			}
-			u.pendingStore = nil
-			if sh.idle() {
-				u.sess.ReleaseShared()
-				u.store = nil
-			} else {
-				// A round in flight may still step the unit from its
-				// snapshot (the unit stays a consistent store subscriber
-				// for that round); release at the next round top instead.
-				sh.umu.Lock()
-				sh.retired = append(sh.retired, u)
-				sh.umu.Unlock()
-			}
-		}
+		sh.retire(dropped)
 	}
 	s.refreshPlanGauges()
 	return nil
@@ -1107,20 +1071,18 @@ func (s *Server) WAL() *wal.Log {
 	return s.wal.log
 }
 
-// View returns the freshest consistent view of a query. In coordinated
-// mode that is the last published view — one atomic load. In async mode
-// the read assembles the consistent cut at the query's joined watermark
-// from the unit version rings (atomic loads plus a merge; falling back to
-// the cached view under extreme skew). Never blocked by the writers.
+// View returns the freshest consistent view of a query: the cached view
+// when it already sits at the query's joined watermark (one atomic load),
+// else the exact cut at that watermark assembled from the unit version
+// rings (atomic loads plus a merge; falling back to the cached view under
+// extreme skew). It never moves backwards and is never blocked by the
+// writers; the View type states the cut contract.
 func (s *Server) View(id string) (*View, error) {
 	sq, err := s.lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	v := sq.view.Load()
-	if s.async {
-		v = s.currentView(sq)
-	}
+	v := s.currentView(sq)
 	if v.Err != nil {
 		return nil, fmt.Errorf("serve: query %q failed at epoch %d: %w", id, v.Epoch, v.Err)
 	}
@@ -1169,10 +1131,7 @@ func (s *Server) Release(id string, rng *rand.Rand) (*ReleaseResult, error) {
 	if sq.private == "" {
 		return nil, fmt.Errorf("serve: query %q has no private relation; register with Private set", id)
 	}
-	v := sq.view.Load()
-	if s.async {
-		v = s.currentView(sq)
-	}
+	v := s.currentView(sq)
 	if v.Err != nil {
 		return nil, fmt.Errorf("serve: query %q failed at epoch %d: %w", id, v.Epoch, v.Err)
 	}
@@ -1232,10 +1191,7 @@ func (s *Server) Queries() []QueryInfo {
 	s.qmu.RUnlock()
 	out := make([]QueryInfo, 0, len(sqs))
 	for _, sq := range sqs {
-		v := sq.view.Load()
-		if s.async {
-			v = s.currentView(sq)
-		}
+		v := s.currentView(sq)
 		info := QueryInfo{
 			ID:           sq.id,
 			Query:        sq.text,
@@ -1279,7 +1235,6 @@ func (s *Server) Stats() Stats {
 		Queries:    n,
 		Shards:     len(s.shards),
 		Watermarks: wm,
-		Async:      s.async,
 	}
 	if s.wal != nil {
 		st.WAL = true
@@ -1299,11 +1254,9 @@ func (s *Server) lookup(id string) (*servedQuery, error) {
 }
 
 // writer is the coordinator: it drains the log in batches, folds each batch
-// into the master rows, and hands every shard the same round. In async mode
-// it then moves straight on to the next batch — the shards drain their
-// queues independently and the epoch advances as their watermark join does.
-// In coordinated mode it waits on the round's barrier and merges and
-// publishes the new epoch itself.
+// into the master rows, hands every shard the same round, and moves straight
+// on to the next batch — the shards drain their queues independently and
+// the epoch advances as their watermark join does.
 func (s *Server) writer() {
 	defer s.wg.Done()
 	drained := s.frontier.Load() // non-zero when recovering from a checkpoint
@@ -1316,10 +1269,6 @@ func (s *Server) writer() {
 			return
 		}
 		roundStart := time.Now()
-		var stopRound func()
-		if !s.async {
-			stopRound = s.m.reg.Span("serve.drain_round", s.m.drainRound)
-		}
 		s.m.drainBatch.Observe(float64(len(batch)))
 		s.stateMu.Lock()
 		valid := batch[:0:0]
@@ -1339,64 +1288,36 @@ func (s *Server) writer() {
 		}
 		routeD := time.Since(routeStart)
 		newEpoch := drained + int64(len(batch))
-		rd := &round{valid: valid, routed: routed, cut: newEpoch}
 		// The frontier advances before stateMu releases, so a Register that
 		// takes over the lock reads a cut consistent with the master rows it
-		// snapshots (in async mode the published epoch may still trail).
+		// snapshots (the published epoch may still trail).
 		s.frontier.Store(newEpoch)
 
-		if s.async {
-			rd.pending.Store(int32(len(s.shards)))
-			rd.btraces = btraces
-			rd.start, rd.routeStart, rd.routeD = roundStart, routeStart, routeD
-			rd.batchLen = len(batch)
-			var prev *obs.ActiveTrace
-			for _, tr := range btraces {
-				if tr == nil || tr == prev {
-					continue
-				}
-				prev = tr
-				tr.StageAt("shard-route", routeStart, routeD)
+		rd := &round{valid: valid, routed: routed, cut: newEpoch, btraces: btraces,
+			start: roundStart, routeStart: routeStart, routeD: routeD, batchLen: len(batch)}
+		rd.pending.Store(int32(len(s.shards)))
+		var prev *obs.ActiveTrace
+		for _, tr := range btraces {
+			if tr == nil || tr == prev {
+				continue
 			}
-			for _, sh := range s.shards {
-				sh.enqueue(rd)
-			}
-			if s.wal != nil {
-				s.maybeCheckpointLocked(newEpoch)
-			}
-			s.stateMu.Unlock()
-			drained = newEpoch
-			continue
+			prev = tr
+			tr.StageAt("shard-route", routeStart, routeD)
 		}
-
-		rd.wg.Add(len(s.shards))
-		patchStart := time.Now()
 		for _, sh := range s.shards {
 			sh.enqueue(rd)
 		}
-		rd.wg.Wait()
-		patchD := time.Since(patchStart)
-		publishStart := time.Now()
-		s.publishAll(newEpoch)
-		publishD := time.Since(publishStart)
-		s.m.publishView.Observe(publishD.Seconds())
-		s.epoch.Store(newEpoch)
-		s.m.epoch.Set(float64(newEpoch))
 		if s.wal != nil {
 			s.maybeCheckpointLocked(newEpoch)
 		}
 		s.stateMu.Unlock()
-		stopRound()
-		s.m.rounds.Inc()
-		s.finishRound(btraces, newEpoch, len(batch), roundStart, routeStart, routeD, patchStart, patchD, publishStart, publishD)
 		drained = newEpoch
-		s.notify()
 	}
 }
 
-// advanceEpoch (async mode) moves the published epoch up to the joined
-// minimum of every shard's watermark. Called by each shard after it stores
-// its own watermark; the CAS loop makes concurrent shards race forward
+// advanceEpoch moves the published epoch up to the joined minimum of every
+// shard's watermark. Called by each shard after it stores its own
+// watermark; the CAS loop makes concurrent shards race forward
 // monotonically, and the gauge refresh re-loads under epochGaugeMu so a
 // preempted winner cannot publish a stale gauge over a newer one.
 func (s *Server) advanceEpoch() {
@@ -1437,12 +1358,13 @@ func (s *Server) joinFor(sq *servedQuery) int64 {
 	return s.joinedCut()
 }
 
-// finishAsyncRound is run by the last shard to fold a round: it stamps the
+// finishRound is run by the last shard to fold a round: it stamps the
 // drain stages onto the batch's traces, completes them, bumps the round
-// counters, and emits the slow-round log line (mirroring finishRound for
-// the coordinated path). ActiveTrace is internally locked, so finishing
-// from a shard goroutine is safe.
-func (s *Server) finishAsyncRound(rd *round) {
+// counters, and emits the slow-round log line. The batch's entries are
+// contiguous per Append, so deduplicating consecutive pointers visits each
+// trace once. ActiveTrace is internally locked, so finishing from a shard
+// goroutine is safe.
+func (s *Server) finishRound(rd *round) {
 	roundD := time.Since(rd.start)
 	s.m.drainRound.Observe(roundD.Seconds())
 	s.m.rounds.Inc()
@@ -1468,9 +1390,9 @@ func (s *Server) finishAsyncRound(rd *round) {
 }
 
 // refreshViews re-assembles the cached view of every distinct query among
-// units (async mode, called by a shard after its round): write traffic
-// keeps views fresh even with no readers, which WaitApplied — defined over
-// the epoch the views have reached — depends on.
+// units (called by a shard after its round): write traffic keeps views
+// fresh even with no readers, which WaitApplied — defined over the epoch
+// the views have reached — depends on.
 func (s *Server) refreshViews(units []*unit) {
 	var prev *servedQuery
 	for _, u := range units {
@@ -1482,11 +1404,11 @@ func (s *Server) refreshViews(units []*unit) {
 	}
 }
 
-// currentView returns the freshest consistent view of sq (async mode): the
-// cached view if it already sits at the query's joined cut, else a fresh
-// assembly from the unit version rings. Assembly failures (a ring entry
-// already evicted under heavy skew) fall back to the cached view — older,
-// but still one consistent cut. Never blocks on the writers.
+// currentView returns the freshest consistent view of sq: the cached view
+// if it already sits at (or, for a first view, ahead of) the query's joined
+// cut, else a fresh assembly from the unit version rings. Assembly failures
+// (a ring entry already evicted under heavy skew) fall back to the cached
+// view — older, but still one consistent cut. Never blocks on the writers.
 func (s *Server) currentView(sq *servedQuery) *View {
 	cached := sq.view.Load()
 	if cached.Err != nil {
@@ -1501,7 +1423,7 @@ func (s *Server) currentView(sq *servedQuery) *View {
 		return cached
 	}
 	if v.Err != nil {
-		sq.view.Store(v) // tombstone: persists, like the coordinated path
+		sq.view.Store(v) // tombstone: persists
 		return v
 	}
 	// CAS forward only: concurrent assemblies race, newest cut wins.
@@ -1589,54 +1511,6 @@ func (sq *servedQuery) assemble(join int64) *View {
 	return out
 }
 
-// finishRound stamps the drain round's stage timings onto every trace the
-// batch carried, completes them, and writes the slow-round log line when
-// the round blew the threshold. The batch's entries are contiguous per
-// Append, so deduplicating consecutive pointers visits each trace once.
-func (s *Server) finishRound(btraces []*obs.ActiveTrace, epoch int64, batchLen int,
-	roundStart, routeStart time.Time, routeD time.Duration,
-	patchStart time.Time, patchD time.Duration,
-	publishStart time.Time, publishD time.Duration) {
-	roundD := time.Since(roundStart)
-	var first obs.TraceID
-	var prev *obs.ActiveTrace
-	for _, tr := range btraces {
-		if tr == nil || tr == prev {
-			continue
-		}
-		prev = tr
-		if first == 0 {
-			first = tr.ID()
-		}
-		tr.StageAt("shard-route", routeStart, routeD)
-		tr.StageAt("patch", patchStart, patchD)
-		tr.StageAt("publish", publishStart, publishD)
-		tr.StageAt("drain", roundStart, roundD)
-		tr.Finish()
-	}
-	if roundD >= s.traces.SlowThreshold() && s.traces.SlowThreshold() > 0 && s.logger != nil {
-		s.logger.Warn("slow drain round",
-			"trace", first, "epoch", epoch, "batch", batchLen,
-			"took", roundD, "route", routeD, "patch", patchD, "publish", publishD)
-	}
-}
-
-// publishAll merges and publishes every query's view for the completed cut.
-// It runs on the coordinator with all shards idle (post-barrier, under
-// stateMu), so reading the live sessions here is race-free.
-func (s *Server) publishAll(epoch int64) {
-	s.qmu.RLock()
-	sqs := make([]*servedQuery, 0, len(s.queries))
-	for _, sq := range s.queries {
-		sqs = append(sqs, sq)
-	}
-	s.qmu.RUnlock()
-	_ = par.Do(s.opts.Parallelism, len(sqs), func(i int) error {
-		_ = sqs[i].publish(epoch, s.opts.DriftFraction) // failures become tombstone views
-		return nil
-	})
-}
-
 // notify wakes WaitApplied and WaitShards waiters.
 func (s *Server) notify() {
 	s.waitMu.Lock()
@@ -1705,58 +1579,6 @@ func (s *Server) applyToMaster(up relation.Update) bool {
 		return true
 	}
 	return rs.TryRemove(r, up.Row)
-}
-
-// publish merges the query's unit outputs into one view for epoch and
-// stores it. Only the coordinator (or Register, under stateMu with no
-// round in flight) calls it. The sensitivity snapshot carries over from
-// the previous view until the count drifts past driftFrac or a session
-// rebuilt (a rebuild re-materializes the private relation, so the old
-// per-row vector may no longer describe it). A failed unit turns the view
-// into a tombstone, which persists.
-func (sq *servedQuery) publish(epoch int64, driftFrac float64) error {
-	old := sq.view.Load()
-	if old != nil && old.Err != nil {
-		return old.Err
-	}
-	var (
-		count    int64
-		rebuilds int
-		parts    = make([]*core.Result, len(sq.units))
-	)
-	for i, u := range sq.units {
-		if u.err != nil {
-			sq.view.Store(&View{Epoch: epoch, Parts: len(sq.units), Err: u.err})
-			return u.err
-		}
-		count = relation.AddSat(count, u.count) // CountTotal saturates; so must the partition sum
-		rebuilds += u.sess.Rebuilds()
-		parts[i] = u.res
-	}
-	res := incremental.MergeResults(parts)
-	v := &View{Epoch: epoch, Count: count, LS: res, Rebuilds: rebuilds, Parts: len(sq.units)}
-	if sq.private != "" {
-		if old != nil && old.Sens != nil && old.Rebuilds == rebuilds &&
-			driftFrac >= 0 && !drifted(count, old.SensCount, driftFrac) {
-			v.Sens, v.SensEpoch, v.SensCount = old.Sens, old.SensEpoch, old.SensCount
-		} else {
-			var sens []int64
-			for _, u := range sq.units {
-				fn, err := u.sess.SensitivityFn(sq.private)
-				if err != nil {
-					sq.view.Store(&View{Epoch: epoch, Parts: len(sq.units), Err: err})
-					return err
-				}
-				for _, row := range u.sess.Rows(sq.private) {
-					sens = append(sens, fn(row))
-				}
-			}
-			sort.Slice(sens, func(i, j int) bool { return sens[i] < sens[j] })
-			v.Sens, v.SensEpoch, v.SensCount = sens, epoch, count
-		}
-	}
-	sq.view.Store(v)
-	return nil
 }
 
 func drifted(cur, base int64, frac float64) bool {

@@ -12,30 +12,28 @@ package serve
 //     single designated shard (stable hash of its ID) and fed the whole
 //     batch — correctness never depends on partitionability, only speed.
 //
-// Two drain disciplines share this file (Options.AsyncEpochs):
+// The coordinator cuts rounds at common LSN boundaries (so every shard's
+// fold history is the same sequence of cuts), pushes each round onto every
+// shard's unbounded FIFO queue, and moves on without waiting for any shard.
+// Each shard drains its queue at its own pace; after folding a round it
+// publishes, for every unit it owns, a new entry in the unit's version ring
+// stamped with the round's cut, advances its watermark, and tries to move
+// the published epoch up to the joined minimum of all watermarks. Readers
+// assemble a view at read time (Server.currentView): per unit, the newest
+// ring entry at-or-below the query's joined cut, tightened to one common
+// stamp — because stamps are round cuts and rings are dense (one entry per
+// processed round), the assembled vector is exactly the cut at that stamp.
+// The cut contract (see View):
 //
-// Coordinated mode: the coordinator hands every shard the same round (a
-// validated batch plus its routes and target cut), waits for all of them on
-// the round's barrier, and only then merges and publishes per-query views
-// at the new epoch.
+//   - every view is one exact cut;
+//   - a query's views never move backwards;
+//   - a query's first view, taken by Register at the fold frontier, may be
+//     ahead of the joined cut until the query's shards catch up;
+//   - the published epoch never passes the joined cut
+//     (TestServeEpochPublishedNeverAheadOfJoined).
 //
-// Async mode (the default): there is no per-round barrier. The coordinator
-// still cuts rounds at common LSN boundaries (so every shard's fold history
-// is the same sequence of cuts), but pushes each round onto every shard's
-// unbounded FIFO queue and moves on. Each shard drains its queue at its own
-// pace; after folding a round it publishes, for every unit it owns, a new
-// entry in the unit's version ring stamped with the round's cut, advances
-// its watermark, and tries to move the published epoch up to the joined
-// minimum of all watermarks. Readers assemble a consistent cut at read time
-// (Server.assemble): per unit, the newest ring entry at-or-below the join,
-// tightened to one common stamp — because stamps are round cuts and rings
-// are dense (one entry per processed round), the assembled vector is exactly
-// the consistent cut at that stamp. A stalled shard therefore stalls only
-// the queries whose units it owns; everything else keeps advancing
-// (TestServeAsyncStalledShardIndependence), and nothing readable through
-// View/Count/LS//epoch ever reflects a cut some relevant shard has not
-// reached (TestServeShardWatermarkJoin pauses a shard mid-batch and asserts
-// exactly that).
+// A stalled shard therefore stalls only the queries whose units it owns;
+// everything else keeps advancing (TestServeAsyncStalledShardIndependence).
 
 import (
 	"context"
@@ -63,19 +61,16 @@ const ringDepth = 16
 
 // round is one drain step: the validated batch, the same batch bucketed per
 // owning shard (computed once by the coordinator), and the epoch the batch
-// advances the server to. All shards process the same round. In coordinated
-// mode wg is the barrier the coordinator waits on before publishing views
-// for cut; in async mode pending counts the shards still to fold it, and
-// the last one finishes the round's traces.
+// advances the server to. All shards process the same round; pending counts
+// the shards still to fold it, and the last one finishes the round's traces.
 type round struct {
 	valid  []relation.Update
 	routed [][]relation.Update
 	cut    int64
-	wg     sync.WaitGroup
 
-	// Async-mode trace plumbing: the batch's in-flight traces plus the
-	// coordinator-side timings, stamped by whichever shard drains the round
-	// last (pending hits zero).
+	// Trace plumbing: the batch's in-flight traces plus the coordinator-side
+	// timings, stamped by whichever shard drains the round last (pending
+	// hits zero).
 	pending    atomic.Int32
 	btraces    []*obs.ActiveTrace
 	start      time.Time
@@ -92,30 +87,29 @@ type shard struct {
 	units []*unit
 	patch *obs.Histogram // per-round patch latency for this shard
 
-	// umu guards units: Register/Unregister mutate the slice while (in
-	// async mode) a round may be in flight, so the worker snapshots it
-	// under umu at the start of every round.
+	// umu guards units: Register/Unregister mutate the slice while a round
+	// may be in flight, so the worker snapshots it under umu at the start of
+	// every round.
 	umu sync.Mutex
 
 	// mu/cond/q is the shard's round queue: unbounded FIFO so a slow shard
 	// never backpressures the coordinator onto its siblings (a bounded
-	// queue would re-couple the shards the async mode exists to decouple).
-	// Memory is bounded by the acknowledged backlog, which Append already
-	// admits.
+	// queue would re-couple the shards). Memory is bounded by the
+	// acknowledged backlog, which Append already admits.
 	mu      sync.Mutex
 	cond    *sync.Cond
 	q       []*round
 	qclosed bool
 
 	// applying marks a round in flight between next() handing it out and
-	// the end of that run-loop iteration, so Register/Unregister can tell
-	// an empty queue apart from a truly quiescent shard. Guarded by mu.
+	// endRound, so Register/Unregister can tell an empty queue apart from a
+	// truly quiescent shard. Guarded by mu.
 	applying bool
 
 	// retired holds units stripped by Unregister while the shard was busy;
-	// their shared-plan subscriptions are released at the next round top
-	// (processTransitions), after the in-flight round that may still step
-	// them has finished. Guarded by umu.
+	// endRound hands them back for release once the round that may still
+	// step them has finished. Guarded by mu, together with applying, so no
+	// retired unit outlives the round that made its shard busy.
 	retired []*unit
 
 	// watermark is the LSN through which every entry routed to this shard
@@ -137,7 +131,7 @@ func (sh *shard) enqueue(rd *round) {
 
 // next blocks for the next queued round, or returns nil once the queue is
 // closed and fully drained — queued rounds are already folded into the
-// master and (in coordinated mode) barrier-awaited, so they always finish.
+// master, so they always finish.
 func (sh *shard) next() *round {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -193,7 +187,7 @@ type unitVersion struct {
 // `part` of a partitionable query (part == shard), or the whole session of
 // an unpartitionable one (part < 0). count/res/err are the unit's cached
 // outputs: written by the owning shard during rounds (or by Register at
-// install), read by the coordinator after the barrier in coordinated mode.
+// install) and copied into the unit's next ring entry.
 type unit struct {
 	sq    *servedQuery
 	sess  *incremental.Session
@@ -206,7 +200,7 @@ type unit struct {
 
 	// installCut is the cut the unit's session already reflected when
 	// Register installed it; queued rounds at or below it are skipped
-	// (async mode — their updates were replayed during catch-up).
+	// (their updates were replayed during catch-up).
 	installCut int64
 
 	// store is the shared plan store the unit's session is attached to
@@ -218,8 +212,8 @@ type unit struct {
 	store        *incremental.PlanStore
 	pendingStore *incremental.PlanStore
 
-	// ring holds the unit's recent published versions, ascending by stamp
-	// (async mode only; empty in coordinated mode).
+	// ring holds the unit's recent published versions, ascending by stamp;
+	// Register seeds it at installCut.
 	ring atomic.Pointer[[]*unitVersion]
 }
 
@@ -287,7 +281,7 @@ func (u *unit) publishVersion(stamp int64, driftFrac float64) int {
 }
 
 // run is the shard's writer loop: fold the owned units for each round,
-// publish their new versions (async), advance the watermark, wake waiters.
+// publish their new versions, advance the watermark, wake waiters.
 func (sh *shard) run(s *Server) {
 	defer s.wg.Done()
 	epochGauge := s.m.shardEpoch.With(shardLabel(sh.id))
@@ -316,36 +310,32 @@ func (sh *shard) run(s *Server) {
 			return nil
 		})
 		sh.patch.ObserveSince(start)
-		if s.async {
-			depth := 0
-			publishStart := time.Now()
-			for _, u := range units {
-				if rd.cut <= u.installCut {
-					continue // replayed by Register's catch-up; ring starts at installCut
-				}
-				if d := u.publishVersion(rd.cut, s.opts.DriftFraction); d > depth {
-					depth = d
-				}
+		depth := 0
+		publishStart := time.Now()
+		for _, u := range units {
+			if rd.cut <= u.installCut {
+				continue // replayed by Register's catch-up; ring starts at installCut
 			}
-			s.m.publishView.Observe(time.Since(publishStart).Seconds())
-			ringGauge.Set(float64(depth))
+			if d := u.publishVersion(rd.cut, s.opts.DriftFraction); d > depth {
+				depth = d
+			}
+		}
+		s.m.publishView.Observe(time.Since(publishStart).Seconds())
+		ringGauge.Set(float64(depth))
+		// The round no longer touches any session: release what Unregister
+		// retired meanwhile before the watermark lets waiters through.
+		if retired := sh.endRound(); len(retired) > 0 {
+			releaseUnits(retired)
+			s.refreshPlanGauges()
 		}
 		sh.watermark.Store(rd.cut)
 		epochGauge.Set(float64(rd.cut))
-		if s.async {
-			s.advanceEpoch()
-			s.refreshViews(units)
-			if rd.pending.Add(-1) == 0 {
-				s.finishAsyncRound(rd)
-			}
-			s.notify()
-		} else {
-			s.notify()
-			rd.wg.Done()
+		s.advanceEpoch()
+		s.refreshViews(units)
+		if rd.pending.Add(-1) == 0 {
+			s.finishRound(rd)
 		}
-		sh.mu.Lock()
-		sh.applying = false
-		sh.mu.Unlock()
+		s.notify()
 	}
 }
 
@@ -416,8 +406,8 @@ func (u *unit) step(rd *round, routed []relation.Update) {
 }
 
 // refresh recomputes the cached count and LS result from the live session.
-// Callers hold the unit quiescent (owning shard inside a round, or the
-// coordinator/Register under stateMu).
+// Callers hold the unit quiescent (owning shard inside a round, or Register
+// before install).
 func (u *unit) refresh() {
 	if u.err != nil {
 		return
@@ -482,11 +472,8 @@ func (s *Server) Owners(ups []relation.Update) []int {
 
 // WaitShards blocks until every listed shard's watermark reaches lsn (all
 // their entries below lsn folded) or the server closes. Unlike WaitApplied,
-// it does not wait for unrelated shards. In async mode the isolation is
-// complete — a healthy shard folds every round of its own queue no matter
-// what its siblings do; in coordinated mode entries past the in-flight
-// round's cut still wait for the coordinator to start the next round
-// (which a stalled shard holds up).
+// it does not wait for unrelated shards: a healthy shard folds every round
+// of its own queue no matter what its siblings do.
 func (s *Server) WaitShards(shards []int, lsn int64) error {
 	return s.WaitShardsCtx(context.Background(), shards, lsn)
 }

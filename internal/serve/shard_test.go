@@ -144,7 +144,7 @@ func TestServeShardWatermarkJoin(t *testing.T) {
 	// Pause the slow shard's writer at the start of its next round. The
 	// gate is released on every exit path (deferred before srv.Close in
 	// LIFO order): a failed assertion while the shard is parked must not
-	// leave Close barriered on the unfinished round.
+	// leave Close blocked on the unfinished round.
 	gateCh := make(chan struct{})
 	var gateOnce sync.Once
 	releaseGate := func() { gateOnce.Do(func() { close(gateCh) }) }

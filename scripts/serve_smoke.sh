@@ -100,8 +100,8 @@ pending=$(curl -fsS "$BASE/epoch" | jq -r .pending)
 joined=$(curl -fsS "$BASE/epoch" | jq -r .joined)
 epoch=$(curl -fsS "$BASE/epoch" | jq -r .epoch)
 [ "$joined" = "$epoch" ] || { echo "FAIL: joined cut $joined != epoch $epoch at rest"; exit 1; }
-# Async epochs: the per-shard watermarks are the authoritative frontier —
-# one entry per shard, and at rest every one of them sits at the epoch.
+# The per-shard watermarks are the authoritative frontier — one entry per
+# shard, and at rest every one of them sits at the epoch.
 epoch_doc=$(curl -fsS "$BASE/epoch")
 shards=$(echo "$epoch_doc" | jq -r .shards)
 wm_len=$(echo "$epoch_doc" | jq -r '.watermarks | length')
