@@ -25,8 +25,6 @@ package incremental
 //     lazily invalidated when the argmax lost count).
 
 import (
-	"strings"
-
 	"tsens/internal/query"
 	"tsens/internal/relation"
 )
@@ -42,115 +40,21 @@ type edgeKey struct {
 	tgt, src *relation.Counted
 }
 
-// tableSet owns the shared RowIndexes of every maintained table, keeps them
-// synced when deltas append rows, and tracks which maintained rows currently
-// sit at count zero (tombstones) so sessions can trigger compaction from a
-// watermark instead of leaving Rebuild() to the caller.
-type tableSet struct {
-	byTable map[*relation.Counted]map[string]*relation.RowIndex
-	zeroAt  map[*relation.Counted]map[int]struct{} // rows currently at count 0
-	tracked map[*relation.Counted]struct{}         // every maintained table
-	zeroes  int                                    // Σ len(zeroAt[*])
-
-	// shared maps hash-consed tables (see shared.go) to their index homes.
-	// The map itself is session-local — no other session ever reads it —
-	// but the sharedTabs values are owned by the store entries, so every
-	// subscriber compiles plans against the same indexes and whichever one
-	// leads a patch syncs them for all. Shared tables are excluded from the
-	// tombstone tally: compaction is a private-session affair (it rebuilds),
-	// and a shared table outlives any one subscriber's watermark.
-	shared map[*relation.Counted]*sharedTabs
+// indexFor is the relation.IndexProvider handed to CompileExpand: every
+// maintained table resolves through the index home its store entry owns,
+// so all subscribers probe (and the patching lead syncs) one set of
+// indexes.
+func (s *Session) indexFor(c *relation.Counted, attrs []string) (*relation.RowIndex, error) {
+	return s.tabs[c].index(c, attrs)
 }
 
-func newTableSet() *tableSet {
-	return &tableSet{
-		byTable: make(map[*relation.Counted]map[string]*relation.RowIndex),
-		zeroAt:  make(map[*relation.Counted]map[int]struct{}),
-		tracked: make(map[*relation.Counted]struct{}),
-	}
-}
-
-// track registers a maintained table at build time so it counts toward the
-// tombstone-ratio denominator whether or not an update has patched it yet —
-// a denominator of only-patched tables would let deletes confined to one
-// small component of a disconnected query cross the watermark (and rebuild)
-// after a handful of updates, regardless of how large the rest of the
-// maintained state is.
-func (ts *tableSet) track(c *relation.Counted) {
-	if c != nil {
-		ts.tracked[c] = struct{}{}
-	}
-}
-
-// tombstones returns how many maintained rows currently hold count zero.
-func (ts *tableSet) tombstones() int { return ts.zeroes }
-
-// totalRows returns the number of rows across every maintained table, the
-// denominator of the tombstone-ratio watermark.
-func (ts *tableSet) totalRows() int {
-	n := 0
-	for c := range ts.tracked {
-		n += len(c.Rows)
-	}
-	return n
-}
-
-// indexFor is the relation.IndexProvider handed to CompileExpand. Shared
-// tables resolve through their store-owned index home so all subscribers
-// probe (and the patching lead syncs) one set of indexes.
-func (ts *tableSet) indexFor(c *relation.Counted, attrs []string) (*relation.RowIndex, error) {
-	if tabs, ok := ts.shared[c]; ok {
-		return tabs.index(c, attrs)
-	}
-	m := ts.byTable[c]
-	if m == nil {
-		m = make(map[string]*relation.RowIndex)
-		ts.byTable[c] = m
-	}
-	key := strings.Join(attrs, "\x1f")
-	if ix, ok := m[key]; ok {
-		return ix, nil
-	}
-	ix, err := relation.NewRowIndex(c, attrs)
-	if err != nil {
-		return nil, err
-	}
-	m[key] = ix
-	return ix, nil
-}
-
-// apply patches c with d, re-syncs c's secondary indexes, and folds the
-// zero-count transitions of the changed rows into the tombstone tally.
-func (ts *tableSet) apply(c, d *relation.Counted) ([]int, error) {
+// apply patches table c with d and re-syncs c's index home.
+func (s *Session) apply(c, d *relation.Counted) ([]int, error) {
 	changed, err := c.ApplyDelta(d)
 	if err != nil {
 		return nil, err
 	}
-	if tabs, ok := ts.shared[c]; ok {
-		tabs.sync()
-		return changed, nil
-	}
-	for _, ix := range ts.byTable[c] {
-		ix.Sync()
-	}
-	ts.tracked[c] = struct{}{}
-	zs := ts.zeroAt[c]
-	for _, r := range changed {
-		_, was := zs[r]
-		if now := c.Cnt[r] == 0; now == was {
-			continue
-		} else if now {
-			if zs == nil {
-				zs = make(map[int]struct{})
-				ts.zeroAt[c] = zs
-			}
-			zs[r] = struct{}{}
-			ts.zeroes++
-		} else {
-			delete(zs, r)
-			ts.zeroes--
-		}
-	}
+	s.tabs[c].sync()
 	return changed, nil
 }
 
@@ -220,7 +124,7 @@ func (s *Session) edgeDelta(tgt, src, delta *relation.Counted, others []*relatio
 	plan, ok := s.plans[k]
 	if !ok {
 		var err error
-		plan, err = relation.CompileExpand(delta.Attrs, others, keep, s.tables.indexFor)
+		plan, err = relation.CompileExpand(delta.Attrs, others, keep, s.indexFor)
 		if err != nil {
 			return nil, err
 		}
@@ -242,22 +146,22 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 	}
 	var pieceChanges []change
 
-	// Lead/follower election for shared state (all no-ops for a private
-	// session): for each shared entry on this update's path, the first
-	// subscriber to apply stream position s.pos computes the delta, patches
-	// the shared table, and memoizes the delta (lead); every later
-	// subscriber finds the entry already advanced past its cursor and
-	// replays the memo without touching the table (follower). Election is
-	// per entry, not per store — a session can lead one node and follow
-	// another when their subscriber sets differ — and is stable across the
-	// whole propagation because cursors only advance after it completes.
-	sb := s.sharedBaseOf(ref)
-	ln := s.sharedNodeOf(ref.ui)
-	lnLead := ln == nil || ln.pos == s.pos
+	// Lead/follower election: for each store entry on this update's path,
+	// the first subscriber to apply stream position s.pos computes the
+	// delta, patches the entry's table, and memoizes the delta (lead);
+	// every later subscriber finds the entry already advanced past its
+	// cursor and replays the memo without touching the table (follower).
+	// Election is per entry, not per store — a session can lead one node
+	// and follow another when their subscriber sets differ — and is stable
+	// across the whole propagation because cursors only advance after it
+	// completes.
+	sb := s.sbase[ref.ui][ref.mi].Val
+	ln := s.snode[ref.ui].Val
+	lnLead := ln.pos == s.pos
 
 	// Phase 1: member base.
-	if sb == nil || sb.pos == s.pos {
-		if _, err := s.tables.apply(md.Base, dbase); err != nil {
+	if sb.pos == s.pos {
+		if _, err := s.apply(md.Base, dbase); err != nil {
 			return err
 		}
 	}
@@ -284,12 +188,12 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 			return err
 		}
 		if len(drel.Rows) > 0 {
-			if _, err := s.tables.apply(u.Rel, drel); err != nil {
+			if _, err := s.apply(u.Rel, drel); err != nil {
 				return err
 			}
 		}
 	}
-	if ln != nil && lnLead && len(drel.Rows) > 0 {
+	if lnLead && len(drel.Rows) > 0 {
 		ln.memoSet(s.pos, drel, nil)
 	}
 
@@ -318,13 +222,11 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 		}
 		child, dchild := node, dbot
 		for len(dchild.Rows) > 0 {
-			if sn := s.sharedNodeOf(child.Index); sn == nil || sn.pos == s.pos {
-				if _, err := s.tables.apply(sol.Bot[child.Index], dchild); err != nil {
+			if sn := s.snode[child.Index].Val; sn.pos == s.pos {
+				if _, err := s.apply(sol.Bot[child.Index], dchild); err != nil {
 					return err
 				}
-				if sn != nil {
-					sn.memoSet(s.pos, nil, dchild)
-				}
+				sn.memoSet(s.pos, nil, dchild)
 			}
 			pieceChanges = append(pieceChanges, change{sol.Bot[child.Index], dchild})
 			botDeltas = append(botDeltas, botChange{child.Index, dchild})
@@ -332,7 +234,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 			if p == nil {
 				break
 			}
-			if sn := s.sharedNodeOf(p.Index); sn != nil && sn.pos != s.pos {
+			if sn := s.snode[p.Index].Val; sn.pos != s.pos {
 				// The parent's lead already climbed through here this
 				// position: replay its memo (absence = the climb died at
 				// the parent, for every subscriber alike).
@@ -362,11 +264,10 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 	}
 
 	// Phases 4–5 maintain the residual (topjoin + multiplicity-factor)
-	// state. When the whole-plan residue is shared, its lead patches it
-	// once on behalf of every subscriber and followers are already done —
-	// the collapse that makes N identical registered queries cost roughly
-	// one query's propagation per update.
-	if s.sres != nil && s.sres.Val.pos != s.pos {
+	// state. Its lead patches it once on behalf of every subscriber and
+	// followers are already done — the collapse that makes N identical
+	// registered queries cost roughly one query's propagation per update.
+	if s.sres.Val.pos != s.pos {
 		return nil
 	}
 
@@ -411,7 +312,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 		if len(dtop.Rows) == 0 {
 			continue
 		}
-		if _, err := s.tables.apply(sol.Top[i], dtop); err != nil {
+		if _, err := s.apply(sol.Top[i], dtop); err != nil {
 			return err
 		}
 		pieceChanges = append(pieceChanges, change{sol.Top[i], dtop})
@@ -435,7 +336,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 					}
 				}
 				var err error
-				plan, err = relation.CompileExpand(ch.delta.Attrs, others, st.table.Attrs, s.tables.indexFor)
+				plan, err = relation.CompileExpand(ch.delta.Attrs, others, st.table.Attrs, s.indexFor)
 				if err != nil {
 					return err
 				}
@@ -448,7 +349,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 			if len(dgt.Rows) == 0 {
 				continue
 			}
-			changed, err := s.tables.apply(st.table, dgt)
+			changed, err := s.apply(st.table, dgt)
 			if err != nil {
 				return err
 			}

@@ -57,12 +57,13 @@ type Options struct {
 	// RebuildTombstoneRatio, when positive, makes the session trigger
 	// Rebuild() itself once the fraction of zero-count (tombstone) rows
 	// across the maintained tables crosses this watermark, instead of
-	// leaving compaction to the caller. Deletes leave zeroed rows behind in
-	// every table they patch (see relation.ApplyDelta); the ratio is exact:
-	// resurrected rows leave the tally. Note that an automatic rebuild, like
-	// an explicit one, invalidates outstanding SensitivityFn evaluators —
-	// check Rebuilds() and re-request them when streaming deletes with this
-	// option set.
+	// leaving compaction to the caller — but only while the session is its
+	// plan store's only subscriber (see maybeCompact). Deletes leave zeroed
+	// rows behind in every table they patch (see relation.ApplyDelta); the
+	// ratio is exact: resurrected rows leave the tally. Note that an
+	// automatic rebuild, like an explicit one, invalidates outstanding
+	// SensitivityFn evaluators — check Rebuilds() and re-request them when
+	// streaming deletes with this option set.
 	RebuildTombstoneRatio float64
 	// Metrics, when set, receives per-update delta-propagation and rebuild
 	// latency histograms plus update/rebuild counters (shared across every
@@ -93,7 +94,8 @@ type Session struct {
 	selFn    map[string]func(relation.Tuple) bool
 	rowsets  map[string]*relation.RowSet
 
-	tables    *tableSet
+	// tabs maps every maintained table to its index home (see sharedTabs).
+	tabs      map[*relation.Counted]*sharedTabs
 	plans     map[edgeKey]*relation.ExpandPlan
 	gts       []*gtState
 	memberGts map[memberRef][]*gtState
@@ -110,13 +112,15 @@ type Session struct {
 	// no-op exactly as they did against a full clone.
 	pruned map[string]int
 
-	// Plan-sharing attachment (nil/zero when the session is private). See
-	// shared.go: store is the hash-cons domain, pos the session's cursor in
-	// the shared update stream, and sbase/snode/sres the refcounted entries
-	// this session holds. adopt records what Adopt shared versus donated.
+	// Plan-store attachment (see shared.go): store holds the maintained
+	// tables — a store of the session's own after Open and every rebuild, a
+	// shared one after Adopt. pos is the session's cursor in the store's
+	// update stream, and sbase[ui][mi]/snode[ui]/sres the refcounted
+	// entries the session holds. adopt records what Adopt shared versus
+	// donated.
 	store *PlanStore
 	pos   int64
-	sbase map[memberRef]*internedBase
+	sbase [][]*internedBase
 	snode []*internedNode
 	sres  *internedResidue
 	adopt AdoptStats
@@ -183,10 +187,15 @@ func Open(q *query.Query, db *relation.Database, opts Options) (*Session, error)
 	return s, nil
 }
 
-// build runs the one-shot passes and derives every maintained structure
-// from them. It is the shared body of Open and Rebuild.
+// build runs the one-shot passes, derives every maintained structure from
+// them, and puts the tables in a new store of the session's own. It is the
+// shared body of Open and Rebuild.
 func (s *Session) build() error {
 	sol, err := core.NewSolver(s.q, s.db, s.opts.Options)
+	if err != nil {
+		return err
+	}
+	tables, err := sol.MultiplicityTables()
 	if err != nil {
 		return err
 	}
@@ -196,19 +205,20 @@ func (s *Session) build() error {
 	s.memberOf = make(map[string]memberRef)
 	s.effPos = make(map[string][]int)
 	s.selFn = make(map[string]func(relation.Tuple) bool)
-	s.tables = newTableSet()
-	s.plans = make(map[edgeKey]*relation.ExpandPlan)
-	s.gts = nil
-	s.memberGts = make(map[memberRef][]*gtState)
-	s.deps = make(map[*relation.Counted][]pieceRef)
+	s.tabs = make(map[*relation.Counted]*sharedTabs)
+	home := func(c *relation.Counted) {
+		if c != nil && s.tabs[c] == nil {
+			s.tabs[c] = newSharedTabs()
+		}
+	}
 	for _, c := range sol.Bot {
-		s.tables.track(c)
+		home(c)
 	}
 	for _, c := range sol.Top {
-		s.tables.track(c)
+		home(c)
 	}
 	for ui, u := range sol.Units {
-		s.tables.track(u.Rel)
+		home(u.Rel)
 		for mi, md := range u.Members {
 			ref := memberRef{ui, mi}
 			rel := md.Atom.Relation
@@ -224,34 +234,25 @@ func (s *Session) build() error {
 			}
 			s.effPos[rel] = pos
 			s.selFn[rel] = s.q.ApplySelections(md.Atom)
-			// Above the Skip guard: propagation still patches a skipped
-			// member's base, so it belongs in the watermark denominator.
-			s.tables.track(md.Base)
+			home(md.Base)
 		}
 	}
-	tables, err := sol.MultiplicityTables()
-	if err != nil {
-		return err
-	}
+	s.gts = nil
 	for _, mt := range tables {
 		ref := memberRef{mt.Unit, mt.Member}
 		md := sol.Units[mt.Unit].Members[mt.Member]
 		for _, g := range mt.Groups {
-			st := &gtState{
+			s.gts = append(s.gts, &gtState{
 				ref:    ref,
 				pieces: g.Pieces,
 				table:  g.Table,
 				keepFn: md.PredFilter(g.Table.Attrs),
 				plans:  make([]*relation.ExpandPlan, len(g.Pieces)),
-			}
-			s.tables.track(g.Table)
-			s.gts = append(s.gts, st)
-			s.memberGts[ref] = append(s.memberGts[ref], st)
-			for pi, p := range g.Pieces {
-				s.deps[p] = append(s.deps[p], pieceRef{st, pi})
-			}
+			})
+			home(g.Table)
 		}
 	}
+	s.attach(NewPlanStore(), sol.PlanShape())
 	return nil
 }
 
@@ -274,14 +275,13 @@ func (s *Session) Delete(rel string, row relation.Tuple) error {
 // tuple) abort the batch at the failing update; updates before it remain
 // applied and the session stays consistent.
 func (s *Session) Apply(batch []Update) error {
-	// The bulk-rebuild shortcut detaches from any PlanStore first: the
-	// rebuild re-solves over private tables, and an attached session must
-	// not churn its database underneath shared state. Detaching never
-	// advances the store, so remaining subscribers stay aligned (the next
-	// to apply at the current position becomes lead). Callers that care
-	// about sharing should check Shared() after bulk batches.
+	// The bulk-rebuild shortcut touches only the session's private database
+	// before rebuilding, and the rebuild moves the session into a store of
+	// its own. Leaving a shared store never advances it, so remaining
+	// subscribers stay aligned (the next to apply at the current position
+	// becomes lead). Callers that group sessions by store should re-read
+	// Store() after bulk batches.
 	if s.opts.BulkThreshold > 0 && len(batch) >= s.opts.BulkThreshold {
-		s.ReleaseShared()
 		for _, up := range batch {
 			if _, _, err := s.applyRow(up); err != nil {
 				// Keep the maintained state consistent with the rows already
@@ -335,18 +335,15 @@ func (s *Session) applyRow(up Update) (memberRef, bool, error) {
 }
 
 // applyOne applies a single update through delta propagation, compacting
-// afterwards when the tombstone watermark is crossed. When the session is
-// attached to a PlanStore the update consumes one shared stream position:
-// every exit path except a propagation failure advances the cursor
-// (validation errors and selection rejections are deterministic across
-// subscribers fed the same stream, so positions stay aligned); a
-// propagation error may leave a shared table half-patched and poisons the
-// whole store instead.
+// afterwards when the tombstone watermark is crossed. The update consumes
+// one position of the store's stream: every exit path except a propagation
+// failure advances the cursor (validation errors and selection rejections
+// are deterministic across subscribers fed the same stream, so positions
+// stay aligned); a propagation error may leave a store table half-patched
+// and poisons the whole store instead.
 func (s *Session) applyOne(up Update) error {
-	if s.store != nil {
-		if err := s.store.fail; err != nil {
-			return fmt.Errorf("incremental: plan store poisoned: %w", err)
-		}
+	if err := s.store.fail; err != nil {
+		return fmt.Errorf("incremental: plan store poisoned: %w", err)
 	}
 	if s.updateSecs != nil {
 		s.updatesTotal.Inc()
@@ -354,16 +351,16 @@ func (s *Session) applyOne(up Update) error {
 	}
 	ref, ok, err := s.applyRow(up)
 	if err != nil {
-		s.advanceShared()
+		s.advance()
 		return err
 	}
 	if !ok {
-		s.advanceShared()
+		s.advance()
 		return nil // relation not referenced by the query: |Q(D)| unaffected
 	}
 	md := s.sol.Units[ref.ui].Members[ref.mi]
 	if keep := s.selFn[up.Rel]; keep != nil && !keep(up.Row) {
-		s.advanceShared()
+		s.advance()
 		return nil // rows failing the atom's selection never enter the passes
 	}
 	delta := int64(1)
@@ -379,28 +376,37 @@ func (s *Session) applyOne(up Update) error {
 		s.poisonStore(err)
 		return err
 	}
-	s.advanceShared()
+	s.advance()
 	return s.maybeCompact()
 }
 
-// TombstoneRatio reports the fraction of maintained rows currently sitting
-// at count zero — the quantity RebuildTombstoneRatio watches.
+// TombstoneRatio reports the fraction of the session's maintained rows,
+// shared store tables included, currently sitting at count zero — the
+// quantity RebuildTombstoneRatio watches. The denominator is every
+// maintained table, patched or not, so deletes confined to one small
+// component of a disconnected query cannot cross the watermark on their
+// own.
 func (s *Session) TombstoneRatio() float64 {
-	total := s.tables.totalRows()
+	zero, total := 0, 0
+	for c := range s.tabs {
+		zero += c.Tombstones()
+		total += len(c.Rows)
+	}
 	if total == 0 {
 		return 0
 	}
-	return float64(s.tables.tombstones()) / float64(total)
+	return float64(zero) / float64(total)
 }
 
 // maybeCompact rebuilds the session when the tombstone watermark is set and
-// crossed. A rebuild resets the tally, so the next trigger needs a fresh
-// accumulation of deletes — the watermark cannot thrash.
+// crossed, provided the session is its store's only subscriber: a rebuild
+// moves the session into a store of its own, which would strand shared
+// tables' tombstones with its peers and end the sharing. A rebuild resets
+// the tally, so the next trigger needs a fresh accumulation of deletes —
+// the watermark cannot thrash.
 func (s *Session) maybeCompact() error {
-	if s.opts.RebuildTombstoneRatio <= 0 || s.tables.tombstones() == 0 {
-		return nil
-	}
-	if s.TombstoneRatio() < s.opts.RebuildTombstoneRatio {
+	if s.opts.RebuildTombstoneRatio <= 0 || s.store.subscribers() > 1 ||
+		s.TombstoneRatio() < s.opts.RebuildTombstoneRatio {
 		return nil
 	}
 	return s.rebuild()
@@ -527,9 +533,9 @@ func (s *Session) Rows(rel string) []relation.Tuple {
 func (s *Session) Rebuild() error { return s.rebuild() }
 
 func (s *Session) rebuild() error {
-	// A rebuild recomputes everything from the private database clone, so
-	// an attached session first drops its shared subscriptions (the
-	// no-sharing fallback): correctness never depends on staying attached.
+	// A rebuild recomputes everything from the private database clone into
+	// a store of the session's own, so it first drops its current
+	// subscriptions: correctness never depends on staying in a shared store.
 	s.ReleaseShared()
 	s.rebuilds++
 	start := time.Now()

@@ -1,9 +1,11 @@
 package incremental
 
-// Multi-query plan sharing: a PlanStore hash-conses the maintained tables
-// of sessions with overlapping join-tree structure into refcounted shared
-// nodes, so one delta patch per shared node fans out to every subscribed
-// query instead of being recomputed per session.
+// Plan stores: every session keeps its maintained tables in a PlanStore.
+// Open and every rebuild give a session a store of its own, as its only
+// subscriber; Adopt moves it into a shared store, which hash-conses the
+// maintained tables of sessions with overlapping join-tree structure into
+// refcounted nodes, so one delta patch per node fans out to every
+// subscribed query instead of being recomputed per session.
 //
 // Sharing has two tiers, keyed by the structural fingerprints of
 // core.PlanShape:
@@ -20,10 +22,10 @@ package incremental
 //
 // Delta application is lead/follower with per-node stream positions: all
 // subscribers of a store are fed the same update stream; the first session
-// to apply stream position p against a shared node computes the delta,
-// patches the node's tables once, and memoizes the delta; every later
-// subscriber at p replays the memo into its private residue without
-// touching the shared tables. Positions are per *node*, not per store, so
+// to apply stream position p against a node computes the delta, patches
+// the node's tables once, and memoizes the delta; every later subscriber
+// at p replays the memo without touching the tables. A store's only
+// subscriber always leads. Positions are per *node*, not per store, so
 // sessions whose shared regions differ interleave correctly: a node's
 // tables advance exactly once per stream position no matter which
 // subscriber reaches it first.
@@ -38,22 +40,28 @@ package incremental
 // boundary.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"tsens/internal/core"
 	"tsens/internal/relation"
 )
 
-// trimStride is how many updates an attached session applies between
-// opportunistic memo trims (serving rounds also trim explicitly).
+// trimStride is how many updates a subscriber applies between memo trims.
 const trimStride = 256
 
-// sharedTabs is the index home of one shared table: the secondary
-// RowIndexes every subscriber's compiled plans probe. It is owned by the
-// interned entry (not by any session), so whichever subscriber leads a
-// patch syncs the indexes all of them use.
+// errCollision refuses an Adopt whose fingerprint hit a store entry that
+// disagrees with the session's table.
+var errCollision = errors.New("incremental: plan store entry does not match the session's table (fingerprint collision)")
+
+// sharedTabs is the index home of one maintained table: the secondary
+// RowIndexes every subscriber's compiled plans probe. Build creates it next
+// to its table; from then on it is owned by the table's store entry (not by
+// any session), so whichever subscriber leads a patch syncs the indexes all
+// of them use.
 type sharedTabs struct {
 	m map[string]*relation.RowIndex
 }
@@ -81,7 +89,7 @@ func (st *sharedTabs) sync() {
 	}
 }
 
-// nodeDelta is one memoized per-update delta of one shared node: the unit
+// nodeDelta is one memoized per-update delta of one node: the unit
 // relation delta (set only at the update's landing node) and the botjoin
 // delta. Counted deltas are immutable once produced, so followers read
 // them without copying.
@@ -145,8 +153,9 @@ type (
 )
 
 // PlanStore owns the hash-cons maps and refcounts of one sharing domain.
-// Create one per group of sessions fed an identical update stream (the
-// serving layer keeps one per shard per routing discipline).
+// Every session starts in a store of its own; create a shared one per
+// group of sessions fed an identical update stream (the serving layer
+// keeps one per shard per routing discipline) and Adopt them into it.
 type PlanStore struct {
 	mu       sync.Mutex
 	bases    *relation.Interner[*sharedBase]
@@ -187,8 +196,7 @@ type AdoptStats struct {
 	NodesShared, NodesDonated int
 	// ResidueShared reports whether the whole-plan residue (topjoins +
 	// multiplicity factors) was adopted; ResidueDonated whether this
-	// session's became canonical. Both false when partial subtree sharing
-	// made the residue ineligible.
+	// session's became canonical. Exactly one holds after an Adopt.
 	ResidueShared, ResidueDonated bool
 }
 
@@ -238,11 +246,10 @@ func (ps *PlanStore) Stats() PlanStoreStats {
 	return st
 }
 
-// Trim drops memoized deltas no live subscriber can still need. The
-// serving layer calls it after each drain round; attached sessions also
-// call it opportunistically every trimStride updates. Must not run
-// concurrently with subscriber update application (same-goroutine
-// discipline), because it reads subscriber cursors.
+// Trim drops memoized deltas no live subscriber can still need.
+// Subscribers call it every trimStride updates. Must not run concurrently
+// with subscriber update application (same-goroutine discipline), because
+// it reads subscriber cursors.
 func (ps *PlanStore) Trim() {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -282,45 +289,53 @@ func tablesCompatible(canon, mine *relation.Counted) bool {
 			return false
 		}
 	}
-	return liveRows(canon) == liveRows(mine)
+	return len(canon.Rows)-canon.Tombstones() == len(mine.Rows)-mine.Tombstones()
 }
 
-// liveRows counts rows with nonzero multiplicity (tombstones excluded).
-func liveRows(c *relation.Counted) int {
-	n := 0
-	for i := range c.Rows {
-		cnt := c.Default
-		if i < len(c.Cnt) {
-			cnt = c.Cnt[i]
-		}
-		if cnt != 0 {
-			n++
-		}
-	}
-	return n
+// subscribers returns how many sessions hold entries in the store.
+func (ps *PlanStore) subscribers() int {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return len(ps.subs)
 }
 
-// Adopt attaches the session to store, hash-consing its maintained state:
-// every member base and join-tree subtree already interned (and
-// compatible) replaces the session's private copy, everything else is
-// donated as the new canonical entry, and when the entire plan matches an
-// interned one the topjoin/multiplicity residue is shared too. The
-// session's database clone and rowsets stay private (reads like Has and
-// Rows are per-session), as do component totals.
+// Adopt moves the session into store, hash-consing its maintained state:
+// every member base, join-tree subtree, and whole-plan residue already
+// interned there replaces the session's copy, and everything else is
+// donated as the new canonical entry. The move is all or nothing: every
+// fingerprint hit is checked with tablesCompatible before anything is
+// spliced, and on any error the session stays in its own store, untouched.
+// The session's database clone and rowsets stay private (reads like Has
+// and Rows are per-session), as do component totals.
 //
-// The session must be at the same database state as the store's
-// subscribers (same snapshot + same replayed stream), and the store must
-// be quiescent — no subscriber mid-update. On any error the session is
-// left unattached and fully private; sharing is strictly an optimization.
+// The session must be its current store's only subscriber, at the same
+// database state as store's subscribers (same snapshot + same replayed
+// stream), and store must be quiescent — no subscriber mid-update.
 func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
-	var st AdoptStats
-	if s.store != nil {
-		return st, fmt.Errorf("incremental: session already attached to a plan store")
+	own := s.store
+	if store == own || own.subscribers() != 1 {
+		return AdoptStats{}, fmt.Errorf("incremental: Adopt needs the session alone in a store other than the target")
 	}
+	shape := s.sol.PlanShape()
+	sbase, snode, sres := s.sbase, s.snode, s.sres
 	store.mu.Lock()
-	defer store.mu.Unlock()
+	err := s.adoptable(store, shape)
+	if err == nil {
+		s.adopt = s.attach(store, shape)
+	}
+	store.mu.Unlock()
+	if err != nil {
+		return AdoptStats{}, err
+	}
+	own.release(s, sbase, snode, sres)
+	return s.adopt, nil
+}
+
+// adoptable reports why the session cannot move into store, or nil. Caller
+// holds store.mu.
+func (s *Session) adoptable(store *PlanStore, shape *core.PlanShape) error {
 	if store.fail != nil {
-		return st, fmt.Errorf("incremental: plan store poisoned: %w", store.fail)
+		return fmt.Errorf("incremental: plan store poisoned: %w", store.fail)
 	}
 	quiet := true
 	clk := store.clock.Load()
@@ -328,11 +343,43 @@ func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 	store.nodes.Range(func(e *internedNode) { quiet = quiet && e.Val.pos == clk })
 	store.residues.Range(func(e *internedResidue) { quiet = quiet && e.Val.pos == clk })
 	if !quiet {
-		return st, fmt.Errorf("incremental: plan store not quiescent (round in flight)")
+		return fmt.Errorf("incremental: plan store not quiescent (round in flight)")
 	}
-
 	sol := s.sol
-	shape := sol.PlanShape()
+	for ui, u := range sol.Units {
+		for mi, md := range u.Members {
+			if e, ok := store.bases.Lookup(shape.Bases[ui][mi]); ok && !tablesCompatible(e.Val.table, md.Base) {
+				return errCollision
+			}
+		}
+		if e, ok := store.nodes.Lookup(shape.Nodes[ui]); ok &&
+			!(tablesCompatible(e.Val.rel, u.Rel) && tablesCompatible(e.Val.bot, sol.Bot[ui])) {
+			return errCollision
+		}
+	}
+	if e, ok := store.residues.Lookup(shape.Plan); ok {
+		if len(e.Val.tops) != len(sol.Top) {
+			return errCollision
+		}
+		for i, t := range sol.Top {
+			c := e.Val.tops[i]
+			if (c == nil) != (t == nil) || t != nil && !tablesCompatible(c, t) {
+				return errCollision
+			}
+		}
+	}
+	return nil
+}
+
+// attach subscribes the session to store: each fingerprint interned there
+// replaces the session's table (adoptable has checked every hit), every
+// other table is donated as the new canonical entry together with its
+// index home, and everything derived from table pointers is re-wired.
+// Caller holds store.mu, or is the store's only user.
+func (s *Session) attach(store *PlanStore, shape *core.PlanShape) AdoptStats {
+	var st AdoptStats
+	sol := s.sol
+	clk := store.clock.Load()
 	remap := make(map[*relation.Counted]*relation.Counted)
 	sub := func(c *relation.Counted) *relation.Counted {
 		if n, ok := remap[c]; ok {
@@ -340,171 +387,104 @@ func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 		}
 		return c
 	}
-	shared := make(map[*relation.Counted]*sharedTabs)
+	tabs := make(map[*relation.Counted]*sharedTabs, len(s.tabs))
 
 	// Tier 1a: member base projections.
-	sbase := make(map[memberRef]*internedBase)
-	baseOK := make([][]bool, len(sol.Units))
+	s.sbase = make([][]*internedBase, len(sol.Units))
 	for ui, u := range sol.Units {
-		baseOK[ui] = make([]bool, len(u.Members))
+		s.sbase[ui] = make([]*internedBase, len(u.Members))
 		for mi, md := range u.Members {
 			key := shape.Bases[ui][mi]
-			if e, ok := store.bases.Lookup(key); ok {
-				if !tablesCompatible(e.Val.table, md.Base) {
-					continue // fingerprint collision: keep this member private
-				}
+			e, hit := store.bases.Lookup(key)
+			if hit {
 				store.bases.Retain(e)
 				remap[md.Base] = e.Val.table
 				md.Base = e.Val.table
-				sbase[memberRef{ui, mi}] = e
-				shared[e.Val.table] = e.Val.tabs
 				st.BasesShared++
 			} else {
-				sb := &sharedBase{table: md.Base, tabs: newSharedTabs(), pos: store.clock.Load()}
-				sbase[memberRef{ui, mi}] = store.bases.Put(key, sb)
-				shared[md.Base] = sb.tabs
+				e = store.bases.Put(key, &sharedBase{table: md.Base, tabs: s.tabs[md.Base], pos: clk})
 				st.BasesDonated++
 			}
-			baseOK[ui][mi] = true
+			s.sbase[ui][mi] = e
+			tabs[e.Val.table] = e.Val.tabs
 		}
 	}
 
-	// Tier 1b: join-tree subtrees, leaf to root. A node interns only when
-	// its whole subtree did (children and members), so shared regions are
-	// subtree-closed and a climb crosses from shared into private state at
-	// most once.
-	snode := make([]*internedNode, len(sol.Units))
-	nodeOK := make([]bool, len(sol.Units))
-	var adoptNode func(i int)
-	adoptNode = func(i int) {
-		node := sol.Tree.Nodes[i]
-		ok := true
-		for _, c := range node.Children {
-			adoptNode(c.Index)
-			ok = ok && nodeOK[c.Index]
-		}
-		for _, mok := range baseOK[i] {
-			ok = ok && mok
-		}
-		if !ok {
-			return
-		}
-		u := sol.Units[i]
-		u.Rel = sub(u.Rel) // singleton units alias their member's base
+	// Tier 1b: join-tree subtrees, after the bases because a singleton
+	// unit's relation aliases its member's base (and shares its home).
+	s.snode = make([]*internedNode, len(sol.Units))
+	for i, u := range sol.Units {
+		u.Rel = sub(u.Rel)
 		key := shape.Nodes[i]
-		if e, hit := store.nodes.Lookup(key); hit {
-			if !tablesCompatible(e.Val.rel, u.Rel) || !tablesCompatible(e.Val.bot, sol.Bot[i]) {
-				return
-			}
+		e, hit := store.nodes.Lookup(key)
+		if hit {
 			store.nodes.Retain(e)
-			remap[u.Rel] = e.Val.rel
 			remap[sol.Bot[i]] = e.Val.bot
-			u.Rel = e.Val.rel
-			sol.Bot[i] = e.Val.bot
-			snode[i] = e
-			shared[e.Val.rel] = e.Val.relTabs
-			shared[e.Val.bot] = e.Val.botTabs
+			u.Rel, sol.Bot[i] = e.Val.rel, e.Val.bot
 			st.NodesShared++
 		} else {
-			relTabs := shared[u.Rel]
+			relTabs := tabs[u.Rel]
 			if relTabs == nil {
-				relTabs = newSharedTabs()
+				relTabs = s.tabs[u.Rel]
 			}
-			n := &sharedNode{
+			e = store.nodes.Put(key, &sharedNode{
 				rel: u.Rel, bot: sol.Bot[i],
-				relTabs: relTabs, botTabs: newSharedTabs(),
-				pos:  store.clock.Load(),
+				relTabs: relTabs, botTabs: s.tabs[sol.Bot[i]],
+				pos:  clk,
 				memo: make(map[int64]*nodeDelta),
-			}
-			snode[i] = store.nodes.Put(key, n)
-			shared[n.rel] = n.relTabs
-			shared[n.bot] = n.botTabs
+			})
 			st.NodesDonated++
 		}
-		nodeOK[i] = true
-	}
-	for _, root := range sol.Tree.Roots {
-		adoptNode(root.Index)
+		s.snode[i] = e
+		tabs[e.Val.rel] = e.Val.relTabs
+		tabs[e.Val.bot] = e.Val.botTabs
 	}
 
-	// Tier 2: whole-plan residue, eligible only when every subtree interned
-	// (the residue's pieces must all be canonical tables).
-	var sres *internedResidue
-	resOK := true
-	for i := range sol.Units {
-		resOK = resOK && nodeOK[i]
-	}
-	if resOK {
-		if e, hit := store.residues.Lookup(shape.Plan); hit {
-			ok := len(e.Val.tops) == len(sol.Top)
-			for i := range sol.Top {
-				if !ok {
-					break
-				}
-				if (e.Val.tops[i] == nil) != (sol.Top[i] == nil) {
-					ok = false
-				} else if sol.Top[i] != nil {
-					ok = tablesCompatible(e.Val.tops[i], sol.Top[i])
-				}
-			}
-			if ok {
-				store.residues.Retain(e)
-				for i, t := range sol.Top {
-					if t != nil {
-						remap[t] = e.Val.tops[i]
-					}
-				}
-				sol.Top = e.Val.tops
-				s.gts = e.Val.gts
-				sres = e
-				for i, t := range e.Val.tops {
-					if t != nil {
-						shared[t] = e.Val.topTabs[i]
-					}
-				}
-				for gi, g := range e.Val.gts {
-					shared[g.table] = e.Val.gtTabs[gi]
-				}
-				st.ResidueShared = true
-			}
-		} else {
-			// Donate: remap this session's factor-group pieces onto the
-			// canonical tables first, so later adopters find entries whose
-			// pieces are exactly the store's tables.
-			topTabs := make([]*sharedTabs, len(sol.Top))
-			for i, t := range sol.Top {
-				if t != nil {
-					topTabs[i] = newSharedTabs()
-					shared[t] = topTabs[i]
-				}
-			}
-			gtTabs := make([]*sharedTabs, len(s.gts))
-			for gi, g := range s.gts {
-				for pi := range g.pieces {
-					g.pieces[pi] = sub(g.pieces[pi])
-				}
-				g.plans = make([]*relation.ExpandPlan, len(g.pieces))
-				gtTabs[gi] = newSharedTabs()
-				shared[g.table] = gtTabs[gi]
-			}
-			r := &sharedResidue{tops: sol.Top, topTabs: topTabs, gts: s.gts, gtTabs: gtTabs, pos: store.clock.Load()}
-			sres = store.residues.Put(shape.Plan, r)
-			st.ResidueDonated = true
+	// Tier 2: whole-plan residue.
+	e, hit := store.residues.Lookup(shape.Plan)
+	if hit {
+		store.residues.Retain(e)
+		sol.Top = e.Val.tops
+		s.gts = e.Val.gts
+		st.ResidueShared = true
+	} else {
+		// Point the factor-group pieces at the store's tables first, so
+		// later adopters find entries whose pieces are exactly the store's
+		// tables; the compiled plans captured indexes of replaced tables.
+		r := &sharedResidue{
+			tops: sol.Top, topTabs: make([]*sharedTabs, len(sol.Top)),
+			gts: s.gts, gtTabs: make([]*sharedTabs, len(s.gts)),
+			pos: clk,
 		}
-	}
-
-	// Rewire everything derived from the swapped pointers: factor-group
-	// pieces, the dependency fan-out, the table set (shared tables leave
-	// the tombstone tally; private ones re-track), and the plan caches
-	// (they captured indexes of discarded private tables).
-	if !st.ResidueShared {
-		for _, g := range s.gts {
+		for i, t := range sol.Top {
+			if t != nil {
+				r.topTabs[i] = s.tabs[t]
+			}
+		}
+		for gi, g := range s.gts {
 			for pi := range g.pieces {
 				g.pieces[pi] = sub(g.pieces[pi])
 			}
 			g.plans = make([]*relation.ExpandPlan, len(g.pieces))
+			r.gtTabs[gi] = s.tabs[g.table]
+		}
+		e = store.residues.Put(shape.Plan, r)
+		st.ResidueDonated = true
+	}
+	s.sres = e
+	for i, t := range e.Val.tops {
+		if t != nil {
+			tabs[t] = e.Val.topTabs[i]
 		}
 	}
+	for gi, g := range e.Val.gts {
+		tabs[g.table] = e.Val.gtTabs[gi]
+	}
+	s.tabs = tabs
+
+	// Re-derive the dependency fan-out from the (possibly adopted) factor
+	// groups, and drop the edge-plan cache: its plans captured indexes of
+	// replaced tables.
 	s.deps = make(map[*relation.Counted][]pieceRef)
 	s.memberGts = make(map[memberRef][]*gtState)
 	for _, g := range s.gts {
@@ -513,46 +493,21 @@ func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 			s.deps[p] = append(s.deps[p], pieceRef{g, pi})
 		}
 	}
-	s.tables = newTableSet()
-	s.tables.shared = shared
-	trk := func(c *relation.Counted) {
-		// Shared tables leave the tombstone-ratio bookkeeping entirely:
-		// compaction rebuilds a session (detaching it), so its watermark
-		// should watch only the state a rebuild would actually reclaim.
-		if _, ok := shared[c]; !ok {
-			s.tables.track(c)
-		}
-	}
-	for i, u := range sol.Units {
-		trk(sol.Bot[i])
-		trk(u.Rel)
-		for _, md := range u.Members {
-			trk(md.Base)
-		}
-	}
-	for _, t := range sol.Top {
-		trk(t)
-	}
-	for _, g := range s.gts {
-		trk(g.table)
-	}
 	s.plans = make(map[edgeKey]*relation.ExpandPlan)
 
 	s.store = store
-	s.pos = store.clock.Load()
-	s.sbase = sbase
-	s.snode = snode
-	s.sres = sres
-	s.adopt = st
+	s.pos = clk
 	store.subs[s] = struct{}{}
-	return st, nil
+	return st
 }
 
-// AdoptStats returns what Adopt shared/donated; zero when unattached.
+// AdoptStats returns what the last Adopt shared/donated; zero while the
+// session is in a store of its own.
 func (s *Session) AdoptStats() AdoptStats { return s.adopt }
 
-// Shared reports whether the session is currently attached to a PlanStore.
-func (s *Session) Shared() bool { return s.store != nil }
+// Store returns the plan store holding the session's maintained tables:
+// one of its own after Open and every rebuild, a shared one after Adopt.
+func (s *Session) Store() *PlanStore { return s.store }
 
 // ReleaseShared detaches the session from its store, dropping its
 // references; entries reaching refcount zero are un-interned. The session
@@ -560,24 +515,10 @@ func (s *Session) Shared() bool { return s.store != nil }
 // so Rebuild/bulk Apply remain safe) — the serving layer calls this when
 // unregistering a query, where the session is discarded outright.
 func (s *Session) ReleaseShared() {
-	store := s.store
-	if store == nil {
+	if s.store == nil {
 		return
 	}
-	store.mu.Lock()
-	for _, e := range s.sbase {
-		store.bases.Release(e)
-	}
-	for _, e := range s.snode {
-		if e != nil {
-			store.nodes.Release(e)
-		}
-	}
-	if s.sres != nil {
-		store.residues.Release(s.sres)
-	}
-	delete(store.subs, s)
-	store.mu.Unlock()
+	s.store.release(s, s.sbase, s.snode, s.sres)
 	s.store = nil
 	s.pos = 0
 	s.sbase = nil
@@ -586,45 +527,41 @@ func (s *Session) ReleaseShared() {
 	s.adopt = AdoptStats{}
 }
 
-// sharedBaseOf returns the shared entry backing a member's base, or nil.
-func (s *Session) sharedBaseOf(ref memberRef) *sharedBase {
-	if s.sbase == nil {
-		return nil
+// release drops one subscriber's references to the given entries.
+func (ps *PlanStore) release(s *Session, sbase [][]*internedBase, snode []*internedNode, sres *internedResidue) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	for _, row := range sbase {
+		for _, e := range row {
+			ps.bases.Release(e)
+		}
 	}
-	if e, ok := s.sbase[ref]; ok {
-		return e.Val
+	for _, e := range snode {
+		ps.nodes.Release(e)
 	}
-	return nil
+	ps.residues.Release(sres)
+	delete(ps.subs, s)
 }
 
-// sharedNodeOf returns the shared subtree entry at unit ui, or nil.
-func (s *Session) sharedNodeOf(ui int) *sharedNode {
-	if s.snode == nil || s.snode[ui] == nil {
-		return nil
-	}
-	return s.snode[ui].Val
-}
-
-// advanceShared moves the session's stream cursor past one applied update,
+// advance moves the session's stream cursor past one applied update,
 // bumping every subscribed entry still waiting at this position (entries
 // the update never touched advance with an implicit empty delta — memo
 // absence is how followers observe "no change here").
-func (s *Session) advanceShared() {
-	if s.store == nil {
-		return
-	}
+func (s *Session) advance() {
 	p := s.pos
-	for _, e := range s.sbase {
+	for _, row := range s.sbase {
+		for _, e := range row {
+			if e.Val.pos == p {
+				e.Val.pos = p + 1
+			}
+		}
+	}
+	for _, e := range s.snode {
 		if e.Val.pos == p {
 			e.Val.pos = p + 1
 		}
 	}
-	for _, e := range s.snode {
-		if e != nil && e.Val.pos == p {
-			e.Val.pos = p + 1
-		}
-	}
-	if s.sres != nil && s.sres.Val.pos == p {
+	if s.sres.Val.pos == p {
 		s.sres.Val.pos = p + 1
 	}
 	s.pos = p + 1
@@ -637,12 +574,9 @@ func (s *Session) advanceShared() {
 }
 
 // poisonStore marks the store failed after a propagation error that may
-// have left a shared table half-patched; every subscriber fails fast from
-// then on instead of serving corrupt state.
+// have left a table half-patched; every subscriber fails fast from then on
+// instead of serving corrupt state.
 func (s *Session) poisonStore(err error) {
-	if s.store == nil {
-		return
-	}
 	s.store.mu.Lock()
 	if s.store.fail == nil {
 		s.store.fail = err

@@ -83,7 +83,7 @@ func TestSharedDifferentialIdentical(t *testing.T) {
 
 // TestSharedDifferentialOverlap runs two different queries with a common
 // subtree — a 3-atom path and its 2-atom prefix — through one store: the
-// leaf node and its base intern once, everything else stays private, and
+// leaf node and its base intern once, everything else once per query, and
 // both sessions must stay exact while the stream also carries updates for
 // the relation only one of them references.
 func TestSharedDifferentialOverlap(t *testing.T) {
@@ -242,15 +242,15 @@ func TestSharedReleaseAndRefcounts(t *testing.T) {
 	if got := store.Stats(); got.Bases != 0 || got.Nodes != 0 || got.Residues != 0 || got.Subscribers != 0 {
 		t.Fatalf("store not empty after last release: %+v", got)
 	}
-	if b.Shared() {
-		t.Fatal("session still reports attached after release")
+	if b.Store() != nil {
+		t.Fatal("session still reports a store after release")
 	}
 }
 
-// TestSharedRebuildDetaches pins the no-sharing fallback: an attached
-// session that rebuilds (explicitly here; tombstone compaction and bulk
-// batches route through the same path) silently detaches, keeps answering
-// exactly on private state, and leaves its former co-subscriber intact.
+// TestSharedRebuildDetaches pins the detach path: a session that rebuilds
+// (explicitly here; tombstone compaction and bulk batches route through
+// the same path) moves into a store of its own, keeps answering exactly,
+// and leaves its former co-subscriber intact.
 func TestSharedRebuildDetaches(t *testing.T) {
 	tc := streamCases()[0] // path
 	rng := rand.New(rand.NewSource(43))
@@ -273,8 +273,8 @@ func TestSharedRebuildDetaches(t *testing.T) {
 	if err := a.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if a.Shared() {
-		t.Fatal("session still attached after rebuild")
+	if a.Store() == store || a.Store().Stats().Subscribers != 1 {
+		t.Fatal("session did not move into a store of its own on rebuild")
 	}
 	if got := store.Stats(); got.Subscribers != 1 {
 		t.Fatalf("store after rebuild detach: %+v", got)
@@ -289,6 +289,46 @@ func TestSharedRebuildDetaches(t *testing.T) {
 		}
 		checkAgainstScratch(t, a, m, opts, 200+step)
 		checkAgainstScratch(t, b, m, opts, 300+step)
+	}
+}
+
+// TestSharedStoreNeverCompacts pins the sole-subscriber compaction rule:
+// two sessions sharing one store are fed deletes past their watermark and
+// neither rebuilds (a rebuild would move it into a store of its own), both
+// stay exact, and both report the store tables' tombstones.
+func TestSharedStoreNeverCompacts(t *testing.T) {
+	tc := streamCases()[0] // path
+	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(7)), 12, 4)
+	store := NewPlanStore()
+	var sessions []*Session
+	for i := 0; i < 2; i++ {
+		s, err := Open(q, db, Options{Options: opts, RebuildTombstoneRatio: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Adopt(store); err != nil {
+			t.Fatalf("Adopt: %v", err)
+		}
+		sessions = append(sessions, s)
+	}
+	m := newMirror(db)
+	for step := 0; len(m.rows["R2"]) > 0; step++ {
+		up := Update{Rel: "R2", Row: m.rows["R2"][0].Clone(), Insert: false}
+		m.apply(t, up)
+		for _, s := range sessions {
+			if err := s.Delete(up.Rel, up.Row); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstScratch(t, s, m, opts, step)
+		}
+	}
+	for i, s := range sessions {
+		if s.Rebuilds() != 0 || s.Store() != store {
+			t.Fatalf("session %d rebuilt %d times (store kept: %v), want no compaction in a shared store", i, s.Rebuilds(), s.Store() == store)
+		}
+		if r := s.TombstoneRatio(); r < 0.3 {
+			t.Fatalf("session %d reports tombstone ratio %g after draining R2, want the shared tables' zero rows past 0.3", i, r)
+		}
 	}
 }
 

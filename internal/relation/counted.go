@@ -26,6 +26,9 @@ type Counted struct {
 	Cnt     []int64
 	Default int64
 
+	// zeroes counts the rows at count zero (tombstones); see Tombstones.
+	zeroes int
+
 	lookupMu  sync.Mutex
 	lookupIdx atomic.Pointer[lookupIndex]
 }
@@ -774,6 +777,7 @@ func (c *Counted) Clone() *Counted {
 		Attrs:   append([]string(nil), c.Attrs...),
 		Cnt:     append([]int64(nil), c.Cnt...),
 		Default: c.Default,
+		zeroes:  c.zeroes,
 	}
 	if len(c.Rows) > 0 {
 		ar := newTupleArena(len(c.Attrs), len(c.Rows))

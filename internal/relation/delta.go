@@ -26,8 +26,8 @@ type Update struct {
 // The lazy Probe/Lookup index of c, if built, is maintained incrementally,
 // so probes never trigger an O(n) rebuild after a patch. Keys whose count
 // reaches zero are kept as tombstones (they contribute nothing to any
-// operator); callers running unbounded update streams should periodically
-// rebuild their tables.
+// operator), counted by Tombstones; callers running unbounded update
+// streams should periodically rebuild their tables.
 //
 // The returned slice lists the indexes of the rows that were patched or
 // appended, for callers tracking derived aggregates (e.g. maxima).
@@ -48,11 +48,14 @@ func (c *Counted) ApplyDelta(d *Counted) ([]int, error) {
 		for _, cnt := range d.Cnt {
 			total = AddSat(total, cnt)
 		}
-		if len(c.Rows) == 0 {
-			c.Rows = []Tuple{{}}
-			c.Cnt = []int64{total}
-		} else {
-			c.Cnt[0] = AddSat(c.Cnt[0], total)
+		if len(c.Rows) > 0 {
+			c.patch(0, total)
+			return append(changed, 0), nil
+		}
+		c.Rows = []Tuple{{}}
+		c.Cnt = []int64{total}
+		if total == 0 {
+			c.zeroes++
 		}
 		return append(changed, 0), nil
 	}
@@ -68,13 +71,16 @@ func (c *Counted) ApplyDelta(d *Counted) ([]int, error) {
 		}
 		if id := ix.tbl.find(key); id >= 0 {
 			r := int(ix.rowOf[id])
-			c.Cnt[r] = AddSat(c.Cnt[r], d.Cnt[i])
+			c.patch(r, d.Cnt[i])
 			changed = append(changed, r)
 			continue
 		}
 		r := len(c.Rows)
 		c.Rows = append(c.Rows, key.Clone())
 		c.Cnt = append(c.Cnt, d.Cnt[i])
+		if d.Cnt[i] == 0 {
+			c.zeroes++
+		}
 		ix.tbl.insert(key)
 		ix.rowOf = append(ix.rowOf, int32(r))
 		ix.n = len(c.Rows)
@@ -82,6 +88,26 @@ func (c *Counted) ApplyDelta(d *Counted) ([]int, error) {
 	}
 	return changed, nil
 }
+
+// patch adds delta to row r's count, moving the tombstone tally when the
+// count crosses zero.
+func (c *Counted) patch(r int, delta int64) {
+	was := c.Cnt[r] == 0
+	c.Cnt[r] = AddSat(c.Cnt[r], delta)
+	if now := c.Cnt[r] == 0; now != was {
+		if now {
+			c.zeroes++
+		} else {
+			c.zeroes--
+		}
+	}
+}
+
+// Tombstones returns how many rows of c hold count zero, in O(1).
+// ApplyDelta keeps the tally exact from a start of zero, so it assumes c
+// held no zero-count row before its first patch — true of every relation
+// this package's operators build from zero-free inputs.
+func (c *Counted) Tombstones() int { return c.zeroes }
 
 // RowIndex is a secondary index over a subset of a counted relation's
 // attributes, mapping each key to the indexes of the rows holding it.

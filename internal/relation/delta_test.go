@@ -88,6 +88,60 @@ func TestApplyDeltaZeroAttr(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaTombstones checks the O(1) tombstone tally against a
+// recount after every patch of random signed delta streams: over the
+// zero-attribute table, a single-column one, and a permuted two-column one
+// holding a saturated count, with zero-count delta rows appending
+// tombstones outright.
+func TestApplyDeltaTombstones(t *testing.T) {
+	recount := func(c *Counted) int {
+		n := 0
+		for _, v := range c.Cnt {
+			if v == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, attrs := range [][]string{nil, {"A"}, {"A", "B"}} {
+		c := &Counted{Attrs: attrs}
+		if len(attrs) == 2 {
+			c.Rows, c.Cnt = []Tuple{{0, 0}}, []int64{math.MaxInt64}
+		}
+		for step := 0; step < 500; step++ {
+			d := &Counted{Attrs: attrs}
+			if len(attrs) == 2 {
+				d.Attrs = []string{"B", "A"}
+			}
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				row := make(Tuple, len(attrs))
+				for i := range row {
+					row[i] = int64(rng.Intn(3))
+				}
+				cnt := int64(rng.Intn(5) - 2)
+				switch rng.Intn(25) {
+				case 0:
+					cnt = math.MaxInt64
+				case 1:
+					cnt = -math.MaxInt64
+				}
+				d.Rows = append(d.Rows, row)
+				d.Cnt = append(d.Cnt, cnt)
+			}
+			if _, err := c.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := c.Tombstones(), recount(c); got != want {
+				t.Fatalf("attrs %v step %d: Tombstones() = %d, recount %d (cnt %v)", attrs, step, got, want, c.Cnt)
+			}
+		}
+		if got := c.Clone().Tombstones(); got != recount(c) {
+			t.Fatalf("attrs %v: clone reports %d tombstones, want %d", attrs, got, recount(c))
+		}
+	}
+}
+
 func TestRowIndexSync(t *testing.T) {
 	c := &Counted{Attrs: []string{"A", "B"}, Rows: []Tuple{{1, 10}, {2, 20}, {1, 30}}, Cnt: []int64{1, 1, 1}}
 	ix, err := NewRowIndex(c, []string{"A"})

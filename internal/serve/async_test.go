@@ -33,9 +33,9 @@ func parkShard(sh *shard) (entered chan struct{}, release func()) {
 	return entered, release
 }
 
-// unitShard returns the shard owning a registered query's sole unit. With
-// shared plans on, fallback queries route by query text rather than ID, so
-// tests read the installed unit instead of re-deriving the hash.
+// unitShard returns the shard owning a registered query's sole unit.
+// Fallback queries route by query text rather than ID, so tests read the
+// installed unit instead of re-deriving the hash.
 func unitShard(s *Server, id string) int {
 	s.qmu.RLock()
 	defer s.qmu.RUnlock()

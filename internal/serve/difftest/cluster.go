@@ -72,7 +72,6 @@ func RunCluster(t *testing.T, cfg Config) {
 			Shards:      cfg.Shards,
 			Parallelism: cfg.Parallelism,
 			BatchSize:   cfg.BatchSize,
-			SharedPlans: cfg.SharedPlans,
 			WALDir:      n.dir,
 			WALFS:       n.fs,
 			// Only the boot checkpoint: a periodic checkpoint racing an armed

@@ -50,7 +50,6 @@ func RunCrash(t *testing.T, cfg Config, walDir string, crashes int) {
 		Shards:          cfg.Shards,
 		Parallelism:     cfg.Parallelism,
 		BatchSize:       cfg.BatchSize,
-		SharedPlans:     cfg.SharedPlans,
 		WALDir:          walDir,
 		CheckpointEvery: 16, // small: crashes land on both sides of checkpoints
 	}

@@ -43,10 +43,6 @@ type Config struct {
 	// BatchSize is forwarded to the server (default 4, so most flushes span
 	// several drain rounds).
 	BatchSize int
-	// SharedPlans is forwarded to the server (nil = server default, on).
-	// The matrix runs every harness with and without subplan sharing so the
-	// hash-consed and fully-private session paths diff against each other.
-	SharedPlans *bool
 }
 
 // candidate is one query the script may register: the partitionable star
@@ -175,7 +171,6 @@ func Run(t *testing.T, cfg Config) {
 		Shards:      cfg.Shards,
 		Parallelism: cfg.Parallelism,
 		BatchSize:   cfg.BatchSize,
-		SharedPlans: cfg.SharedPlans,
 	})
 	if err != nil {
 		fatalf("new server: %v", err)

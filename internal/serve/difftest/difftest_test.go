@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"tsens/internal/serve"
 )
 
 // shardCounts returns the shard matrix: TSENS_TEST_SHARDS (comma-separated)
@@ -30,32 +28,6 @@ func shardCounts(t *testing.T) []int {
 	return out
 }
 
-// boolAxis parses a "1"/"0" comma-separated matrix env var, defaulting to
-// both values.
-func boolAxis(t *testing.T, env string) []bool {
-	spec := os.Getenv(env)
-	if spec == "" {
-		spec = "1,0"
-	}
-	var out []bool
-	for _, f := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(f) {
-		case "1":
-			out = append(out, true)
-		case "0":
-			out = append(out, false)
-		default:
-			t.Fatalf("%s: bad field %q (want 1 or 0)", env, f)
-		}
-	}
-	return out
-}
-
-// sharedModes returns the subplan-sharing matrix: TSENS_TEST_SHARED ("1",
-// "0", or both) or the default both — the matrix diffs the hash-consed and
-// fully-private session paths against the same model.
-func sharedModes(t *testing.T) []bool { return boolAxis(t, "TSENS_TEST_SHARED") }
-
 // seed returns TSENS_DIFF_SEED when set (replaying a recorded failure), or
 // a fresh time-derived seed. The seed is logged and embedded in every
 // failure message.
@@ -70,20 +42,17 @@ func seed(t *testing.T) int64 {
 	return time.Now().UnixNano()
 }
 
-func matrixName(shards int, shared bool) string {
-	return fmt.Sprintf("shards=%d/shared=%v", shards, shared)
+func matrixName(shards int) string {
+	return fmt.Sprintf("shards=%d", shards)
 }
 
-// matrix invokes fn for every (shards, shared) combination of the
-// env-configurable axes.
+// matrix invokes fn for every shard count of the env-configurable axis.
 func matrix(t *testing.T, s int64, fn func(t *testing.T, cfg Config)) {
 	for _, shards := range shardCounts(t) {
-		for _, shared := range sharedModes(t) {
-			cfg := Config{Seed: s, Shards: shards, SharedPlans: serve.Bool(shared)}
-			t.Run(matrixName(shards, shared), func(t *testing.T) {
-				fn(t, cfg)
-			})
-		}
+		cfg := Config{Seed: s, Shards: shards}
+		t.Run(matrixName(shards), func(t *testing.T) {
+			fn(t, cfg)
+		})
 	}
 }
 
@@ -95,19 +64,15 @@ func TestServeDifferentialRandomized(t *testing.T) {
 
 // TestServeDifferentialPinned replays two fixed seeds so every CI run —
 // even without the env matrix — covers a deterministic script at both
-// shard extremes and on both sides of the subplan-sharing switch.
+// shard extremes.
 func TestServeDifferentialPinned(t *testing.T) {
 	for _, c := range []Config{
 		{Seed: 1, Shards: 1},
 		{Seed: 2, Shards: 4},
 	} {
-		for _, shared := range []bool{true, false} {
-			c := c
-			c.SharedPlans = serve.Bool(shared)
-			t.Run(fmt.Sprintf("seed=%d/%s", c.Seed, matrixName(c.Shards, shared)), func(t *testing.T) {
-				Run(t, c)
-			})
-		}
+		t.Run(fmt.Sprintf("seed=%d/%s", c.Seed, matrixName(c.Shards)), func(t *testing.T) {
+			Run(t, c)
+		})
 	}
 }
 
@@ -124,20 +89,15 @@ func TestServeCrashRecoveryMatrix(t *testing.T) {
 }
 
 // TestServeCrashRecoveryPinned replays fixed crash scripts at both shard
-// extremes so every CI run covers a deterministic kill/reopen sequence on
-// both sides of the sharing switch.
+// extremes so every CI run covers a deterministic kill/reopen sequence.
 func TestServeCrashRecoveryPinned(t *testing.T) {
 	for _, c := range []Config{
 		{Seed: 3, Shards: 1},
 		{Seed: 4, Shards: 4},
 	} {
-		for _, shared := range []bool{true, false} {
-			c := c
-			c.SharedPlans = serve.Bool(shared)
-			t.Run(fmt.Sprintf("seed=%d/%s", c.Seed, matrixName(c.Shards, shared)), func(t *testing.T) {
-				RunCrash(t, c, t.TempDir(), 4)
-			})
-		}
+		t.Run(fmt.Sprintf("seed=%d/%s", c.Seed, matrixName(c.Shards)), func(t *testing.T) {
+			RunCrash(t, c, t.TempDir(), 4)
+		})
 	}
 }
 
@@ -155,14 +115,13 @@ func TestServeClusterFailoverMatrix(t *testing.T) {
 
 // TestServeClusterFailoverPinned replays fixed failover scripts at both
 // shard extremes so every CI run covers a deterministic kill/promote/reset
-// sequence. The sharing axis is pinned per seed (failover scripts are the
-// slowest harness; the full cross product runs in the randomized matrix).
+// sequence.
 func TestServeClusterFailoverPinned(t *testing.T) {
 	for _, c := range []Config{
-		{Seed: 5, Shards: 1, SharedPlans: serve.Bool(true)},
-		{Seed: 6, Shards: 4, SharedPlans: serve.Bool(false)},
+		{Seed: 5, Shards: 1},
+		{Seed: 6, Shards: 4},
 	} {
-		t.Run(fmt.Sprintf("seed=%d/%s", c.Seed, matrixName(c.Shards, *c.SharedPlans)), func(t *testing.T) {
+		t.Run(fmt.Sprintf("seed=%d/%s", c.Seed, matrixName(c.Shards)), func(t *testing.T) {
 			RunCluster(t, c)
 		})
 	}

@@ -304,10 +304,7 @@ func (a *API) handlePlans(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"shared_plans": srv.sharedPlans,
-		"domains":      srv.PlanStats(),
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"domains": srv.PlanStats()})
 }
 
 // SetTraces pins the trace recorder /debug/traces renders and ingress

@@ -311,6 +311,58 @@ func TestAPIWaitPrecedence(t *testing.T) {
 	}
 }
 
+// TestAPIDebugPlans pins GET /debug/plans: one domains entry per shard,
+// and two identical unpartitionable registrations sharing every node of
+// one fallback store.
+func TestAPIDebugPlans(t *testing.T) {
+	db := testDB(t, 10, 4, 21, "R1", "R2", "R3")
+	srv, err := New(db, Options{Shards: 2, Parallelism: 2, BatchSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(NewAPI(srv, nil, 42))
+	t.Cleanup(ts.Close)
+	for _, id := range []string{"p1", "p2"} {
+		doJSON(t, "POST", ts.URL+"/queries", map[string]any{
+			"id": id, "query": "R1(A,B), R2(B,C), R3(C,D)",
+		}, http.StatusCreated)
+	}
+
+	resp, err := http.Get(ts.URL + "/debug/plans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got map[string][]PlanDomainStats
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	domains, ok := got["domains"]
+	if len(got) != 1 || !ok || len(domains) != 2 {
+		t.Fatalf("GET /debug/plans = %+v, want only domains, one entry per shard", got)
+	}
+	shared := 0
+	for i, d := range domains {
+		if d.Shard != i || d.Partitioned.Subscribers != 0 {
+			t.Fatalf("domain %d = %+v, want shard %d with an empty partitioned store", i, d, i)
+		}
+		switch f := d.Fallback; f.Subscribers {
+		case 0:
+		case 2:
+			if f.Nodes == 0 || f.SharedNodes != f.Nodes {
+				t.Fatalf("fallback store %+v, want every node shared", f)
+			}
+			shared++
+		default:
+			t.Fatalf("fallback store %+v, want both queries on one shard", f)
+		}
+	}
+	if shared != 1 {
+		t.Fatalf("domains %+v, want one fallback store holding both queries", domains)
+	}
+}
+
 // TestServeEpochPublishedNeverAheadOfJoined is the hostile-scheduler
 // regression test for the /epoch contract: the published epoch may lag the
 // joined fold frontier (mid-round, or with a shard paused) but must never

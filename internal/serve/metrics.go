@@ -99,7 +99,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		planRefs: reg.Gauge("tsens_plan_node_refs_total",
 			"Total node subscriptions; divided by tsens_plan_nodes_total gives the mean fan-out."),
 		planSubs: reg.Gauge("tsens_plan_subscribers",
-			"Sessions currently attached to a shared plan store."),
+			"Sessions currently subscribed to a shard's sharing store."),
 	}
 }
 

@@ -1,8 +1,9 @@
 package serve
 
-// Shared subplan stores (Options.SharedPlans, docs/SERVING.md "Registration
-// and plan sharing"). Each shard owns two sharing domains, one per update
-// stream it feeds:
+// Plan stores (docs/SERVING.md "Registration and plan sharing"). Every
+// session keeps its maintained tables in an incremental.PlanStore; a
+// registered unit moves from a store of its own into one of its shard's
+// two sharing domains, one per update stream the shard feeds:
 //
 //   - partitioned units receive the shard's routed slice of every round, so
 //     partitioned sessions on the same shard see identical streams and may
@@ -18,8 +19,7 @@ package serve
 // points. Rounds are enqueued exclusively by the coordinator under stateMu,
 // and Register/Unregister hold stateMu, so "queue empty and no round in
 // flight" observed there is stable for as long as the lock is held — that
-// is when Adopt/ReleaseShared run inline. A busy shard adopts at the top of
-// a later round (processTransitions), before any unit steps, and releases
+// is when Adopt/ReleaseShared run inline. A busy shard adopts and releases
 // at the end of the round it was busy with (endRound), after every unit
 // stepped.
 
@@ -41,12 +41,8 @@ func newPlanDomains(n int) []*planDomain {
 	return out
 }
 
-// storeFor picks the sharing domain a unit belongs to, nil when sharing is
-// off.
+// storeFor picks the sharing domain a unit belongs to.
 func (s *Server) storeFor(u *unit) *incremental.PlanStore {
-	if !s.sharedPlans {
-		return nil
-	}
 	d := s.plans[u.shard]
 	if u.part >= 0 {
 		return d.part
@@ -63,7 +59,34 @@ func (sh *shard) idle() bool {
 	return len(sh.q) == 0 && !sh.applying
 }
 
-// retire releases the shared-plan subscriptions of units Unregister has
+// install adds a registered unit to the shard and moves its session into
+// its sharing domain: inline when the shard is idle (it has then folded
+// every round up to the frontier the unit caught up to, so the store is
+// quiescent at the unit's state), else parked until the end of the round
+// whose cut reaches the unit's installCut (endRound). Deciding under umu
+// and then mu, the order in which endRound adopts and clears applying,
+// means a parked unit is always adopted by that round. Caller holds
+// stateMu.
+func (sh *shard) install(s *Server, u *unit) {
+	sh.umu.Lock()
+	defer sh.umu.Unlock()
+	if sh.idle() {
+		s.adopt(u, s.storeFor(u))
+	} else {
+		u.pendingStore = s.storeFor(u)
+	}
+	sh.units = append(sh.units, u)
+}
+
+// adopt moves a unit's session into store. An Adopt that fails (it errors
+// only before touching any state) leaves the session in its own store.
+func (s *Server) adopt(u *unit, store *incremental.PlanStore) {
+	if _, err := u.sess.Adopt(store); err != nil {
+		s.logger.Warn("serve.plan_adopt_failed", "query", u.sq.id, "shard", u.shard, "err", err.Error())
+	}
+}
+
+// retire releases the plan-store subscriptions of units Unregister has
 // stripped from the shard: inline when the shard is idle, else at the end
 // of the round that keeps it busy, which may still step them from its unit
 // snapshot. Deciding under mu, the lock endRound clears applying under,
@@ -81,83 +104,56 @@ func (sh *shard) retire(units []*unit) {
 	}
 }
 
-// endRound marks the shard's round finished and returns the units retired
-// while it ran, for the shard to release.
-func (sh *shard) endRound() []*unit {
+// endRound finishes the shard's round at cut. Under umu it adopts the units
+// Register parked whose installCut the cut has reached: rounds are FIFO
+// with monotone cuts and skip a unit up to its installCut, so every
+// established subscriber has then applied exactly the entries the newcomer
+// replayed during catch-up — the quiescent, state-identical moment Adopt
+// requires. Still under umu, it clears applying under mu and returns the
+// units retired while the round ran, for the shard to release. adopted
+// reports whether any parked unit was handled.
+func (sh *shard) endRound(s *Server, cut int64) (adopted bool, retired []*unit) {
+	sh.umu.Lock()
+	defer sh.umu.Unlock()
+	for _, u := range sh.units {
+		if u.pendingStore == nil || cut < u.installCut {
+			continue
+		}
+		if u.err == nil {
+			s.adopt(u, u.pendingStore)
+		}
+		u.pendingStore = nil
+		adopted = true
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.applying = false
-	retired := sh.retired
+	retired = sh.retired
 	sh.retired = nil
-	return retired
+	return adopted, retired
 }
 
-// releaseUnits detaches retired units from their plan stores; a unit that
-// never attached is a no-op.
+// releaseUnits detaches retired units from their plan stores.
 func releaseUnits(units []*unit) {
 	for _, u := range units {
 		u.sess.ReleaseShared()
 	}
 }
 
-// processTransitions runs at the top of a round, before the unit snapshot
-// and any stepping. It adopts units Register installed while the shard was
-// busy. Adoption waits for the first round strictly
-// past the unit's installCut: rounds are FIFO with monotone cuts, so at
-// that point every established subscriber has applied exactly the entries
-// the newcomer replayed during catch-up — the quiescent, state-identical
-// moment Adopt requires. An Adopt that fails (it errors only before
-// touching any state) just leaves the unit on its private plan.
-//
-// The whole transition runs under umu: store/pendingStore hand-offs must be
-// atomic against a concurrent Unregister stripping the unit, which takes
-// umu before retiring it.
-func (sh *shard) processTransitions(s *Server, cut int64) {
-	sh.umu.Lock()
-	changed := false
-	for _, u := range sh.units {
-		if u.pendingStore == nil || cut <= u.installCut {
-			continue
-		}
-		store := u.pendingStore
-		u.pendingStore = nil
-		changed = true
-		if u.err != nil {
-			continue
-		}
-		if _, err := u.sess.Adopt(store); err != nil {
-			s.logger.Warn("serve.plan_adopt_deferred_failed",
-				"query", u.sq.id, "shard", sh.id, "err", err.Error())
-			continue
-		}
-		u.store = store
-	}
-	sh.umu.Unlock()
-	if changed {
-		s.refreshPlanGauges()
-	}
-}
-
-// planGroups partitions a round's units into step groups: units subscribed
-// to the same plan store patch shared tables and must step sequentially
-// (the store's lead/follower memo discipline is single-round, not
-// concurrent), while everything else keeps the one-goroutine-per-unit
-// fan-out.
+// planGroups partitions a round's units into step groups, one per plan
+// store: units subscribed to the same store patch shared tables and must
+// step sequentially (the store's lead/follower memo discipline is
+// single-round, not concurrent), while units alone in their store keep the
+// one-goroutine-per-unit fan-out.
 func planGroups(units []*unit) [][]*unit {
 	groups := make([][]*unit, 0, len(units))
-	var byStore map[*incremental.PlanStore]int
+	byStore := make(map[*incremental.PlanStore]int, len(units))
 	for _, u := range units {
-		if u.store == nil {
-			groups = append(groups, []*unit{u})
-			continue
-		}
-		if byStore == nil {
-			byStore = make(map[*incremental.PlanStore]int)
-		}
-		gi, ok := byStore[u.store]
+		st := u.sess.Store()
+		gi, ok := byStore[st]
 		if !ok {
 			gi = len(groups)
-			byStore[u.store] = gi
+			byStore[st] = gi
 			groups = append(groups, nil)
 		}
 		groups[gi] = append(groups[gi], u)
@@ -165,13 +161,10 @@ func planGroups(units []*unit) [][]*unit {
 	return groups
 }
 
-// refreshPlanGauges re-derives the sharing gauges from every store. Called
-// after any attach/detach transition; cheap relative to the Register or
-// round that triggered it.
+// refreshPlanGauges re-derives the sharing gauges from every domain store.
+// Called after any attach/detach transition; cheap relative to the Register
+// or round that triggered it.
 func (s *Server) refreshPlanGauges() {
-	if !s.sharedPlans {
-		return
-	}
 	var nodes, shared, refs, subs int
 	for _, d := range s.plans {
 		for _, ps := range [2]*incremental.PlanStore{d.part, d.fall} {
@@ -196,11 +189,8 @@ type PlanDomainStats struct {
 	Fallback    incremental.PlanStoreStats `json:"fallback"`
 }
 
-// PlanStats summarizes every shard's plan stores; nil when sharing is off.
+// PlanStats summarizes every shard's sharing domains.
 func (s *Server) PlanStats() []PlanDomainStats {
-	if !s.sharedPlans {
-		return nil
-	}
 	out := make([]PlanDomainStats, len(s.plans))
 	for i, d := range s.plans {
 		out[i] = PlanDomainStats{Shard: i, Partitioned: d.part.Stats(), Fallback: d.fall.Stats()}

@@ -125,9 +125,9 @@ func TestSharedPlansIdenticalQueriesFullShare(t *testing.T) {
 
 // TestSharedPlansDeferredAdopt pins the busy-shard install path: a
 // registration landing while the owning shard is mid-round must not patch
-// shared tables under a live writer — the adoption defers to the top of
-// the shard's first round past the install cut, and from then on the unit
-// is a full sharer.
+// shared tables under a live writer — the adoption defers to the end of
+// the shard's round that reaches the install cut, with no later write
+// needed, and from then on the unit is a full sharer.
 func TestSharedPlansDeferredAdopt(t *testing.T) {
 	db := testDB(t, 10, 4, 31, "R1", "R2", "R3")
 	srv, err := New(db, Options{Shards: 1, Parallelism: 2, BatchSize: 4})
@@ -179,13 +179,10 @@ func TestSharedPlansDeferredAdopt(t *testing.T) {
 		t.Fatalf("plan totals %+v while the shard is parked, want the donor alone", tot)
 	}
 
-	// The first round past b's install cut performs the adoption.
-	_, to, err := srv.Append(stream[6:])
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The round that reaches b's install cut performs the adoption as it
+	// ends, on an otherwise quiet server.
 	release()
-	if err := srv.WaitApplied(to); err != nil {
+	if err := srv.WaitApplied(bv.Epoch); err != nil {
 		t.Fatal(err)
 	}
 	if st := adoptStatsOf(t, srv, "b"); !st.FullShare() || !st.ResidueShared {
@@ -193,6 +190,13 @@ func TestSharedPlansDeferredAdopt(t *testing.T) {
 	}
 	if tot := planTotals(srv); tot.Subscribers != 2 {
 		t.Fatalf("plan totals %+v after the deferred adopt, want both subscribers", tot)
+	}
+	_, to, err := srv.Append(stream[6:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WaitApplied(to); err != nil {
+		t.Fatal(err)
 	}
 
 	cur := replayPrefix(t, db, stream, len(stream))
@@ -208,6 +212,53 @@ func TestSharedPlansDeferredAdopt(t *testing.T) {
 		if v.Count != want.Count || v.LS.LS != want.LS {
 			t.Fatalf("%s served (%d, %d), scratch (%d, %d)", id, v.Count, v.LS.LS, want.Count, want.LS)
 		}
+	}
+}
+
+// TestServeCompactsLoneQuery pins the sole-subscriber compaction rule at
+// the server: with default options, a query alone in its shard's store
+// rebuilds under key churn — each update pair inserts an R2 row with a
+// fresh key and deletes the oldest one — and keeps serving exact views.
+func TestServeCompactsLoneQuery(t *testing.T) {
+	db := testDB(t, 20, 6, 41, "R1", "R2", "R3")
+	srv, err := New(db, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, _, err := srv.Register(QueryConfig{ID: "p", Query: pathQuery(t)}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	live := append([]relation.Tuple(nil), db.Relation("R2").Rows...)
+	var stream []relation.Update
+	for i := 0; i < 400; i++ {
+		row := relation.Tuple{int64(100 + i), int64(rng.Intn(6))}
+		stream = append(stream,
+			relation.Update{Rel: "R2", Row: row, Insert: true},
+			relation.Update{Rel: "R2", Row: live[0], Insert: false})
+		live = append(live[1:], row)
+	}
+	_, to, err := srv.Append(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WaitApplied(to); err != nil {
+		t.Fatal(err)
+	}
+	v, err := srv.View("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Rebuilds == 0 {
+		t.Fatalf("view at epoch %d reports no rebuilds: a lone query never compacted", v.Epoch)
+	}
+	want, err := core.LocalSensitivity(pathQuery(t), replayPrefix(t, db, stream, int(v.Epoch)), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Count != want.Count || v.LS.LS != want.LS {
+		t.Fatalf("served (%d, %d) at epoch %d, scratch (%d, %d)", v.Count, v.LS.LS, v.Epoch, want.Count, want.LS)
 	}
 }
 

@@ -169,22 +169,10 @@ type Options struct {
 	// one structured line with its trace breakdown. 0 means
 	// obs.DefaultSlowThreshold.
 	SlowThreshold time.Duration
-	// SharedPlans hash-conses join-tree state across registered queries
-	// (docs/SERVING.md "Registration and plan sharing"): each shard keeps
-	// a plan store per sharing domain, and a query registering a subtree
-	// some live query already maintains adopts the canonical tables
-	// instead of duplicating them, with one patch fanning out to every
-	// subscriber. nil or true (the default) enables sharing; false keeps
-	// every session fully private. Both settings expose identical
-	// semantics (the difftest matrix diffs them). Use Bool to set it.
-	SharedPlans *bool
 	// Logger receives the server's structured log lines (obs.Logger).
 	// nil disables logging — every log site is nil-safe.
 	Logger *obs.Logger
 }
-
-// Bool boxes a bool for optional Options fields (SharedPlans).
-func Bool(v bool) *bool { return &v }
 
 func (o Options) withDefaults() Options {
 	if o.BatchSize == 0 {
@@ -415,11 +403,9 @@ type Server struct {
 
 	shards []*shard
 
-	// sharedPlans is Options.SharedPlans resolved (nil → true); plans
-	// holds each shard's two sharing domains (partitioned / fallback)
-	// when on. See plans.go.
-	sharedPlans bool
-	plans       []*planDomain
+	// plans holds each shard's two sharing domains (partitioned /
+	// fallback). See plans.go.
+	plans []*planDomain
 
 	epoch    atomic.Int64
 	appended atomic.Int64
@@ -497,7 +483,6 @@ func newServer(master *relation.Database, opts Options, init serverInit, dl *dur
 	}
 	s.traces = opts.Traces
 	s.logger = opts.Logger
-	s.sharedPlans = opts.SharedPlans == nil || *opts.SharedPlans
 	s.epoch.Store(init.epoch)
 	s.frontier.Store(init.epoch)
 	s.appended.Store(init.epoch)
@@ -541,9 +526,7 @@ func newServer(master *relation.Database, opts Options, init serverInit, dl *dur
 		s.m.shardEpoch.With(shardLabel(i)).Set(float64(init.epoch))
 		s.shards[i] = sh
 	}
-	if s.sharedPlans {
-		s.plans = newPlanDomains(len(s.shards))
-	}
+	s.plans = newPlanDomains(len(s.shards))
 	s.wg.Add(1 + len(s.shards))
 	go s.writer()
 	for _, sh := range s.shards {
@@ -775,15 +758,7 @@ func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 		if err != nil {
 			return fail(err)
 		}
-		key := id
-		if s.sharedPlans {
-			// Identical unpartitionable queries must land on the same
-			// shard to share state, so the designated owner is keyed by
-			// query text, not ID. Recovery re-registers the same text, so
-			// the assignment is stable across restarts.
-			key = sq.text
-		}
-		sq.units = []*unit{{sq: sq, sess: sess, shard: s.fallbackShard(key), part: -1}}
+		sq.units = []*unit{{sq: sq, sess: sess, shard: s.fallbackShard(sq.text), part: -1}}
 	}
 
 	// Phase 3 — catch up and install. Replaying the entries drained since
@@ -866,27 +841,7 @@ func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 	}
 	s.ackMetric("register")
 	for _, u := range sq.units {
-		sh := s.shards[u.shard]
-		if store := s.storeFor(u); store != nil {
-			// Adopt inline if the shard is provably quiescent at cur. A
-			// busy shard instead adopts at its first round strictly past
-			// cur (processTransitions), where the same state alignment
-			// holds. A failed Adopt (it errors only before touching any
-			// state) leaves the session on its private plan.
-			if sh.idle() && sh.watermark.Load() == cur {
-				if _, aerr := u.sess.Adopt(store); aerr == nil {
-					u.store = store
-				} else {
-					s.logger.Warn("serve.plan_adopt_failed",
-						"query", id, "shard", u.shard, "err", aerr.Error())
-				}
-			} else {
-				u.pendingStore = store
-			}
-		}
-		sh.umu.Lock()
-		sh.units = append(sh.units, u)
-		sh.umu.Unlock()
+		s.shards[u.shard].install(s, u)
 	}
 	s.refreshPlanGauges()
 	s.qmu.Lock()

@@ -9,8 +9,9 @@ package serve
 //     partition i of the database and receives exactly the updates routed
 //     there, so patches for disjoint keys proceed in parallel.
 //   - A query that cannot be partitioned keeps one full session, owned by a
-//     single designated shard (stable hash of its ID) and fed the whole
-//     batch — correctness never depends on partitionability, only speed.
+//     single designated shard (stable hash of its query text) and fed the
+//     whole batch — correctness never depends on partitionability, only
+//     speed.
 //
 // The coordinator cuts rounds at common LSN boundaries (so every shard's
 // fold history is the same sequence of cuts), pushes each round onto every
@@ -203,13 +204,11 @@ type unit struct {
 	// (their updates were replayed during catch-up).
 	installCut int64
 
-	// store is the shared plan store the unit's session is attached to
-	// (nil when sharing is off or the adopt failed); pendingStore defers
-	// the Adopt to the owning shard's first round past installCut when the
-	// shard was busy at install time. Both are handed off through umu:
-	// written by Register before the unit joins sh.units, then owned by
-	// the shard's loop.
-	store        *incremental.PlanStore
+	// pendingStore is the sharing domain the unit's session moves into at
+	// the end of the owning shard's round that reaches installCut, when the
+	// shard was busy at install time (see shard.install). Handed off
+	// through umu: written by Register as the unit joins sh.units, then
+	// owned by the shard's loop.
 	pendingStore *incremental.PlanStore
 
 	// ring holds the unit's recent published versions, ascending by stamp;
@@ -294,7 +293,6 @@ func (sh *shard) run(s *Server) {
 		if gate := sh.gate.Load(); gate != nil {
 			(*gate)(sh.id)
 		}
-		sh.processTransitions(s, rd.cut)
 		units := sh.snapshotUnits()
 		routed := rd.routed[sh.id]
 		start := time.Now()
@@ -322,9 +320,10 @@ func (sh *shard) run(s *Server) {
 		}
 		s.m.publishView.Observe(time.Since(publishStart).Seconds())
 		ringGauge.Set(float64(depth))
-		// The round no longer touches any session: release what Unregister
-		// retired meanwhile before the watermark lets waiters through.
-		if retired := sh.endRound(); len(retired) > 0 {
+		// The round no longer touches any session: adopt what Register
+		// parked and release what Unregister retired meanwhile, before the
+		// watermark lets waiters through.
+		if adopted, retired := sh.endRound(s, rd.cut); adopted || len(retired) > 0 {
 			releaseUnits(retired)
 			s.refreshPlanGauges()
 		}
@@ -412,11 +411,6 @@ func (u *unit) refresh() {
 	if u.err != nil {
 		return
 	}
-	if u.store != nil && !u.sess.Shared() {
-		// The session detached itself (bulk batch or automatic rebuild);
-		// stop grouping it with its former store mates.
-		u.store = nil
-	}
 	u.count = u.sess.Count()
 	u.res, u.err = u.sess.LS()
 }
@@ -439,11 +433,13 @@ func (s *Server) routeOf(up relation.Update) int {
 }
 
 // fallbackShard is the designated owner of an unpartitionable query's
-// session: a stable hash of the query ID, so multiple fallback queries
-// spread across shards instead of piling onto shard 0.
-func (s *Server) fallbackShard(id string) int {
+// session: a stable hash of the query text, so identical fallback queries
+// land on one shard and share its fallback store, while distinct ones
+// spread across shards instead of piling onto shard 0. Recovery
+// re-registers the same text, so the assignment survives restarts.
+func (s *Server) fallbackShard(text string) int {
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(id))
+	_, _ = h.Write([]byte(text))
 	return relation.Shard(int64(h.Sum64()), len(s.shards))
 }
 
