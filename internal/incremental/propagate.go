@@ -154,10 +154,13 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 	// Election is per entry, not per store — a session can lead one node
 	// and follow another when their subscriber sets differ — and is stable
 	// across the whole propagation because cursors only advance after it
-	// completes.
+	// completes. A store's sole subscriber always leads and writes no memo:
+	// nobody could read it, since Adopt joins only a quiescent store and a
+	// newcomer never replays a position from before it arrived.
 	sb := s.sbase[ref.ui][ref.mi].Val
 	ln := s.snode[ref.ui].Val
 	lnLead := ln.pos == s.pos
+	memo := s.store.subscribers() > 1
 
 	// Phase 1: member base.
 	if sb.pos == s.pos {
@@ -193,7 +196,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 			}
 		}
 	}
-	if lnLead && len(drel.Rows) > 0 {
+	if memo && lnLead && len(drel.Rows) > 0 {
 		ln.memoSet(s.pos, drel, nil)
 	}
 
@@ -226,7 +229,9 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 				if _, err := s.apply(sol.Bot[child.Index], dchild); err != nil {
 					return err
 				}
-				sn.memoSet(s.pos, nil, dchild)
+				if memo {
+					sn.memoSet(s.pos, nil, dchild)
+				}
 			}
 			pieceChanges = append(pieceChanges, change{sol.Bot[child.Index], dchild})
 			botDeltas = append(botDeltas, botChange{child.Index, dchild})

@@ -79,20 +79,20 @@ type Options struct {
 // memberRef addresses one member of one unit of the solver.
 type memberRef struct{ ui, mi int }
 
-// Session is a stateful sensitivity engine over a private copy of the
-// database. Obtain one with Open; feed it updates with Insert, Delete, or
-// Apply; read LS(), Count(), or a SensitivityFn at any point.
+// Session is a stateful sensitivity engine over a copy of the database
+// kept in its plan store. Obtain one with Open; feed it updates with
+// Insert, Delete, or Apply; read LS(), Count(), or a SensitivityFn at any
+// point.
 type Session struct {
 	q    *query.Query
 	opts Options
-	db   *relation.Database // session-owned clone
+	db   *relation.Database // the referenced relations: the store's copies (srows)
 
 	sol *core.Solver
 
 	memberOf map[string]memberRef
 	effPos   map[string][]int // relation → EffVars positions in atom vars
 	selFn    map[string]func(relation.Tuple) bool
-	rowsets  map[string]*relation.RowSet
 
 	// tabs maps every maintained table to its index home (see sharedTabs).
 	tabs      map[*relation.Counted]*sharedTabs
@@ -106,20 +106,20 @@ type Session struct {
 	updates       int
 	rebuilds      int
 
-	// pruned holds the arity of database relations the query never
-	// references: Open does not clone them (satellite of the plan-sharing
-	// refactor), but updates addressed to them must still validate and
-	// no-op exactly as they did against a full clone.
-	pruned map[string]int
+	// arity holds the arity of every database relation. Open copies only
+	// the relations the query references, but updates addressed to the
+	// others must still validate and no-op exactly as against a full copy.
+	arity map[string]int
 
-	// Plan-store attachment (see shared.go): store holds the maintained
-	// tables — a store of the session's own after Open and every rebuild, a
-	// shared one after Adopt. pos is the session's cursor in the store's
-	// update stream, and sbase[ui][mi]/snode[ui]/sres the refcounted
-	// entries the session holds. adopt records what Adopt shared versus
-	// donated.
+	// Plan-store attachment (see shared.go): store holds the relations and
+	// maintained tables — a store of the session's own after Open and every
+	// rebuild, a shared one after Adopt. pos is the session's cursor in the
+	// store's update stream, and srows[rel]/sbase[ui][mi]/snode[ui]/sres the
+	// refcounted entries the session holds. adopt records what Adopt shared
+	// versus donated.
 	store *PlanStore
 	pos   int64
+	srows map[string]*internedRows
 	sbase [][]*internedBase
 	snode []*internedNode
 	sres  *internedResidue
@@ -144,29 +144,21 @@ func Open(q *query.Query, db *relation.Database, opts Options) (*Session, error)
 		opts.BulkThreshold = DefaultBulkThreshold
 	}
 	// Clone only the relations the query references: unreferenced ones can
-	// never affect |Q(D)| or LS, so carrying them (and their rowsets)
-	// through every registered session is pure overhead. Their arities are
-	// remembered so updates addressed to them still validate and no-op
-	// exactly as against a full clone.
+	// never affect |Q(D)| or LS, so carrying them through every registered
+	// session is pure overhead.
 	referenced := make(map[string]bool, len(q.Atoms))
 	for _, a := range q.Atoms {
 		referenced[a.Relation] = true
 	}
-	s := &Session{q: q, opts: opts, pruned: make(map[string]int)}
-	kept := make([]*relation.Relation, 0, len(q.Atoms))
+	s := &Session{q: q, opts: opts, arity: make(map[string]int)}
+	rows := make([]*sharedRows, 0, len(q.Atoms))
 	for _, name := range db.Names() {
 		r := db.Relation(name)
+		s.arity[name] = len(r.Attrs)
 		if referenced[name] {
-			kept = append(kept, r.Clone())
-		} else {
-			s.pruned[name] = len(r.Attrs)
+			rows = append(rows, newSharedRows(r.Clone()))
 		}
 	}
-	sub, err := relation.NewDatabase(kept...)
-	if err != nil {
-		return nil, err
-	}
-	s.db = sub
 	if opts.Metrics != nil {
 		s.updateSecs = opts.Metrics.Histogram("tsens_session_update_seconds",
 			"Per-update delta propagation latency across sessions.", nil)
@@ -177,21 +169,25 @@ func Open(q *query.Query, db *relation.Database, opts Options) (*Session, error)
 		s.rebuildsTotal = opts.Metrics.Counter("tsens_session_rebuilds_total",
 			"Full session rebuilds across sessions.")
 	}
-	s.rowsets = make(map[string]*relation.RowSet, len(s.db.Names()))
-	for _, name := range s.db.Names() {
-		s.rowsets[name] = relation.NewRowSet(s.db.Relation(name))
-	}
-	if err := s.build(); err != nil {
+	if err := s.build(rows); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// build runs the one-shot passes, derives every maintained structure from
-// them, and puts the tables in a new store of the session's own. It is the
-// shared body of Open and Rebuild.
-func (s *Session) build() error {
-	sol, err := core.NewSolver(s.q, s.db, s.opts.Options)
+// build runs the one-shot passes over rows, derives every maintained
+// structure from them, and puts the rows and tables in a new store of the
+// session's own. It is the shared body of Open and Rebuild.
+func (s *Session) build(rows []*sharedRows) error {
+	rels := make([]*relation.Relation, len(rows))
+	for i, sr := range rows {
+		rels[i] = sr.rel
+	}
+	db, err := relation.NewDatabase(rels...)
+	if err != nil {
+		return err
+	}
+	sol, err := core.NewSolver(s.q, db, s.opts.Options)
 	if err != nil {
 		return err
 	}
@@ -252,7 +248,7 @@ func (s *Session) build() error {
 			home(g.Table)
 		}
 	}
-	s.attach(NewPlanStore(), sol.PlanShape())
+	s.attach(NewPlanStore(), sol.PlanShape(), rows)
 	return nil
 }
 
@@ -275,24 +271,20 @@ func (s *Session) Delete(rel string, row relation.Tuple) error {
 // tuple) abort the batch at the failing update; updates before it remain
 // applied and the session stays consistent.
 func (s *Session) Apply(batch []Update) error {
-	// The bulk-rebuild shortcut touches only the session's private database
-	// before rebuilding, and the rebuild moves the session into a store of
-	// its own. Leaving a shared store never advances it, so remaining
-	// subscribers stay aligned (the next to apply at the current position
-	// becomes lead). Callers that group sessions by store should re-read
-	// Store() after bulk batches.
+	// The bulk-rebuild shortcut takes the rows private and leaves the store
+	// before changing them, then rebuilds into a store of its own. Leaving a
+	// shared store never advances it, so remaining subscribers stay aligned
+	// (the next to apply at the current position becomes lead). Callers that
+	// group sessions by store should re-read Store() after bulk batches.
 	if s.opts.BulkThreshold > 0 && len(batch) >= s.opts.BulkThreshold {
-		for _, up := range batch {
-			if _, _, err := s.applyRow(up); err != nil {
-				// Keep the maintained state consistent with the rows already
-				// changed before reporting the error.
-				if rerr := s.rebuild(); rerr != nil {
-					return rerr
-				}
-				return err
-			}
+		rows := s.detach()
+		err := s.applyRows(rows, batch)
+		// Rebuild even after an error, so the maintained state matches the
+		// rows already changed before reporting it.
+		if rerr := s.rebuild(rows); rerr != nil {
+			return rerr
 		}
-		return s.rebuild()
+		return err
 	}
 	for _, up := range batch {
 		if err := s.applyOne(up); err != nil {
@@ -302,32 +294,66 @@ func (s *Session) Apply(batch []Update) error {
 	return nil
 }
 
-// applyRow validates an update and applies it to the session database and
-// row multiset, returning the member it maps to (ok=false when the
-// relation is not referenced by the query).
-func (s *Session) applyRow(up Update) (memberRef, bool, error) {
-	r := s.db.Relation(up.Rel)
-	if r == nil {
-		if arity, ok := s.pruned[up.Rel]; ok {
-			// The relation exists but the query never references it: the
-			// update cannot affect any maintained state. Validate the shape
-			// and no-op, as a full clone would have.
-			if len(up.Row) != arity {
-				return memberRef{}, false, fmt.Errorf("incremental: tuple arity %d does not match %s arity %d", len(up.Row), up.Rel, arity)
-			}
-			s.updates++
-			return memberRef{}, false, nil
+// applyRows applies a batch to rows the session holds privately (the bulk
+// path, ahead of its rebuild), stopping at the first invalid update.
+func (s *Session) applyRows(rows []*sharedRows, batch []Update) error {
+	byName := make(map[string]*sharedRows, len(rows))
+	for _, sr := range rows {
+		byName[sr.rel.Name] = sr
+	}
+	for _, up := range batch {
+		if err := s.validate(up); err != nil {
+			return err
 		}
-		return memberRef{}, false, fmt.Errorf("incremental: no relation %q", up.Rel)
+		if sr := byName[up.Rel]; sr != nil {
+			if err := sr.apply(up); err != nil {
+				return err
+			}
+		}
+		s.updates++
 	}
-	if len(up.Row) != len(r.Attrs) {
-		return memberRef{}, false, fmt.Errorf("incremental: tuple arity %d does not match %s arity %d", len(up.Row), up.Rel, len(r.Attrs))
+	return nil
+}
+
+// validate checks an update against the schema of the database the session
+// was opened over.
+func (s *Session) validate(up Update) error {
+	arity, ok := s.arity[up.Rel]
+	if !ok {
+		return fmt.Errorf("incremental: no relation %q", up.Rel)
 	}
-	rs := s.rowsets[up.Rel]
-	if up.Insert {
-		rs.Insert(r, up.Row)
-	} else if err := rs.Remove(r, up.Row); err != nil {
+	if len(up.Row) != arity {
+		return fmt.Errorf("incremental: tuple arity %d does not match %s arity %d", len(up.Row), up.Rel, arity)
+	}
+	return nil
+}
+
+// applyRow validates an update and applies it to the store's rows,
+// returning the member it maps to (ok=false when the relation is not
+// referenced by the query). The first subscriber at the session's stream
+// position changes the rows (lead); later ones replay its outcome
+// (follower), and a subscriber that finds the rows further ahead fails
+// rather than apply the update twice.
+func (s *Session) applyRow(up Update) (memberRef, bool, error) {
+	if err := s.validate(up); err != nil {
 		return memberRef{}, false, err
+	}
+	e := s.srows[up.Rel]
+	if e == nil {
+		// The query never references the relation: the update cannot
+		// affect any maintained state.
+		s.updates++
+		return memberRef{}, false, nil
+	}
+	sr := e.Val
+	switch {
+	case sr.pos == s.pos:
+		sr.at, sr.err = s.pos, sr.apply(up)
+	case sr.pos != s.pos+1 || sr.at != s.pos:
+		return memberRef{}, false, fmt.Errorf("incremental: rows of %s at stream position %d, session at %d: plan store subscribers out of lockstep", up.Rel, sr.pos, s.pos)
+	}
+	if sr.err != nil {
+		return memberRef{}, false, sr.err
 	}
 	s.updates++
 	ref, ok := s.memberOf[up.Rel]
@@ -409,7 +435,7 @@ func (s *Session) maybeCompact() error {
 		s.TombstoneRatio() < s.opts.RebuildTombstoneRatio {
 		return nil
 	}
-	return s.rebuild()
+	return s.rebuild(s.detach())
 }
 
 // Count returns |Q(D)| from the maintained component totals, in O(1).
@@ -509,41 +535,39 @@ func (s *Session) SensitivityFn(rel string) (core.SensitivityFn, error) {
 
 // Has reports whether the session's database currently holds at least one
 // occurrence of row in the named relation — one hash probe against the
-// maintained row multiset. The serving layer uses it to replay skipped
-// deletes consistently when catching a freshly-opened session up to the
-// live epoch.
+// row multiset in the session's store. The serving layer uses it to replay
+// skipped deletes consistently when catching a freshly-opened session up
+// to the live epoch.
 func (s *Session) Has(rel string, row relation.Tuple) bool {
-	rs := s.rowsets[rel]
-	return rs != nil && rs.Contains(row)
+	e := s.srows[rel]
+	return e != nil && e.Val.set.Contains(row)
 }
 
 // Rows returns the current rows of the named relation (a live, read-only
-// view of the session's database), or nil for unknown relations.
+// view of the relation in the session's store, shared with every
+// subscriber), or nil for relations the query does not reference.
 func (s *Session) Rows(rel string) []relation.Tuple {
-	r := s.db.Relation(rel)
-	if r == nil {
-		return nil
+	if e := s.srows[rel]; e != nil {
+		return e.Val.rel.Rows
 	}
-	return r.Rows
+	return nil
 }
 
 // Rebuild discards all maintained state and recomputes it from the current
 // session database, exactly as a fresh Open would. Long update streams can
 // call it occasionally to shed tombstone rows.
-func (s *Session) Rebuild() error { return s.rebuild() }
+func (s *Session) Rebuild() error { return s.rebuild(s.detach()) }
 
-func (s *Session) rebuild() error {
-	// A rebuild recomputes everything from the private database clone into
-	// a store of the session's own, so it first drops its current
-	// subscriptions: correctness never depends on staying in a shared store.
-	s.ReleaseShared()
+// rebuild recomputes everything from rows, which detach has taken out of
+// the session's former store, into a store of the session's own.
+func (s *Session) rebuild(rows []*sharedRows) error {
 	s.rebuilds++
 	start := time.Now()
 	if s.rebuildsTotal != nil {
 		s.rebuildsTotal.Inc()
 		defer s.rebuildSecs.ObserveSince(start)
 	}
-	err := s.build()
+	err := s.build(rows)
 	if s.opts.Logger != nil {
 		if err != nil {
 			s.opts.Logger.Error("session rebuild failed",

@@ -30,14 +30,22 @@ package incremental
 // tables advance exactly once per stream position no matter which
 // subscriber reaches it first.
 //
+// The relations themselves are a tier too, interned by name: a store keeps
+// one copy of each relation's rows and row multiset however many sessions
+// subscribe, and the first subscriber to apply a stream position changes
+// them and records the outcome for the others to replay (see sharedRows).
+//
 // Concurrency discipline: all sessions attached to one store must apply
-// updates from a single goroutine (the serving layer's shard loop), and
-// must be fed identical update streams. Adopt and ReleaseShared may be
-// called from other goroutines — they touch only the refcount maps, under
-// the store mutex — but Adopt additionally requires the store quiescent
-// (no round in flight), which the serving layer guarantees by adopting
-// either while the owning shard is idle or inside the shard loop at a round
-// boundary.
+// updates from a single goroutine (the serving layer's shard loop), must be
+// fed identical update streams, and must step in lockstep: every subscriber
+// applies stream position p before any applies p+1 (serve's stepGroup
+// interleaves a round's updates one at a time across a store's units). The
+// rows tier relies on this, since it keeps the outcome of one position only.
+// Adopt and ReleaseShared may be called from other goroutines — they touch
+// only the refcount maps, under the store mutex — but Adopt additionally
+// requires the store quiescent (no round in flight), which the serving
+// layer guarantees by adopting either while the owning shard is idle or
+// inside the shard loop at a round boundary.
 
 import (
 	"errors"
@@ -146,10 +154,40 @@ type sharedResidue struct {
 	pos     int64
 }
 
+// sharedRows is an interned database relation: the rows every subscriber
+// reads (Has, Rows, the input of a rebuild) and the row multiset that
+// validates deletes. All subscribers of a store hold the same rows, since
+// they start from the same state and are fed the same stream. The first
+// subscriber to apply stream position p changes the rows and records p and
+// the outcome in at and err; later subscribers at p replay that outcome, so
+// a delete of an absent row fails for every subscriber alike.
+type sharedRows struct {
+	rel *relation.Relation
+	set *relation.RowSet
+	pos int64
+	at  int64
+	err error
+}
+
+// newSharedRows indexes a relation the caller owns.
+func newSharedRows(r *relation.Relation) *sharedRows {
+	return &sharedRows{rel: r, set: relation.NewRowSet(r)}
+}
+
+// apply inserts or deletes one row.
+func (sr *sharedRows) apply(up Update) error {
+	if up.Insert {
+		sr.set.Insert(sr.rel, up.Row)
+		return nil
+	}
+	return sr.set.Remove(sr.rel, up.Row)
+}
+
 type (
 	internedBase    = relation.Interned[*sharedBase]
 	internedNode    = relation.Interned[*sharedNode]
 	internedResidue = relation.Interned[*sharedResidue]
+	internedRows    = relation.Interned[*sharedRows]
 )
 
 // PlanStore owns the hash-cons maps and refcounts of one sharing domain.
@@ -161,7 +199,12 @@ type PlanStore struct {
 	bases    *relation.Interner[*sharedBase]
 	nodes    *relation.Interner[*sharedNode]
 	residues *relation.Interner[*sharedResidue]
+	rows     *relation.Interner[*sharedRows]
 	subs     map[*Session]struct{}
+
+	// nsubs mirrors len(subs), written under mu and read without it by the
+	// stepping goroutine (see propagate's memo skip and maybeCompact).
+	nsubs atomic.Int32
 
 	// clock is the number of stream updates fully applied through the
 	// store: every interned entry sits at pos == clock whenever the store
@@ -183,6 +226,7 @@ func NewPlanStore() *PlanStore {
 		bases:    relation.NewInterner[*sharedBase](),
 		nodes:    relation.NewInterner[*sharedNode](),
 		residues: relation.NewInterner[*sharedResidue](),
+		rows:     relation.NewInterner[*sharedRows](),
 		subs:     make(map[*Session]struct{}),
 	}
 }
@@ -213,10 +257,12 @@ type PlanStoreStats struct {
 	Bases    int `json:"bases"` // interned entries
 	Nodes    int `json:"nodes"`
 	Residues int `json:"residues"`
+	Rows     int `json:"rows"` // interned relation copies
 	// Shared* count entries with more than one subscriber.
 	SharedBases    int `json:"shared_bases"`
 	SharedNodes    int `json:"shared_nodes"`
 	SharedResidues int `json:"shared_residues"`
+	SharedRows     int `json:"shared_rows"`
 	// NodeRefs is the total node subscriptions; NodeRefs/Nodes is the
 	// mean fan-out.
 	NodeRefs    int   `json:"node_refs"`
@@ -233,9 +279,11 @@ func (ps *PlanStore) Stats() PlanStoreStats {
 		Bases:          ps.bases.Len(),
 		Nodes:          ps.nodes.Len(),
 		Residues:       ps.residues.Len(),
+		Rows:           ps.rows.Len(),
 		SharedBases:    ps.bases.Shared(),
 		SharedNodes:    ps.nodes.Shared(),
 		SharedResidues: ps.residues.Shared(),
+		SharedRows:     ps.rows.Shared(),
 		Subscribers:    len(ps.subs),
 		Clock:          ps.clock.Load(),
 	}
@@ -249,8 +297,12 @@ func (ps *PlanStore) Stats() PlanStoreStats {
 // Trim drops memoized deltas no live subscriber can still need.
 // Subscribers call it every trimStride updates. Must not run concurrently
 // with subscriber update application (same-goroutine discipline), because
-// it reads subscriber cursors.
+// it reads subscriber cursors. A store with one subscriber has no memos to
+// trim, since its sole subscriber writes none (see propagate).
 func (ps *PlanStore) Trim() {
+	if ps.subscribers() <= 1 {
+		return
+	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	min := ps.clock.Load()
@@ -293,20 +345,16 @@ func tablesCompatible(canon, mine *relation.Counted) bool {
 }
 
 // subscribers returns how many sessions hold entries in the store.
-func (ps *PlanStore) subscribers() int {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return len(ps.subs)
-}
+func (ps *PlanStore) subscribers() int { return int(ps.nsubs.Load()) }
 
 // Adopt moves the session into store, hash-consing its maintained state:
-// every member base, join-tree subtree, and whole-plan residue already
-// interned there replaces the session's copy, and everything else is
-// donated as the new canonical entry. The move is all or nothing: every
-// fingerprint hit is checked with tablesCompatible before anything is
-// spliced, and on any error the session stays in its own store, untouched.
-// The session's database clone and rowsets stay private (reads like Has
-// and Rows are per-session), as do component totals.
+// every relation, member base, join-tree subtree, and whole-plan residue
+// already interned there replaces the session's copy, and everything else
+// is donated as the new canonical entry. The move is all or nothing: every
+// hit is checked (tables with tablesCompatible, relations on arity and row
+// count) before anything is spliced, and on any error the session stays in
+// its own store, untouched. After the move the session reads the store's
+// rows (Has, Rows); only its component totals stay private.
 //
 // The session must be its current store's only subscriber, at the same
 // database state as store's subscribers (same snapshot + same replayed
@@ -317,17 +365,18 @@ func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 		return AdoptStats{}, fmt.Errorf("incremental: Adopt needs the session alone in a store other than the target")
 	}
 	shape := s.sol.PlanShape()
-	sbase, snode, sres := s.sbase, s.snode, s.sres
+	sbase, snode, sres, srows := s.sbase, s.snode, s.sres, s.srows
+	rows := s.takeRows()
 	store.mu.Lock()
 	err := s.adoptable(store, shape)
 	if err == nil {
-		s.adopt = s.attach(store, shape)
+		s.adopt = s.attach(store, shape, rows)
 	}
 	store.mu.Unlock()
 	if err != nil {
 		return AdoptStats{}, err
 	}
-	own.release(s, sbase, snode, sres)
+	own.release(s, sbase, snode, sres, srows)
 	return s.adopt, nil
 }
 
@@ -342,8 +391,18 @@ func (s *Session) adoptable(store *PlanStore, shape *core.PlanShape) error {
 	store.bases.Range(func(e *internedBase) { quiet = quiet && e.Val.pos == clk })
 	store.nodes.Range(func(e *internedNode) { quiet = quiet && e.Val.pos == clk })
 	store.residues.Range(func(e *internedResidue) { quiet = quiet && e.Val.pos == clk })
+	store.rows.Range(func(e *internedRows) { quiet = quiet && e.Val.pos == clk })
 	if !quiet {
 		return fmt.Errorf("incremental: plan store not quiescent (round in flight)")
+	}
+	// Relations compare in O(1): arity and row count, no row scan.
+	for name, e := range s.srows {
+		if c, ok := store.rows.Lookup(name); ok {
+			canon, mine := c.Val.rel, e.Val.rel
+			if len(canon.Attrs) != len(mine.Attrs) || len(canon.Rows) != len(mine.Rows) {
+				return errCollision
+			}
+		}
 	}
 	sol := s.sol
 	for ui, u := range sol.Units {
@@ -371,15 +430,32 @@ func (s *Session) adoptable(store *PlanStore, shape *core.PlanShape) error {
 	return nil
 }
 
-// attach subscribes the session to store: each fingerprint interned there
-// replaces the session's table (adoptable has checked every hit), every
-// other table is donated as the new canonical entry together with its
-// index home, and everything derived from table pointers is re-wired.
-// Caller holds store.mu, or is the store's only user.
-func (s *Session) attach(store *PlanStore, shape *core.PlanShape) AdoptStats {
+// attach subscribes the session to store: each relation and fingerprint
+// interned there replaces the session's copy (adoptable has checked every
+// hit), every other relation (from rows) and table is donated as the new
+// canonical entry, tables together with their index homes, and everything
+// derived from pointers is re-wired. Caller holds store.mu, or is the
+// store's only user.
+func (s *Session) attach(store *PlanStore, shape *core.PlanShape, rows []*sharedRows) AdoptStats {
 	var st AdoptStats
 	sol := s.sol
 	clk := store.clock.Load()
+
+	// Tier 0: relation rows, keyed by name.
+	s.srows = make(map[string]*internedRows, len(rows))
+	rels := make([]*relation.Relation, len(rows))
+	for i, sr := range rows {
+		name := sr.rel.Name
+		e, hit := store.rows.Lookup(name)
+		if hit {
+			store.rows.Retain(e)
+		} else {
+			e = store.rows.Put(name, &sharedRows{rel: sr.rel, set: sr.set, pos: clk})
+		}
+		s.srows[name] = e
+		rels[i] = e.Val.rel
+	}
+	s.db = relation.MustNewDatabase(rels...)
 	remap := make(map[*relation.Counted]*relation.Counted)
 	sub := func(c *relation.Counted) *relation.Counted {
 		if n, ok := remap[c]; ok {
@@ -498,37 +574,67 @@ func (s *Session) attach(store *PlanStore, shape *core.PlanShape) AdoptStats {
 	s.store = store
 	s.pos = clk
 	store.subs[s] = struct{}{}
+	store.nsubs.Store(int32(len(store.subs)))
 	return st
+}
+
+// takeRows returns the session's relations, ready to move into another
+// store: a relation another subscriber still holds is cloned and
+// re-indexed, the rest are taken over as they are.
+func (s *Session) takeRows() []*sharedRows {
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
+	rows := make([]*sharedRows, 0, len(s.srows))
+	for _, name := range s.db.Names() {
+		e := s.srows[name]
+		if e.Refs > 1 {
+			rows = append(rows, newSharedRows(e.Val.rel.Clone()))
+		} else {
+			rows = append(rows, e.Val)
+		}
+	}
+	return rows
+}
+
+// detach takes the session's rows private and leaves its store, ahead of a
+// rebuild into a store of its own: correctness never depends on staying in
+// a shared store, and the subscribers left behind keep their rows.
+func (s *Session) detach() []*sharedRows {
+	rows := s.takeRows()
+	s.ReleaseShared()
+	return rows
 }
 
 // AdoptStats returns what the last Adopt shared/donated; zero while the
 // session is in a store of its own.
 func (s *Session) AdoptStats() AdoptStats { return s.adopt }
 
-// Store returns the plan store holding the session's maintained tables:
-// one of its own after Open and every rebuild, a shared one after Adopt.
+// Store returns the plan store holding the session's relations and
+// maintained tables: one of its own after Open and every rebuild, a shared
+// one after Adopt.
 func (s *Session) Store() *PlanStore { return s.store }
 
 // ReleaseShared detaches the session from its store, dropping its
 // references; entries reaching refcount zero are un-interned. The session
-// must not apply further updates until rebuilt (rebuild detaches first,
-// so Rebuild/bulk Apply remain safe) — the serving layer calls this when
-// unregistering a query, where the session is discarded outright.
+// no longer holds its rows afterwards and must be discarded — the serving
+// layer calls this when unregistering a query. (Rebuild and bulk Apply
+// leave a store through detach, which takes the rows private first.)
 func (s *Session) ReleaseShared() {
 	if s.store == nil {
 		return
 	}
-	s.store.release(s, s.sbase, s.snode, s.sres)
+	s.store.release(s, s.sbase, s.snode, s.sres, s.srows)
 	s.store = nil
 	s.pos = 0
 	s.sbase = nil
 	s.snode = nil
 	s.sres = nil
+	s.srows = nil
 	s.adopt = AdoptStats{}
 }
 
 // release drops one subscriber's references to the given entries.
-func (ps *PlanStore) release(s *Session, sbase [][]*internedBase, snode []*internedNode, sres *internedResidue) {
+func (ps *PlanStore) release(s *Session, sbase [][]*internedBase, snode []*internedNode, sres *internedResidue, srows map[string]*internedRows) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	for _, row := range sbase {
@@ -540,7 +646,11 @@ func (ps *PlanStore) release(s *Session, sbase [][]*internedBase, snode []*inter
 		ps.nodes.Release(e)
 	}
 	ps.residues.Release(sres)
+	for _, e := range srows {
+		ps.rows.Release(e)
+	}
 	delete(ps.subs, s)
+	ps.nsubs.Store(int32(len(ps.subs)))
 }
 
 // advance moves the session's stream cursor past one applied update,
@@ -563,6 +673,11 @@ func (s *Session) advance() {
 	}
 	if s.sres.Val.pos == p {
 		s.sres.Val.pos = p + 1
+	}
+	for _, e := range s.srows {
+		if e.Val.pos == p {
+			e.Val.pos = p + 1
+		}
 	}
 	s.pos = p + 1
 	if s.pos > s.store.clock.Load() {

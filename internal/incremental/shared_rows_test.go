@@ -1,0 +1,321 @@
+package incremental
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"tsens/internal/query"
+	"tsens/internal/relation"
+)
+
+// rowsMultiset renders a relation's rows as a sorted list, so two copies
+// compare equal exactly when they hold the same multiset.
+func rowsMultiset(rows []relation.Tuple) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprint(r)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// errText renders an error for comparison; nil renders empty.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestSharedRowsLockstepDifferential feeds one random stream, including
+// deletes of absent rows, wrong-arity rows and an unknown relation, to
+// identical, partially overlapping and pruned-relation sessions adopted
+// into one store, stepped in lockstep from a rotating seat, and to a
+// private twin of each. After every step each shared session must match its
+// twin on the error, Count, LS, Has and the Rows multiset of every relation,
+// while all shared sessions read one copy of each relation they reference.
+func TestSharedRowsLockstepDifferential(t *testing.T) {
+	atoms := []query.Atom{
+		{Relation: "R1", Vars: []string{"A", "B"}},
+		{Relation: "R2", Vars: []string{"B", "C"}},
+		{Relation: "R3", Vars: []string{"C", "D"}},
+	}
+	queries := []*query.Query{
+		query.MustNew("path3", atoms, nil),
+		query.MustNew("path3", atoms, nil),      // identical
+		query.MustNew("prefix", atoms[:2], nil), // prunes R3
+		query.MustNew("suffix", atoms[1:], nil), // prunes R1
+	}
+	rng := rand.New(rand.NewSource(61))
+	_, db, opts := buildCase(t, streamCase{name: "path", atoms: atoms}, rng, 12, 4)
+	m := newMirror(db)
+	store := NewPlanStore()
+	var shared, private []*Session
+	for _, q := range queries {
+		s, _ := openAdopted(t, q, db, opts, store)
+		p, err := Open(q, db, Options{Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, private = append(shared, s), append(private, p)
+	}
+	if st := store.Stats(); st.Rows != 3 || st.SharedRows != 3 {
+		t.Fatalf("store after adopts: %+v, want 3 relations, each shared", st)
+	}
+
+	rels := []string{"R1", "R2", "R3"}
+	errs := make([]error, len(shared))
+	for step := 0; step < 150; step++ {
+		up := randomUpdate(rng, m, rels, 4)
+		switch rng.Intn(10) {
+		case 0: // values outside the domain: never present
+			up = Update{Rel: up.Rel, Row: relation.Tuple{9, 9}}
+		case 1:
+			up = Update{Rel: up.Rel, Row: relation.Tuple{1}, Insert: rng.Intn(2) == 0}
+		case 2:
+			up = Update{Rel: "NOPE", Row: relation.Tuple{1, 1}, Insert: true}
+		}
+		for k := range shared {
+			i := (step + k) % len(shared)
+			errs[i] = shared[i].Apply([]Update{up})
+		}
+		for i, p := range private {
+			want := p.Apply([]Update{up})
+			if errText(errs[i]) != errText(want) {
+				t.Fatalf("step %d, %s, session %d: error %v, private twin %v", step, fmt.Sprint(up), i, errs[i], want)
+			}
+			if i == 0 && want == nil {
+				m.apply(t, up) // path3 references every relation
+			}
+		}
+		for i, s := range shared {
+			p := private[i]
+			if s.Count() != p.Count() {
+				t.Fatalf("step %d, session %d: count %d, private twin %d", step, i, s.Count(), p.Count())
+			}
+			got, err := s.LS()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := p.LS()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.LS != want.LS || len(got.PerRelation) != len(want.PerRelation) {
+				t.Fatalf("step %d, session %d: LS %d, private twin %d", step, i, got.LS, want.LS)
+			}
+			for rel, w := range want.PerRelation {
+				if g := got.PerRelation[rel]; g == nil || g.Sensitivity != w.Sensitivity {
+					t.Fatalf("step %d, session %d: δ(%s) %+v, private twin %d", step, i, rel, g, w.Sensitivity)
+				}
+			}
+			if s.Has(up.Rel, up.Row) != p.Has(up.Rel, up.Row) {
+				t.Fatalf("step %d, session %d: Has(%v) %v, private twin %v", step, i, up, s.Has(up.Rel, up.Row), p.Has(up.Rel, up.Row))
+			}
+			for _, rel := range rels {
+				if g, w := rowsMultiset(s.Rows(rel)), rowsMultiset(p.Rows(rel)); !reflect.DeepEqual(g, w) {
+					t.Fatalf("step %d, session %d: rows of %s %v, private twin %v", step, i, rel, g, w)
+				}
+			}
+		}
+		for _, rel := range rels {
+			var first *relation.Tuple
+			for i, s := range shared {
+				if rows := s.Rows(rel); len(rows) > 0 {
+					if first == nil {
+						first = &rows[0]
+					} else if &rows[0] != first {
+						t.Fatalf("step %d: session %d reads its own copy of %s", step, i, rel)
+					}
+				}
+			}
+		}
+		if step%25 == 24 {
+			checkAgainstScratch(t, shared[0], m, opts, step)
+		}
+	}
+}
+
+// TestSharedRowsRebuildAndBulkApply pins the take-private paths: a
+// subscriber that rebuilds, or applies a bulk batch, works on its own copy
+// of the rows the others still hold, leaving theirs untouched, and every
+// session stays exact once the others apply the same updates.
+func TestSharedRowsRebuildAndBulkApply(t *testing.T) {
+	tc := streamCases()[0] // path
+	rng := rand.New(rand.NewSource(67))
+	q, db, opts := buildCase(t, tc, rng, 12, 4)
+	m := newMirror(db)
+	store := NewPlanStore()
+	var ss []*Session
+	for i := 0; i < 3; i++ {
+		s, err := Open(q, db, Options{Options: opts, BulkThreshold: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Adopt(store); err != nil {
+			t.Fatal(err)
+		}
+		ss = append(ss, s)
+	}
+	a, b, c := ss[0], ss[1], ss[2]
+	rels := []string{"R1", "R2", "R3"}
+	feed := func(n int) {
+		for i := 0; i < n; i++ {
+			up := randomUpdate(rng, m, rels, 4)
+			m.apply(t, up)
+			for _, s := range ss {
+				if err := s.Apply([]Update{up}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	sharedRows := func() map[string][]string {
+		out := make(map[string][]string)
+		for _, rel := range rels {
+			out[rel] = rowsMultiset(b.Rows(rel))
+		}
+		return out
+	}
+	feed(10)
+
+	before := sharedRows()
+	if err := a.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if a.Store() == store || &a.Rows("R1")[0] == &b.Rows("R1")[0] {
+		t.Fatal("rebuilt session still reads the store's rows")
+	}
+	if got := sharedRows(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("rebuild changed the shared rows: %v, want %v", got, before)
+	}
+	if st := store.Stats(); st.Subscribers != 2 || st.Rows != 3 || st.SharedRows != 3 {
+		t.Fatalf("store after one subscriber rebuilt: %+v", st)
+	}
+	feed(5)
+
+	batch := make([]Update, 6)
+	for i := range batch {
+		batch[i] = randomUpdate(rng, m, rels, 4)
+		m.apply(t, batch[i])
+	}
+	before = sharedRows()
+	if err := c.Apply(batch); err != nil {
+		t.Fatal(err)
+	}
+	if c.Store() == store || c.Rebuilds() != 1 {
+		t.Fatalf("bulk batch did not rebuild into a store of its own (rebuilds %d)", c.Rebuilds())
+	}
+	if got := sharedRows(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("bulk batch changed the shared rows: %v, want %v", got, before)
+	}
+	for _, up := range batch {
+		for _, s := range []*Session{a, b} {
+			if err := s.Apply([]Update{up}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for step := 0; step < 10; step++ {
+		feed(1)
+		for _, s := range ss {
+			checkAgainstScratch(t, s, m, opts, step)
+		}
+	}
+}
+
+// TestSharedRowsAdoptRowCountMismatch pins the O(1) rows check of Adopt: a
+// session whose relation differs from the store's copy only by a duplicate
+// row — so every join table still matches in schema and live rows — is
+// refused with errCollision and stays, exact, in its own store.
+func TestSharedRowsAdoptRowCountMismatch(t *testing.T) {
+	tc := streamCases()[0] // path
+	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(71)), 12, 4)
+	store := NewPlanStore()
+	openAdopted(t, q, db, opts, store)
+
+	dup := db.Clone()
+	r := dup.Relation("R1")
+	r.Rows = append(r.Rows, r.Rows[0].Clone())
+	s, err := Open(q, dup, Options{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := s.Store()
+	if _, err := s.Adopt(store); !errors.Is(err, errCollision) {
+		t.Fatalf("Adopt over a row-count mismatch: %v, want errCollision", err)
+	}
+	if s.Store() != own || own.Stats().Subscribers != 1 || store.Stats().Subscribers != 1 {
+		t.Fatal("refused Adopt moved the session")
+	}
+	m := newMirror(dup)
+	up := Update{Rel: "R1", Row: relation.Tuple{1, 1}, Insert: true}
+	m.apply(t, up)
+	if err := s.Apply([]Update{up}); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstScratch(t, s, m, opts, 0)
+}
+
+// TestSharedRowsOutOfLockstepFails pins the guard behind the rows tier's
+// one-position outcome: a subscriber two positions behind the rows fails
+// instead of applying the update a second time.
+func TestSharedRowsOutOfLockstepFails(t *testing.T) {
+	tc := streamCases()[0] // path
+	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(83)), 12, 4)
+	store := NewPlanStore()
+	a, _ := openAdopted(t, q, db, opts, store)
+	b, _ := openAdopted(t, q, db, opts, store)
+	ups := []Update{
+		{Rel: "R1", Row: relation.Tuple{7, 7}, Insert: true},
+		{Rel: "R1", Row: relation.Tuple{8, 8}, Insert: true},
+	}
+	if err := a.Apply(ups); err != nil {
+		t.Fatal(err)
+	}
+	n := len(a.Rows("R1"))
+	if err := b.Apply(ups[:1]); err == nil {
+		t.Fatal("subscriber two positions behind applied an update")
+	}
+	if len(a.Rows("R1")) != n {
+		t.Fatal("update applied to the shared rows twice")
+	}
+}
+
+// soleUpdateAllocs pins the allocations of one insert plus one delete on a
+// standalone path-query session: 155 since the sole-subscriber memo skip,
+// 159 while a sole subscriber still wrote a delta memo per patched node.
+const soleUpdateAllocs = 155
+
+// TestSoleSubscriberWritesNoMemo pins the sole-subscriber memo skip: a
+// standalone session's updates leave no delta memo in its store, and their
+// allocations stay at soleUpdateAllocs.
+func TestSoleSubscriberWritesNoMemo(t *testing.T) {
+	tc := streamCases()[0] // path
+	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(73)), 12, 4)
+	s, err := Open(q, db, Options{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := relation.Tuple{1, 2}
+	step := func() {
+		if err := s.Insert("R2", row); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete("R2", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // compile the plans and grow the tables once
+	allocs := testing.AllocsPerRun(100, step)
+	if st := s.Store().Stats(); st.MemoEntries != 0 {
+		t.Fatalf("standalone session wrote %d memo entries", st.MemoEntries)
+	}
+	if allocs > soleUpdateAllocs {
+		t.Fatalf("insert+delete on a standalone session: %v allocs, want at most %d", allocs, soleUpdateAllocs)
+	}
+}

@@ -353,6 +353,9 @@ func TestAPIDebugPlans(t *testing.T) {
 			if f.Nodes == 0 || f.SharedNodes != f.Nodes {
 				t.Fatalf("fallback store %+v, want every node shared", f)
 			}
+			if f.Rows != 3 || f.SharedRows != 3 {
+				t.Fatalf("fallback store %+v, want one shared rows entry per relation", f)
+			}
 			shared++
 		default:
 			t.Fatalf("fallback store %+v, want both queries on one shard", f)

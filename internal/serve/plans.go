@@ -21,7 +21,8 @@ package serve
 // flight" observed there is stable for as long as the lock is held — that
 // is when Adopt/ReleaseShared run inline. A busy shard adopts and releases
 // at the end of the round it was busy with (endRound), after every unit
-// stepped.
+// stepped; endRound also moves a unit back into its domain after a rebuild
+// (a bulk batch or a compaction) left it in a store of its own.
 
 import (
 	"tsens/internal/incremental"
@@ -70,18 +71,20 @@ func (sh *shard) idle() bool {
 func (sh *shard) install(s *Server, u *unit) {
 	sh.umu.Lock()
 	defer sh.umu.Unlock()
+	u.tried = -1
 	if sh.idle() {
-		s.adopt(u, s.storeFor(u))
-	} else {
-		u.pendingStore = s.storeFor(u)
+		s.adopt(u)
 	}
 	sh.units = append(sh.units, u)
 }
 
-// adopt moves a unit's session into store. An Adopt that fails (it errors
-// only before touching any state) leaves the session in its own store.
-func (s *Server) adopt(u *unit, store *incremental.PlanStore) {
-	if _, err := u.sess.Adopt(store); err != nil {
+// adopt moves a unit's session into its sharing domain, recording the
+// session's rebuild count so endRound tries again only after the next
+// rebuild. An Adopt that fails (it errors only before touching any state)
+// leaves the session in its own store.
+func (s *Server) adopt(u *unit) {
+	u.tried = u.sess.Rebuilds()
+	if _, err := u.sess.Adopt(s.storeFor(u)); err != nil {
 		s.logger.Warn("serve.plan_adopt_failed", "query", u.sq.id, "shard", u.shard, "err", err.Error())
 	}
 }
@@ -104,25 +107,24 @@ func (sh *shard) retire(units []*unit) {
 	}
 }
 
-// endRound finishes the shard's round at cut. Under umu it adopts the units
-// Register parked whose installCut the cut has reached: rounds are FIFO
-// with monotone cuts and skip a unit up to its installCut, so every
-// established subscriber has then applied exactly the entries the newcomer
-// replayed during catch-up — the quiescent, state-identical moment Adopt
-// requires. Still under umu, it clears applying under mu and returns the
-// units retired while the round ran, for the shard to release. adopted
-// reports whether any parked unit was handled.
+// endRound finishes the shard's round at cut. Under umu it moves into its
+// sharing domain every live unit outside it that has not tried since its
+// last rebuild: the units Register parked, once the cut reaches their
+// installCut, and the units a rebuild left in a store of their own. Rounds
+// are FIFO with monotone cuts and skip a unit up to its installCut, so every
+// established subscriber has then applied exactly the entries the unit
+// holds — the quiescent, state-identical moment Adopt requires. Still under
+// umu, it clears applying under mu and returns the units retired while the
+// round ran, for the shard to release. adopted reports whether any unit
+// tried to move.
 func (sh *shard) endRound(s *Server, cut int64) (adopted bool, retired []*unit) {
 	sh.umu.Lock()
 	defer sh.umu.Unlock()
 	for _, u := range sh.units {
-		if u.pendingStore == nil || cut < u.installCut {
+		if u.err != nil || cut < u.installCut || u.sess.Store() == s.storeFor(u) || u.tried == u.sess.Rebuilds() {
 			continue
 		}
-		if u.err == nil {
-			s.adopt(u, u.pendingStore)
-		}
-		u.pendingStore = nil
+		s.adopt(u)
 		adopted = true
 	}
 	sh.mu.Lock()

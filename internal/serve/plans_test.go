@@ -34,7 +34,9 @@ func planTotals(s *Server) incremental.PlanStoreStats {
 			tot.Bases += st.Bases
 			tot.Nodes += st.Nodes
 			tot.Residues += st.Residues
+			tot.Rows += st.Rows
 			tot.SharedNodes += st.SharedNodes
+			tot.SharedRows += st.SharedRows
 			tot.NodeRefs += st.NodeRefs
 			tot.Subscribers += st.Subscribers
 		}
@@ -216,9 +218,12 @@ func TestSharedPlansDeferredAdopt(t *testing.T) {
 }
 
 // TestServeCompactsLoneQuery pins the sole-subscriber compaction rule at
-// the server: with default options, a query alone in its shard's store
-// rebuilds under key churn — each update pair inserts an R2 row with a
-// fresh key and deletes the oldest one — and keeps serving exact views.
+// the server and the rejoin that follows it: with default options, a query
+// alone in its shard's store rebuilds under key churn — each update pair
+// inserts an R2 row with a fresh key and deletes the oldest one — keeps
+// serving exact views, and is back in its shard's fallback store once the
+// round ends, counted once by the subscriber gauge, so a later identical
+// registration shares its tables and rows.
 func TestServeCompactsLoneQuery(t *testing.T) {
 	db := testDB(t, 20, 6, 41, "R1", "R2", "R3")
 	srv, err := New(db, Options{Shards: 1})
@@ -250,15 +255,44 @@ func TestServeCompactsLoneQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Rebuilds == 0 {
-		t.Fatalf("view at epoch %d reports no rebuilds: a lone query never compacted", v.Epoch)
-	}
 	want, err := core.LocalSensitivity(pathQuery(t), replayPrefix(t, db, stream, int(v.Epoch)), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if v.Rebuilds == 0 {
+		t.Fatalf("view at epoch %d reports no rebuilds: a lone query never compacted", v.Epoch)
+	}
 	if v.Count != want.Count || v.LS.LS != want.LS {
 		t.Fatalf("served (%d, %d) at epoch %d, scratch (%d, %d)", v.Count, v.LS.LS, v.Epoch, want.Count, want.LS)
+	}
+
+	unitOf := func(id string) *unit {
+		srv.qmu.RLock()
+		defer srv.qmu.RUnlock()
+		return srv.queries[id].units[0]
+	}
+	p := unitOf("p")
+	if p.sess.Store() != srv.storeFor(p) {
+		t.Fatal("compacted unit left outside its shard's fallback store")
+	}
+	if tot, g := planTotals(srv), srv.m.planSubs.Value(); tot.Subscribers != 1 || g != 1 {
+		t.Fatalf("plan totals %+v, subscriber gauge %v, want the rebuilt unit counted once", tot, g)
+	}
+	if _, _, err := srv.Register(QueryConfig{ID: "p2", Query: pathQuery(t)}); err != nil {
+		t.Fatal(err)
+	}
+	if st := adoptStatsOf(t, srv, "p2"); !st.FullShare() || !st.ResidueShared {
+		t.Fatalf("identical registration after a rebuild: %+v, want FullShare with shared residue", st)
+	}
+	tot := planTotals(srv)
+	if tot.Subscribers != 2 || tot.SharedNodes != tot.Nodes || tot.Rows != 3 || tot.SharedRows != 3 {
+		t.Fatalf("plan totals %+v, want 2 subscribers sharing every node and relation", tot)
+	}
+	if &unitOf("p2").sess.Rows("R2")[0] != &p.sess.Rows("R2")[0] {
+		t.Fatal("identical registration reads its own copy of R2")
+	}
+	if v2, err := srv.View("p2"); err != nil || v2.Epoch != v.Epoch || v2.Count != want.Count || v2.LS.LS != want.LS {
+		t.Fatalf("p2 served %+v (%v), scratch (%d, %d) at epoch %d", v2, err, want.Count, want.LS, v.Epoch)
 	}
 }
 

@@ -204,12 +204,12 @@ type unit struct {
 	// (their updates were replayed during catch-up).
 	installCut int64
 
-	// pendingStore is the sharing domain the unit's session moves into at
-	// the end of the owning shard's round that reaches installCut, when the
-	// shard was busy at install time (see shard.install). Handed off
-	// through umu: written by Register as the unit joins sh.units, then
-	// owned by the shard's loop.
-	pendingStore *incremental.PlanStore
+	// tried is the session's Rebuilds() count when the unit last tried to
+	// move into its sharing domain, so a refused Adopt is retried only after
+	// the next rebuild; -1 while the unit waits for its first try (parked by
+	// shard.install on a busy shard). Handed off through umu: written by
+	// Register as the unit joins sh.units, then owned by the shard's loop.
+	tried int
 
 	// ring holds the unit's recent published versions, ascending by stamp;
 	// Register seeds it at installCut.
@@ -321,8 +321,9 @@ func (sh *shard) run(s *Server) {
 		s.m.publishView.Observe(time.Since(publishStart).Seconds())
 		ringGauge.Set(float64(depth))
 		// The round no longer touches any session: adopt what Register
-		// parked and release what Unregister retired meanwhile, before the
-		// watermark lets waiters through.
+		// parked or a rebuild left outside its sharing domain, and release
+		// what Unregister retired meanwhile, before the watermark lets
+		// waiters through.
 		if adopted, retired := sh.endRound(s, rd.cut); adopted || len(retired) > 0 {
 			releaseUnits(retired)
 			s.refreshPlanGauges()
