@@ -406,8 +406,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 // PlanStore. The headline metric is ns/update/query: with sharing, the
 // 128-query per-update cost must stay far below 128× the 1-query cost
 // (one shared patch plus cheap memo replays, instead of 128 independent
-// delta propagations). The same sweep feeds the serve_many_queries block
-// of the bench trajectory (cmd/tsens bench).
+// delta propagations).
 func BenchmarkServeManyQueries(b *testing.B) {
 	db := facebookDB()
 	specs := workload.Facebook()
@@ -454,81 +453,6 @@ func BenchmarkServeManyQueries(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nq), "ns/update/query")
-		})
-	}
-}
-
-// BenchmarkServeShardedThroughput: update-drain throughput of the sharded
-// write path across 1/2/4/8 shards on a multi-key workload. The query is a
-// three-way star sharing its key variable across every atom, so it
-// partitions into one sub-session per shard and updates for disjoint keys
-// patch in parallel; each iteration drains one pre-generated multi-key
-// insert/delete stream through the log and waits for the joined cut.
-// Server construction (per-shard session opens) happens off the clock.
-// The headline metric is updates/sec: the acceptance bar for PR 4 is ≥2×
-// at shards=4 over shards=1.
-func BenchmarkServeShardedThroughput(b *testing.B) {
-	const (
-		rows    = 20000
-		keys    = 2000
-		valDom  = 50
-		streamN = 4096
-	)
-	rng := rand.New(rand.NewSource(benchSeed))
-	mk := func(name string) *Relation {
-		rs := make([]Tuple, rows)
-		for i := range rs {
-			rs[i] = Tuple{int64(rng.Intn(keys)), int64(rng.Intn(valDom))}
-		}
-		r, err := NewRelation(name, []string{name + "_k", name + "_v"}, rs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return r
-	}
-	db, err := NewDatabase(mk("S1"), mk("S2"), mk("S3"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := ParseQuery("star", "S1(A,B), S2(A,C), S3(A,D)")
-	if err != nil {
-		b.Fatal(err)
-	}
-	stream := GenerateUpdateStream(db, streamN, 0.4, benchSeed+1)
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				srv, err := NewServer(db, ServerOptions{
-					Shards:        shards,
-					BatchSize:     256,
-					BulkThreshold: -1, // keep big drained batches on the delta path
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := srv.Register(ServerQuery{ID: "star", Query: q}); err != nil {
-					srv.Close()
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				_, to, err := srv.Append(stream)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := srv.WaitApplied(to); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				srv.Close()
-			}
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				// The headline axis. One core caps the curve near 1×: the
-				// per-shard patches are CPU-bound, so the speedup tracks
-				// min(shards, GOMAXPROCS) on real hardware.
-				b.ReportMetric(float64(streamN*b.N)/sec, "updates/sec")
-			}
 		})
 	}
 }

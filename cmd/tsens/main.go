@@ -23,10 +23,8 @@
 // snapshot: registered queries are maintained incrementally under a live
 // update log and answered concurrently over an HTTP/JSON API, with
 // budget-accounted ε-DP releases (see docs/SERVING.md). The write path is
-// sharded (-shards): updates route to per-shard writers by the hash of
-// their relation's routing column (-partition), and queries sharing a
-// variable across all atoms at those columns are maintained as one
-// sub-session per shard.
+// sharded (-shards): every query is one session owned by a shard chosen by
+// the hash of its text, and every shard folds every update.
 //
 // A durable server (-wal) can replicate: -replicate starts the WAL-shipping
 // listener followers connect to, -follow runs the process as a follower of
@@ -82,8 +80,6 @@ func realMain(args []string) int {
 		err = runUpdates(args[1:])
 	case len(args) > 0 && args[0] == "serve":
 		err = runServe(args[1:])
-	case len(args) > 0 && args[0] == "bench":
-		err = runBench(args[1:])
 	default:
 		err = run(args)
 	}
@@ -325,7 +321,6 @@ func buildServe(args []string) (*serveCmd, error) {
 		parN       = fs.Int("parallelism", 0, "per-shard fan-out and session parallelism (0 = all cores)")
 		batch      = fs.Int("batch", 0, "log entries per epoch (0 = default)")
 		shards     = fs.Int("shards", 0, "write-path shards (0 = GOMAXPROCS-bounded default, 1 = single writer)")
-		partition  = fs.String("partition", "", `routing columns per relation, e.g. "R1=1,R2=0" (default: column 0)`)
 		seed       = fs.Int64("seed", 0, "release-noise seed (0 = cryptographically random; fix only for tests)")
 		walDir     = fs.String("wal", "", "durability directory: journal writes and ε spends, recover on restart (docs/SERVING.md)")
 		walSync    = fs.Int("wal-sync", 1, "WAL fsync cadence in records (1 = before every acknowledgment)")
@@ -414,18 +409,13 @@ func buildServe(args []string) (*serveCmd, error) {
 			"wal", *walDir, "replay", *replayFile)
 		*replayFile = ""
 	}
-	pcols, err := parsePartition(*partition)
-	if err != nil {
-		return nil, err
-	}
 	sopts := serve.Options{
-		Parallelism:      *parN,
-		BatchSize:        *batch,
-		Shards:           *shards,
-		PartitionColumns: pcols,
-		Debug:            *debug,
-		SlowThreshold:    slow,
-		Logger:           logger,
+		Parallelism:   *parN,
+		BatchSize:     *batch,
+		Shards:        *shards,
+		Debug:         *debug,
+		SlowThreshold: slow,
+		Logger:        logger,
 	}
 	if *walDir != "" {
 		sopts.WALDir = *walDir
@@ -995,30 +985,6 @@ func renderTuple(loader *csvio.Loader, tr *core.TupleResult) string {
 		mode = "in database (delete or insert)"
 	}
 	return fmt.Sprintf("%s(%s)  δ=%d  [%s]", tr.Relation, strings.Join(parts, ", "), tr.Sensitivity, mode)
-}
-
-// parsePartition parses the -partition spec ("R1=1,R2=0") into the routing
-// columns the sharded write path hashes on.
-func parsePartition(spec string) (map[string]int, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	out := make(map[string]int)
-	for _, field := range strings.Split(spec, ",") {
-		rel, colText, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok || rel == "" {
-			return nil, fmt.Errorf(`-partition: field %q is not "Relation=column"`, field)
-		}
-		col, err := strconv.Atoi(colText)
-		if err != nil {
-			return nil, fmt.Errorf("-partition: column of %q: %w", rel, err)
-		}
-		if _, dup := out[rel]; dup {
-			return nil, fmt.Errorf("-partition: relation %q listed twice", rel)
-		}
-		out[rel] = col
-	}
-	return out, nil
 }
 
 func parseBags(spec string) ([][]int, error) {

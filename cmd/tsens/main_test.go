@@ -164,27 +164,8 @@ func TestBuildServe(t *testing.T) {
 	}
 }
 
-func TestParsePartition(t *testing.T) {
-	got, err := parsePartition("R1=1, R2=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, map[string]int{"R1": 1, "R2": 0}) {
-		t.Fatalf("parsePartition: %v", got)
-	}
-	if got, err := parsePartition(""); err != nil || got != nil {
-		t.Fatalf("empty spec: %v, %v", got, err)
-	}
-	for _, bad := range []string{"R1", "R1=x", "=1", "R1=1,R1=2"} {
-		if _, err := parsePartition(bad); err == nil {
-			t.Fatalf("bad spec %q accepted", bad)
-		}
-	}
-}
-
 // TestBuildServeSharded starts the CLI server with an explicit shard count
-// and aligned routing columns, so the startup query is maintained as one
-// sub-session per shard, and checks the /epoch shard fields.
+// and checks the /epoch shard fields.
 func TestBuildServeSharded(t *testing.T) {
 	dir := t.TempDir()
 	writeFile := func(name, content string) {
@@ -202,7 +183,6 @@ func TestBuildServeSharded(t *testing.T) {
 		"-query", "R1(A,B), R2(B,C)",
 		"-id", "demo",
 		"-shards", "2",
-		"-partition", "R1=1,R2=0", // align both atoms on the join variable B
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,8 +192,8 @@ func TestBuildServeSharded(t *testing.T) {
 	if got := cmd.srv.NumShards(); got != 2 {
 		t.Fatalf("NumShards = %d, want 2", got)
 	}
-	if infos := cmd.srv.Queries(); len(infos) != 1 || infos[0].Parts != 2 {
-		t.Fatalf("startup query not partitioned: %+v", infos)
+	if infos := cmd.srv.Queries(); len(infos) != 1 {
+		t.Fatalf("startup query not registered: %+v", infos)
 	}
 
 	ts := httptest.NewServer(cmd.api)
@@ -233,11 +213,6 @@ func TestBuildServeSharded(t *testing.T) {
 	}
 	if ep.Shards != 2 || len(ep.Watermarks) != 2 {
 		t.Fatalf("/epoch shard fields: %+v", ep)
-	}
-
-	// A bad partition spec fails at startup, not at first update.
-	if _, err := buildServe([]string{"-data", dir, "-addr", "127.0.0.1:0", "-partition", "R1=9"}); err == nil {
-		t.Fatal("out-of-range partition column accepted")
 	}
 }
 
@@ -658,6 +633,6 @@ func TestServeTraceAcrossReplication(t *testing.T) {
 
 	// The leader finishes the trace when the last shard drains the round;
 	// the follower records its half when the shipped record applies.
-	waitStages(lts.URL, "update", []string{"ingress", "shard-route", "wal-append", "drain", "shard-drain"})
+	waitStages(lts.URL, "update", []string{"ingress", "wal-append", "drain", "shard-drain"})
 	waitStages(fts.URL, "replicated-update", []string{"mirror", "apply"})
 }

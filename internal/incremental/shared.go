@@ -39,7 +39,7 @@ package incremental
 // updates from a single goroutine (the serving layer's shard loop), must be
 // fed identical update streams, and must step in lockstep: every subscriber
 // applies stream position p before any applies p+1 (serve's stepGroup
-// interleaves a round's updates one at a time across a store's units). The
+// interleaves a round's updates one at a time across a store's sessions). The
 // rows tier relies on this, since it keeps the outcome of one position only.
 // Adopt and ReleaseShared may be called from other goroutines — they touch
 // only the refcount maps, under the store mutex — but Adopt additionally
@@ -193,7 +193,7 @@ type (
 // PlanStore owns the hash-cons maps and refcounts of one sharing domain.
 // Every session starts in a store of its own; create a shared one per
 // group of sessions fed an identical update stream (the serving layer
-// keeps one per shard per routing discipline) and Adopt them into it.
+// keeps one per shard) and Adopt them into it.
 type PlanStore struct {
 	mu       sync.Mutex
 	bases    *relation.Interner[*sharedBase]

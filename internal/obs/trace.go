@@ -9,7 +9,7 @@ import (
 
 // Request-scoped tracing. A trace follows one unit of work — typically an
 // appended update batch — through named stages (ingress, wal-append,
-// shard-route, shard-drain, drain, and on a follower mirror+apply). The
+// wal-fsync, shard-drain, drain, and on a follower mirror+apply). The
 // ID is assigned once at ingress and rides the WAL record payload through
 // the replication stream, so the leader's and follower's halves of the
 // same update share it.

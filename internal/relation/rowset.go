@@ -80,3 +80,8 @@ func (rs *RowSet) TryRemove(r *Relation, t Tuple) bool {
 	r.Rows = r.Rows[:last]
 	return true
 }
+
+// Contains reports whether at least one occurrence of t is indexed.
+func (rs *RowSet) Contains(t Tuple) bool {
+	return len(rs.pos[rowSetKey(t)]) > 0
+}

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestShardRangeAndStability(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8} {
@@ -34,42 +31,6 @@ func TestShardSpreadsSequentialKeys(t *testing.T) {
 		if c < 600 || c > 1400 {
 			t.Fatalf("shard %d got %d of 4000 sequential keys: hash does not spread", i, c)
 		}
-	}
-}
-
-func TestPartitionRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rows := make([]Tuple, 500)
-	for i := range rows {
-		rows[i] = Tuple{int64(rng.Intn(40)), int64(rng.Intn(1000))}
-	}
-	r := MustNew("R", []string{"a", "b"}, rows)
-	const n = 4
-	parts := r.Partition(0, n)
-	total := 0
-	for i, p := range parts {
-		if p.Name != "R" || len(p.Attrs) != 2 {
-			t.Fatalf("partition %d lost schema: %+v", i, p)
-		}
-		for _, row := range p.Rows {
-			if Shard(row[0], n) != i {
-				t.Fatalf("row %v landed in partition %d, owner is %d", row, i, Shard(row[0], n))
-			}
-		}
-		total += len(p.Rows)
-	}
-	if total != len(rows) {
-		t.Fatalf("partitions hold %d rows, want %d", total, len(rows))
-	}
-	// Partitioning agrees with update routing: every row of partition i
-	// routes to shard i through the same (column, n) pair.
-	one := r.Partition(0, 1)
-	if len(one) != 1 || len(one[0].Rows) != len(rows) {
-		t.Fatal("n=1 must yield one full partition")
-	}
-	bad := r.Partition(9, n) // out-of-range column: all rows to partition 0
-	if len(bad[0].Rows) != len(rows) {
-		t.Fatal("out-of-range column must put every row in partition 0")
 	}
 }
 

@@ -33,20 +33,40 @@ func parkShard(sh *shard) (entered chan struct{}, release func()) {
 	return entered, release
 }
 
-// unitShard returns the shard owning a registered query's sole unit.
-// Fallback queries route by query text rather than ID, so tests read the
-// installed unit instead of re-deriving the hash.
-func unitShard(s *Server, id string) int {
+// ownerShard returns the shard owning a registered query's session.
+// Queries are assigned by query text rather than ID, so tests read the
+// installed query instead of re-deriving the hash.
+func ownerShard(s *Server, id string) int {
 	s.qmu.RLock()
 	defer s.qmu.RUnlock()
-	return s.queries[id].units[0].shard
+	return s.queries[id].shard
+}
+
+// waitWatermark blocks until shard i's watermark reaches lsn, waking on
+// the notification every shard sends after storing its watermark.
+func waitWatermark(tb testing.TB, s *Server, i int, lsn int64) {
+	tb.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		s.waitMu.Lock()
+		ch := s.epochCh
+		s.waitMu.Unlock()
+		if s.shards[i].watermark.Load() >= lsn {
+			return
+		}
+		select {
+		case <-ch:
+		case <-deadline:
+			tb.Fatalf("shard %d watermark %d never reached %d", i, s.shards[i].watermark.Load(), lsn)
+		}
+	}
 }
 
 // TestServeAsyncStalledShardIndependence is the async-epochs acceptance
-// test: with one shard frozen mid-drain, a query not routed to it (a
-// fallback query owned by the healthy shard) keeps advancing to new
-// epochs, while the stalled shard's queries and the published joined epoch
-// hold at the old consistent cut — no torn read, no sympathy stall.
+// test: with one shard frozen mid-drain, the query owned by the healthy
+// shard keeps advancing to new epochs, while the stalled shard's query and
+// the published joined epoch hold at the old consistent cut — no torn
+// read, no sympathy stall.
 func TestServeAsyncStalledShardIndependence(t *testing.T) {
 	db := testDB(t, 20, 8, 71, "R1", "R2", "R3")
 	srv, err := New(db, Options{Shards: 2, Parallelism: 2, BatchSize: 4})
@@ -59,15 +79,15 @@ func TestServeAsyncStalledShardIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vStar0.Parts != 2 {
-		t.Fatalf("star parts %d, want 2", vStar0.Parts)
-	}
-	pathID, _, err := srv.Register(QueryConfig{ID: "path", Query: pathQuery(t)})
+	tri, dec := triangleQuery(t)
+	triID, _, err := srv.Register(QueryConfig{ID: "tri", Query: tri, Options: core.Options{Decomposition: dec}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := unitShard(srv, pathID)
-	slow := 1 - owner // stall the shard the path query is NOT routed to
+	owner, slow := ownerShard(srv, triID), ownerShard(srv, starID)
+	if owner == slow {
+		t.Fatalf("triangle and star queries both on shard %d; the test needs them apart", owner)
+	}
 
 	entered, release := parkShard(srv.shards[slow])
 	defer release()
@@ -79,27 +99,26 @@ func TestServeAsyncStalledShardIndependence(t *testing.T) {
 	}
 	<-entered // the slow shard is parked on its first queued round
 
-	// The healthy shard drains every queued round on its own: the fallback
-	// query's view advances all the way to the appended LSN.
-	if err := srv.WaitShards([]int{owner}, to); err != nil {
-		t.Fatal(err)
-	}
+	// The healthy shard drains every queued round on its own: its query's
+	// view advances all the way to the appended LSN.
+	waitWatermark(t, srv, owner, to)
 	cur := replayPrefix(t, db, stream, len(stream))
-	wantPath, err := core.LocalSensitivity(pathQuery(t), cur, core.Options{})
+	wantTri, err := core.LocalSensitivity(tri, cur, core.Options{Decomposition: dec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vPath, err := srv.View(pathID)
+	vTri, err := srv.View(triID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vPath.Epoch != to || vPath.Count != wantPath.Count || vPath.LS.LS != wantPath.LS {
-		t.Fatalf("stalled-shard path view (%d, %d, %d), want (%d, %d, %d)",
-			vPath.Epoch, vPath.Count, vPath.LS.LS, to, wantPath.Count, wantPath.LS)
+	if vTri.Epoch != to || vTri.Count != wantTri.Count || vTri.LS.LS != wantTri.LS {
+		t.Fatalf("stalled-shard triangle view (%d, %d, %d), want (%d, %d, %d)",
+			vTri.Epoch, vTri.Count, vTri.LS.LS, to, wantTri.Count, wantTri.LS)
 	}
 
 	// Nothing relevant to the stalled shard moves: the joined epoch stays
-	// at the pre-round cut and the partitioned query serves its old view.
+	// at the pre-round cut and the stalled shard's query serves its old
+	// view.
 	if got := srv.Epoch(); got != 0 {
 		t.Fatalf("joined epoch %d with a shard parked, want 0", got)
 	}
@@ -141,10 +160,10 @@ func TestServeAsyncStalledShardIndependence(t *testing.T) {
 }
 
 // TestServeFenceWakesWaiters is the regression test for fencing vs parked
-// waiters: a WaitApplied/WaitShards caller blocked on an epoch that will
-// not arrive must return the fence error the moment the server is fenced,
-// not hang to its own deadline. A wait whose target was already reached
-// keeps succeeding on a fenced server.
+// waiters: a WaitApplied caller blocked on an epoch that will not arrive
+// must return the fence error the moment the server is fenced, not hang to
+// its own deadline. A wait whose target was already reached keeps
+// succeeding on a fenced server.
 func TestServeFenceWakesWaiters(t *testing.T) {
 	db := testDB(t, 10, 4, 81, "R1", "R2", "R3")
 	srv, err := New(db, Options{Shards: 1, Parallelism: 2, BatchSize: 4})
@@ -162,24 +181,20 @@ func TestServeFenceWakesWaiters(t *testing.T) {
 	<-entered // the round is parked: the epoch cannot reach `to`
 
 	applied := make(chan error, 1)
-	shards := make(chan error, 1)
 	go func() { applied <- srv.WaitApplied(to) }()
-	go func() { shards <- srv.WaitShards([]int{0}, to) }()
-	// Let both waiters park on the epoch channel before fencing.
+	// Let the waiter park on the epoch channel before fencing.
 	time.Sleep(10 * time.Millisecond)
 
 	cause := errors.New("lease lost")
 	srv.Fence(cause)
 
-	for name, ch := range map[string]chan error{"WaitApplied": applied, "WaitShards": shards} {
-		select {
-		case err := <-ch:
-			if !errors.Is(err, ErrFenced) {
-				t.Fatalf("%s returned %v after Fence, want ErrFenced", name, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s still parked 5s after Fence", name)
+	select {
+	case err := <-applied:
+		if !errors.Is(err, ErrFenced) {
+			t.Fatalf("WaitApplied returned %v after Fence, want ErrFenced", err)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitApplied still parked 5s after Fence")
 	}
 
 	// Satisfiable waits still succeed on a fenced server.
@@ -305,8 +320,8 @@ func TestServeRegisterChaseUnderLoad(t *testing.T) {
 
 // BenchmarkServeStalledShardRead measures the read path of a query whose
 // owning shard is healthy while another shard is frozen mid-drain — the
-// wait-free property per-shard drains buy: the read assembles its cut from
-// the healthy shard's watermark and never blocks on the stalled one.
+// wait-free property per-shard drains buy: the read loads the view the
+// healthy shard published and never blocks on the stalled one.
 func BenchmarkServeStalledShardRead(b *testing.B) {
 	rng := rand.New(rand.NewSource(101))
 	var rels []*relation.Relation
@@ -343,7 +358,7 @@ func BenchmarkServeStalledShardRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	owner := unitShard(srv, id)
+	owner := ownerShard(srv, id)
 	slow := 1 - owner
 
 	entered, release := parkShard(srv.shards[slow])
@@ -354,9 +369,7 @@ func BenchmarkServeStalledShardRead(b *testing.B) {
 		b.Fatal(err)
 	}
 	<-entered
-	if err := srv.WaitShards([]int{owner}, to); err != nil {
-		b.Fatal(err)
-	}
+	waitWatermark(b, srv, owner, to)
 
 	b.ReportAllocs()
 	b.ResetTimer()

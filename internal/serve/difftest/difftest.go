@@ -4,8 +4,8 @@
 // releases, and unregistrations against a live serve.Server, and at every
 // synchronized epoch replays the same script through the from-scratch
 // solver (core.LocalSensitivity), asserting exact equality of count and LS
-// for every registered query — partitioned and fallback alike — plus exact
-// ledger totals for every budget-accounted release.
+// for every registered query plus exact ledger totals for every
+// budget-accounted release.
 //
 // The script is fully determined by Config.Seed; the seed is logged up
 // front and embedded in every failure message, so a CI failure replays with
@@ -45,9 +45,10 @@ type Config struct {
 	BatchSize int
 }
 
-// candidate is one query the script may register: the partitionable star
-// and mixed-shape queries exercise per-shard sub-sessions, the path query
-// the designated-shard fallback, and the private one budget accounting.
+// candidate is one query the script may register: stars, a path and a
+// mixed shape whose texts spread them over the shards (and whose shared
+// relations let co-located sessions share plan stores), and a private one
+// for budget accounting.
 type candidate struct {
 	id      string
 	mk      func() *query.Query
@@ -221,21 +222,13 @@ func Run(t *testing.T, cfg Config) {
 		if c.private != "" {
 			qc.Release = mechanism.TSensDPConfig{Epsilon: 1, Bound: 64}
 		}
-		_, v, err := srv.Register(qc)
-		if err != nil {
+		if _, _, err := srv.Register(qc); err != nil {
 			fatalf("register %s: %v", c.id, err)
-		}
-		wantParts := 1
-		if cfg.Shards > 1 && c.id != "path" {
-			wantParts = cfg.Shards
-		}
-		if v.Parts != wantParts {
-			fatalf("register %s: %d parts, want %d", c.id, v.Parts, wantParts)
 		}
 		registered[c.id] = c
 		delete(spent, c.id) // re-registration starts a fresh ledger
 	}
-	register(candidates()[0]) // always start with the partitioned star
+	register(candidates()[0]) // always start with the star
 
 	verify := func() {
 		t.Helper()

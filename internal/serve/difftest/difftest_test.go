@@ -10,8 +10,8 @@ import (
 )
 
 // shardCounts returns the shard matrix: TSENS_TEST_SHARDS (comma-separated)
-// or the default 1,4 — shard=1 keeps covering the legacy single-writer
-// pipeline, 4 the partitioned one.
+// or the default 1,4 — shard=1 keeps covering the single-writer pipeline,
+// 4 queries spread over independently draining shards.
 func shardCounts(t *testing.T) []int {
 	spec := os.Getenv("TSENS_TEST_SHARDS")
 	if spec == "" {

@@ -14,12 +14,11 @@ package serve
 //	GET    /readyz               readiness + role: leading/following/recovering
 //
 // Reads answer from published epoch views and never wait on the writers;
-// POST /updates?wait=1 (or "wait": true) blocks until the shards owning the
-// appended entries have folded them (their watermarks cover the range; this
-// never waits on a shard the updates don't touch), and ?wait=epoch (or
-// "wait_epoch": true) blocks until the joined cut reaches them, so a
-// subsequent view read is guaranteed to reflect them. /epoch reports the
-// joined cut next to the per-shard watermarks; the "epoch" field of every
+// POST /updates?wait=epoch (or "wait_epoch": true) blocks until the joined
+// cut reaches the appended entries, so a subsequent view read of any query
+// is guaranteed to reflect them. Every shard folds every update, so
+// ?wait=1 (or "wait": true) waits the same way. /epoch reports the joined
+// cut next to the per-shard watermarks; the "epoch" field of every
 // response is always a consistent cut, never one shard's progress.
 //
 // GET /queries/{id}/ls exposes exact counts and sensitivities — it exists
@@ -556,9 +555,9 @@ type updateJSON struct {
 
 type updatesRequest struct {
 	Updates []updateJSON `json:"updates"`
-	// Wait blocks the response until the owning shards' watermarks cover
-	// the appended range; WaitEpoch until the published consistent cut
-	// does (read-your-writes for subsequent view reads).
+	// Wait and WaitEpoch both block the response until the published
+	// consistent cut covers the appended range (read-your-writes for
+	// subsequent view reads); they differ only in spelling.
 	Wait      bool `json:"wait"`
 	WaitEpoch bool `json:"wait_epoch"`
 }
@@ -622,14 +621,14 @@ func (a *API) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	// — are a 400 rather than a silent upgrade or downgrade.
 	const (
 		waitNone   = ""
-		waitShards = "shards"
+		waitOne    = "1"
 		waitEpoch_ = "epoch"
 	)
 	qKind := waitNone
 	switch q := r.URL.Query().Get("wait"); q {
 	case "":
 	case "1":
-		qKind = waitShards
+		qKind = waitOne
 	case "epoch":
 		qKind = waitEpoch_
 	default:
@@ -642,7 +641,7 @@ func (a *API) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New(`conflicting wait directives: body sets both "wait" and "wait_epoch"`))
 		return
 	case wait:
-		bodyKind = waitShards
+		bodyKind = waitOne
 	case waitEpoch:
 		bodyKind = waitEpoch_
 	}
@@ -655,11 +654,10 @@ func (a *API) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	if kind == waitNone {
 		kind = bodyKind
 	}
-	owners := srv.Owners(ups)
 	// The request's trace starts at the HTTP edge: "ingress" covers decode
-	// and routing up to the append; the server and its drain round add the
-	// wal-append/fsync, shard-route, shard-drain, and drain stages, and the
-	// last shard to fold the round finishes the trace.
+	// up to the append; the server and its drain round add the
+	// wal-append/fsync, shard-drain, and drain stages, and the last shard to
+	// fold the round finishes the trace.
 	tr := a.recorder().Start("update")
 	tr.StageAt("ingress", ingressStart, time.Since(ingressStart))
 	from, to, err := srv.AppendTraced(ups, tr)
@@ -667,21 +665,12 @@ func (a *API) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	switch kind {
-	case waitEpoch_:
-		// Full consistent-cut wait: a subsequent view read reflects these
-		// updates. Blocks on every shard (a stalled one stalls the cut).
-		// Bounded by the request context: a client that hangs up stops
+	if kind != waitNone {
+		// Consistent-cut wait: a subsequent view read of any query reflects
+		// these updates. Blocks on every shard (a stalled one stalls the
+		// cut), bounded by the request context: a client that hangs up stops
 		// waiting instead of parking a watermark waiter forever.
 		if err := srv.WaitAppliedCtx(r.Context(), to); err != nil {
-			writeErr(w, http.StatusServiceUnavailable, err)
-			return
-		}
-	case waitShards:
-		// Owning-shard wait: the updates are folded into the session state
-		// of the shards they route to. Never waits on an unrelated shard;
-		// views advance at the next joined cut.
-		if err := srv.WaitShardsCtx(r.Context(), owners, to); err != nil {
 			writeErr(w, http.StatusServiceUnavailable, err)
 			return
 		}
@@ -690,7 +679,6 @@ func (a *API) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		"accepted": len(ups),
 		"from":     from,
 		"to":       to,
-		"owners":   owners,
 		"epoch":    srv.Epoch(),
 	}
 	if id := tr.ID(); id != 0 {
@@ -714,7 +702,7 @@ func (a *API) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	// under a stalled shard). Every view read through /queries is one exact
 	// cut and never moves backwards, but a freshly registered query's first
 	// view is taken at the fold frontier and may be ahead of "joined" until
-	// its shards catch up.
+	// its shard catches up.
 	var joined int64
 	for i, wm := range st.Watermarks {
 		if i == 0 || wm < joined {

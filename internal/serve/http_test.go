@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tsens/internal/core"
 	"tsens/internal/parser"
@@ -81,7 +82,7 @@ func TestAPIEndToEnd(t *testing.T) {
 	}, http.StatusCreated)
 
 	// Post updates with wait_epoch for read-your-writes on the view reads
-	// below (wait=1 only waits on the owning shards' watermarks).
+	// below.
 	ups := []map[string]any{
 		{"op": "+", "rel": "R2", "row": []string{"1", "2"}},
 		{"op": "+", "rel": "R2", "row": []string{"1", "2"}},
@@ -90,9 +91,6 @@ func TestAPIEndToEnd(t *testing.T) {
 	up := doJSON(t, "POST", ts.URL+"/updates", map[string]any{"updates": ups, "wait_epoch": true}, http.StatusOK)
 	if up["accepted"] != float64(3) || up["epoch"].(float64) < 3 {
 		t.Fatalf("updates response: %v", up)
-	}
-	if owners, ok := up["owners"].([]any); !ok || len(owners) != 1 {
-		t.Fatalf("three same-key updates must have one owning shard: %v", up["owners"])
 	}
 
 	// GET ls must equal the from-scratch solver on the mutated database.
@@ -311,9 +309,89 @@ func TestAPIWaitPrecedence(t *testing.T) {
 	}
 }
 
+// TestAPIWaitOneReadsYourWrites pins ?wait=1 as read-your-writes for every
+// query: with the shard owning a query parked, POST /updates?wait=1 must
+// not return even once the other shard has folded the update, and after
+// the owner is released the query's view reflects it.
+func TestAPIWaitOneReadsYourWrites(t *testing.T) {
+	db := testDB(t, 10, 4, 41, "R1", "R2", "R3")
+	srv, err := New(db, Options{Shards: 2, Parallelism: 2, BatchSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(NewAPI(srv, nil, 42))
+	t.Cleanup(ts.Close)
+	if _, _, err := srv.Register(QueryConfig{ID: "q", Query: pathQuery(t)}); err != nil {
+		t.Fatal(err)
+	}
+	owner := ownerShard(srv, "q")
+	other := 1 - owner
+	entered, release := parkShard(srv.shards[owner])
+	defer release()
+
+	// An R1 row whose first column hashes to the other shard: the shard a
+	// wait keyed by the update's own values would wait on.
+	var row relation.Tuple
+	for k := int64(0); row == nil; k++ {
+		if relation.Shard(k, 2) == other {
+			row = relation.Tuple{k, 1}
+		}
+	}
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		body := fmt.Sprintf(`{"updates": [{"op": "+", "rel": "R1", "row": ["%d", "%d"]}]}`, row[0], row[1])
+		resp, err := http.Post(ts.URL+"/updates?wait=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			done <- reply{err: err}
+			return
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		done <- reply{status: resp.StatusCode, body: raw}
+	}()
+	<-entered
+	const to = 1
+	waitWatermark(t, srv, other, to)
+	select {
+	case r := <-done:
+		v, _ := srv.View("q")
+		t.Fatalf("POST /updates?wait=1 returned (%d %s %v) with the query's shard parked; view at epoch %d",
+			r.status, r.body, r.err, v.Epoch)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	release()
+	select {
+	case r := <-done:
+		if r.err != nil || r.status != http.StatusOK {
+			t.Fatalf("POST /updates?wait=1: %d %s %v", r.status, r.body, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("POST /updates?wait=1 still waiting 10s after the shard was released")
+	}
+	v, err := srv.View("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := replayPrefix(t, db, []relation.Update{{Rel: "R1", Row: row, Insert: true}}, 1)
+	want, err := core.LocalSensitivity(pathQuery(t), cur, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Epoch < to || v.Count != want.Count || v.LS.LS != want.LS {
+		t.Fatalf("view after wait=1 (%d, %d, %d), scratch (%d, %d, %d)", v.Epoch, v.Count, v.LS.LS, to, want.Count, want.LS)
+	}
+}
+
 // TestAPIDebugPlans pins GET /debug/plans: one domains entry per shard,
-// and two identical unpartitionable registrations sharing every node of
-// one fallback store.
+// each the stats of the shard's one plan store, and two identical
+// registrations sharing every node of one store.
 func TestAPIDebugPlans(t *testing.T) {
 	db := testDB(t, 10, 4, 21, "R1", "R2", "R3")
 	srv, err := New(db, Options{Shards: 2, Parallelism: 2, BatchSize: 4})
@@ -344,25 +422,25 @@ func TestAPIDebugPlans(t *testing.T) {
 	}
 	shared := 0
 	for i, d := range domains {
-		if d.Shard != i || d.Partitioned.Subscribers != 0 {
-			t.Fatalf("domain %d = %+v, want shard %d with an empty partitioned store", i, d, i)
+		if d.Shard != i {
+			t.Fatalf("domain %d = %+v, want shard %d", i, d, i)
 		}
-		switch f := d.Fallback; f.Subscribers {
+		switch d.Subscribers {
 		case 0:
 		case 2:
-			if f.Nodes == 0 || f.SharedNodes != f.Nodes {
-				t.Fatalf("fallback store %+v, want every node shared", f)
+			if d.Nodes == 0 || d.SharedNodes != d.Nodes {
+				t.Fatalf("store %+v, want every node shared", d)
 			}
-			if f.Rows != 3 || f.SharedRows != 3 {
-				t.Fatalf("fallback store %+v, want one shared rows entry per relation", f)
+			if d.Rows != 3 || d.SharedRows != 3 {
+				t.Fatalf("store %+v, want one shared rows entry per relation", d)
 			}
 			shared++
 		default:
-			t.Fatalf("fallback store %+v, want both queries on one shard", f)
+			t.Fatalf("store %+v, want both queries on one shard", d)
 		}
 	}
 	if shared != 1 {
-		t.Fatalf("domains %+v, want one fallback store holding both queries", domains)
+		t.Fatalf("domains %+v, want one store holding both queries", domains)
 	}
 }
 
@@ -427,8 +505,7 @@ func TestServeEpochPublishedNeverAheadOfJoined(t *testing.T) {
 		}
 		<-gateCh
 	}
-	slow := srv.ShardOf(relation.Update{Rel: "R2", Row: relation.Tuple{1, 1}, Insert: true})
-	srv.shards[slow].gate.Store(&gate)
+	srv.shards[1-ownerShard(srv, "q")].gate.Store(&gate)
 	before := srv.Epoch()
 	if _, _, err := srv.Append([]relation.Update{{Rel: "R2", Row: relation.Tuple{1, 1}, Insert: true}}); err != nil {
 		t.Fatal(err)

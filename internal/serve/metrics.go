@@ -30,10 +30,9 @@ type serverMetrics struct {
 	rounds       *obs.Counter      // drain rounds completed
 	drainRound   *obs.Histogram    // fold to last shard's finish, queue wait included
 	drainBatch   *obs.Histogram    // entries per round
-	publishView  *obs.Histogram    // per-shard ring publish after a round's patch
+	publishView  *obs.Histogram    // per-shard view publish after a round's patch
 	shardPatch   *obs.HistogramVec // per-shard patch latency, label shard
 	shardEpoch   *obs.GaugeVec     // per-shard watermark (folded LSN), label shard
-	ringDepth    *obs.GaugeVec     // deepest unit version ring per shard, label shard
 	registerSecs *obs.Histogram    // Register end to end
 	viewReads    *obs.Counter
 
@@ -69,13 +68,11 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		drainBatch: reg.Histogram("tsens_serve_drain_batch_entries",
 			"Log entries folded per drain round.", obs.SizeBuckets),
 		publishView: reg.Histogram("tsens_serve_publish_seconds",
-			"Per-shard ring publish: appending a round's unit versions to their version rings.", nil),
+			"Per-shard view publish: building and storing the views of a round's queries.", nil),
 		shardPatch: reg.HistogramVec("tsens_serve_shard_patch_seconds",
 			"Per-shard session patch latency within a round.", nil, "shard"),
 		shardEpoch: reg.GaugeVec("tsens_shard_epoch",
-			"Per-shard watermark: the LSN through which the shard has folded its routed entries.", "shard"),
-		ringDepth: reg.GaugeVec("tsens_serve_ring_depth",
-			"Deepest unit version ring owned by the shard after its last round.", "shard"),
+			"Per-shard watermark: the LSN through which the shard has folded the log.", "shard"),
 		registerSecs: reg.Histogram("tsens_serve_register_seconds",
 			"Register end to end: snapshot, solve, catch-up, install.", nil),
 		viewReads: reg.Counter("tsens_serve_view_reads_total", "View lookups answered from published epochs."),

@@ -13,8 +13,8 @@ import (
 	"tsens/internal/workload"
 )
 
-// adoptStatsOf returns the adoption outcome of a registered query's first
-// unit (tests here register on a single shard, so there is exactly one).
+// adoptStatsOf returns the adoption outcome of a registered query's
+// session.
 func adoptStatsOf(t *testing.T, s *Server, id string) incremental.AdoptStats {
 	t.Helper()
 	s.qmu.RLock()
@@ -23,23 +23,21 @@ func adoptStatsOf(t *testing.T, s *Server, id string) incremental.AdoptStats {
 	if sq == nil {
 		t.Fatalf("query %q not registered", id)
 	}
-	return sq.units[0].sess.AdoptStats()
+	return sq.sess.AdoptStats()
 }
 
-// planTotals sums the plan-store stats across every domain of the server.
+// planTotals sums the plan-store stats across every shard of the server.
 func planTotals(s *Server) incremental.PlanStoreStats {
 	var tot incremental.PlanStoreStats
 	for _, d := range s.PlanStats() {
-		for _, st := range []incremental.PlanStoreStats{d.Partitioned, d.Fallback} {
-			tot.Bases += st.Bases
-			tot.Nodes += st.Nodes
-			tot.Residues += st.Residues
-			tot.Rows += st.Rows
-			tot.SharedNodes += st.SharedNodes
-			tot.SharedRows += st.SharedRows
-			tot.NodeRefs += st.NodeRefs
-			tot.Subscribers += st.Subscribers
-		}
+		tot.Bases += d.Bases
+		tot.Nodes += d.Nodes
+		tot.Residues += d.Residues
+		tot.Rows += d.Rows
+		tot.SharedNodes += d.SharedNodes
+		tot.SharedRows += d.SharedRows
+		tot.NodeRefs += d.NodeRefs
+		tot.Subscribers += d.Subscribers
 	}
 	return tot
 }
@@ -129,7 +127,7 @@ func TestSharedPlansIdenticalQueriesFullShare(t *testing.T) {
 // registration landing while the owning shard is mid-round must not patch
 // shared tables under a live writer — the adoption defers to the end of
 // the shard's round that reaches the install cut, with no later write
-// needed, and from then on the unit is a full sharer.
+// needed, and from then on the session is a full sharer.
 func TestSharedPlansDeferredAdopt(t *testing.T) {
 	db := testDB(t, 10, 4, 31, "R1", "R2", "R3")
 	srv, err := New(db, Options{Shards: 1, Parallelism: 2, BatchSize: 4})
@@ -141,7 +139,7 @@ func TestSharedPlansDeferredAdopt(t *testing.T) {
 	if _, _, err := srv.Register(QueryConfig{ID: "a", Query: pathQuery(t)}); err != nil {
 		t.Fatal(err)
 	}
-	sh := srv.shards[unitShard(srv, "a")]
+	sh := srv.shards[ownerShard(srv, "a")]
 	entered, release := parkShard(sh)
 	defer release()
 
@@ -266,17 +264,17 @@ func TestServeCompactsLoneQuery(t *testing.T) {
 		t.Fatalf("served (%d, %d) at epoch %d, scratch (%d, %d)", v.Count, v.LS.LS, v.Epoch, want.Count, want.LS)
 	}
 
-	unitOf := func(id string) *unit {
+	queryOf := func(id string) *servedQuery {
 		srv.qmu.RLock()
 		defer srv.qmu.RUnlock()
-		return srv.queries[id].units[0]
+		return srv.queries[id]
 	}
-	p := unitOf("p")
-	if p.sess.Store() != srv.storeFor(p) {
-		t.Fatal("compacted unit left outside its shard's fallback store")
+	p := queryOf("p")
+	if p.sess.Store() != srv.shards[p.shard].store {
+		t.Fatal("compacted session left outside its shard's store")
 	}
 	if tot, g := planTotals(srv), srv.m.planSubs.Value(); tot.Subscribers != 1 || g != 1 {
-		t.Fatalf("plan totals %+v, subscriber gauge %v, want the rebuilt unit counted once", tot, g)
+		t.Fatalf("plan totals %+v, subscriber gauge %v, want the rebuilt session counted once", tot, g)
 	}
 	if _, _, err := srv.Register(QueryConfig{ID: "p2", Query: pathQuery(t)}); err != nil {
 		t.Fatal(err)
@@ -288,7 +286,7 @@ func TestServeCompactsLoneQuery(t *testing.T) {
 	if tot.Subscribers != 2 || tot.SharedNodes != tot.Nodes || tot.Rows != 3 || tot.SharedRows != 3 {
 		t.Fatalf("plan totals %+v, want 2 subscribers sharing every node and relation", tot)
 	}
-	if &unitOf("p2").sess.Rows("R2")[0] != &p.sess.Rows("R2")[0] {
+	if &queryOf("p2").sess.Rows("R2")[0] != &p.sess.Rows("R2")[0] {
 		t.Fatal("identical registration reads its own copy of R2")
 	}
 	if v2, err := srv.View("p2"); err != nil || v2.Epoch != v.Epoch || v2.Count != want.Count || v2.LS.LS != want.LS {

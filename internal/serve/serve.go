@@ -9,32 +9,31 @@
 //   - The Server owns a master copy of the database and an append-only log
 //     of single-tuple updates. Append validates an update against the static
 //     schema and enqueues it; nothing else happens on the caller.
-//   - The write path is sharded (Options.Shards): every update is routed to
-//     a shard by the hash of its relation's partition-column value, and each
-//     shard owns a writer goroutine plus the session state reachable from
-//     its partition (shard.go). A coordinator goroutine drains the log in
+//   - The write path is sharded (Options.Shards): every registered query is
+//     one incremental session owned by a designated shard (a hash of its
+//     query text), and each shard owns a writer goroutine plus the sessions
+//     of its queries (shard.go). A coordinator goroutine drains the log in
 //     batches, folds each batch into the master rows, and hands every shard
-//     the same round. Each shard drains its queue of rounds at its own pace,
-//     publishing per-unit version-ring entries (count, LS result, and a
-//     drift-gated sensitivity snapshot) stamped with each round's cut.
-//   - Readers assemble a query's view from those rings at the joined minimum
-//     of the relevant shards' watermarks and cache it behind an atomic
-//     pointer, so one stalled shard delays only the queries it owns. A view
-//     always describes one exact cut of the log, never a mix of shards at
-//     different progress. Readers never take the writer's lock, so they are
-//     never blocked on a session patch; a release adds only a ledger debit.
+//     the same round. Each shard drains its queue of rounds at its own pace
+//     and, after each round, stores every owned query's new view (count, LS
+//     result, and a drift-gated sensitivity snapshot) behind the query's
+//     atomic pointer, so one stalled shard delays only the queries it owns.
+//   - A read is one atomic load of that view, which always describes one
+//     exact cut of the log. Readers never take the writer's lock, so they
+//     are never blocked on a session patch; a release adds only a ledger
+//     debit.
 //
 // The epoch of the server is the number of log entries every shard has
 // folded (the joined cut of the per-shard watermarks); views carry the
-// cut they were assembled at, so every answer is exact for that cut
+// cut they were built at, so every answer is exact for that cut
 // (linearizability at epoch granularity — the property
 // TestServeConcurrentReaders and internal/serve/difftest assert).
 //
-// Registration no longer stalls the drain loop for the length of a solve:
+// Registration does not stall the drain loop for the length of a solve:
 // Register snapshots the master at a cut (a row copy, under the state
-// lock), materializes the new session state off-lock while shards keep
-// draining, then catches the sessions up through the log entries it missed
-// and installs them at the current epoch.
+// lock), opens the new session off-lock while shards keep draining, then
+// catches it up through the log entries it missed and installs it at the
+// current epoch.
 //
 // Privacy releases go through mechanism.Release over the view's sensitivity
 // snapshot and spend ε from a per-query Ledger; answers replay free of
@@ -47,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,7 +91,7 @@ const DefaultMaxShards = 8
 
 // Options configures a Server.
 type Options struct {
-	// Parallelism bounds each shard's fan-out across its units and each
+	// Parallelism bounds each shard's fan-out across its sessions and each
 	// session's open/rebuild parallelism. 0 means GOMAXPROCS.
 	Parallelism int
 	// Pool supplies worker goroutines; nil makes the server own one sized
@@ -113,11 +113,6 @@ type Options struct {
 	// goroutines; see shard.go). 0 means min(GOMAXPROCS, DefaultMaxShards);
 	// 1 restores the single-writer pipeline.
 	Shards int
-	// PartitionColumns maps a relation name to the column whose value
-	// routes its updates (and partitions its rows for sharded sessions).
-	// Unlisted relations route on column 0. Entries must name existing
-	// relations and in-range columns.
-	PartitionColumns map[string]int
 	// WALDir, when non-empty, makes the server durable: every Append,
 	// Register/Unregister, and fresh ε-spend is journaled to a write-ahead
 	// log there before it is acknowledged, and periodic checkpoints bound
@@ -158,9 +153,8 @@ type Options struct {
 	// serving surface should not.
 	Debug bool
 	// Traces collects completed request traces (obs.TraceRecorder): every
-	// appended batch is traced from ingress through WAL append/fsync,
-	// shard routing, and the drain round until the last shard has folded
-	// it, and served at GET /debug/traces. nil makes the server create its own
+	// appended batch is traced from ingress through WAL append/fsync and
+	// the drain round until the last shard has folded it, and served at GET /debug/traces. nil makes the server create its own
 	// over Metrics. Pass one process-level recorder when several servers
 	// share a process (follower resets, promotion), mirroring Metrics.
 	Traces *obs.TraceRecorder
@@ -237,34 +231,30 @@ type QueryConfig struct {
 }
 
 // View is one published epoch of one query: everything a reader needs,
-// immutable once published. Every view is one exact cut of the log — each
-// of the query's units contributes its state at exactly Epoch — so a view
-// of a partitioned query never mixes shards at different progress, and a
+// immutable once published. Every view is one exact cut of the log — the
+// query's session had applied exactly the first Epoch entries — and a
 // query's views never move backwards. A query's first view (the one
 // Register returns) is taken at the fold frontier, so it may be ahead of
-// the joined cut (Server.Epoch) until the query's shards catch up.
+// the joined cut (Server.Epoch) until the query's shard catches up.
 type View struct {
 	// Epoch is the cut (log entries applied) this view reflects.
 	Epoch int64
 	// Count is |Q(D)| at Epoch.
 	Count int64
-	// LS is the full local-sensitivity result at Epoch (merged across
-	// partitions for a sharded query).
+	// LS is the full local-sensitivity result at Epoch.
 	LS *core.Result
 	// Sens is the sorted per-tuple sensitivity vector of the private
 	// relation, taken at SensEpoch (≤ Epoch; refreshed when the count
-	// drifts or a session rebuilds). Nil when the query has no private
-	// relation. Treat as read-only — releases copy it.
+	// drifts or the session rebuilds, and shared by consecutive views
+	// until then). Nil when the query has no private relation. Treat as
+	// read-only — releases copy it.
 	Sens      []int64
 	SensEpoch int64
 	// SensCount is |Q(D)| at SensEpoch, the drift baseline.
 	SensCount int64
 	// Rebuilds is how many full session rebuilds (bulk batches, tombstone
-	// compactions) had happened as of Epoch, summed over partitions.
+	// compactions) had happened as of Epoch.
 	Rebuilds int
-	// Parts is the number of session partitions backing the query: the
-	// server's shard count for a partitionable query, 1 for a fallback one.
-	Parts int
 	// Err, when non-nil, marks the query failed: a session could not
 	// absorb an update batch and stopped being maintained.
 	Err error
@@ -301,12 +291,7 @@ type QueryInfo struct {
 	Spent    float64
 	Releases int
 	Rebuilds int
-	// Parts is the number of session partitions (see View.Parts), and
-	// PartitionVar the variable the query is partitioned on ("" for a
-	// fallback query on its designated shard).
-	Parts        int
-	PartitionVar string
-	Failed       bool
+	Failed   bool
 }
 
 // Stats summarizes the server.
@@ -323,8 +308,8 @@ type Stats struct {
 	// Queries is the number of registered queries.
 	Queries int
 	// Shards is the number of write-path shards; Watermarks[i] is the LSN
-	// through which shard i has folded its routed entries (each ≥ Epoch
-	// while a round is in flight, = Epoch at rest). The watermarks are the
+	// through which shard i has folded the log (each ≥ Epoch while a round
+	// is in flight, = Epoch at rest). The watermarks are the
 	// authoritative frontier — Epoch is their join.
 	Shards     int
 	Watermarks []int64
@@ -335,21 +320,42 @@ type Stats struct {
 	DurableEpoch int64
 }
 
-// servedQuery is the per-query state. The shard writers mutate the unit
-// sessions and publish their versions, readers assemble and cache views
-// from those versions and share the release cache under relMu.
+// servedQuery is the per-query state. The owning shard steps the session
+// and publishes the views; readers load the latest view and share the
+// release cache under relMu.
 type servedQuery struct {
 	id      string
 	text    string
 	q       *query.Query
-	units   []*unit
-	partVar string // partition variable; "" for fallback queries
+	sess    *incremental.Session
+	shard   int
 	private string
 	cfg     mechanism.TSensDPConfig
 	sopts   core.Options // solver options as registered (for journaling)
 	drift   float64
 	ledger  *mechanism.Ledger
 
+	// count/res/err are the session's cached outputs, written by the owning
+	// shard during rounds (or by Register before install) and copied into
+	// the next view.
+	count int64
+	res   *core.Result
+	err   error
+
+	// installCut is the cut the session already reflected when Register
+	// installed it; queued rounds at or below it are skipped (their updates
+	// were replayed during catch-up).
+	installCut int64
+
+	// tried is the session's Rebuilds() count when it last tried to move
+	// into its shard's store, so a refused Adopt is retried only after the
+	// next rebuild; -1 while the query waits for its first try (parked by
+	// shard.install on a busy shard). Handed off through umu: written by
+	// Register as the query joins its shard, then owned by the shard's loop.
+	tried int
+
+	// view is the latest published view, stored only by the owning shard
+	// (or by Register before install).
 	view atomic.Pointer[View]
 
 	relMu     sync.Mutex // release replay cache; never held by writers
@@ -360,14 +366,13 @@ type servedQuery struct {
 
 // Server is the long-lived serving process. See the package comment for the
 // locking discipline; in short: logMu guards the log and the registration
-// cuts, stateMu guards the master database, the shard unit lists, and every
-// session (coordinator rounds, Register, Unregister), and readers touch
-// neither. Lock order is stateMu before logMu.
+// cuts, stateMu guards the master database, the shard query lists, and
+// every session (coordinator rounds, Register, Unregister), and readers
+// touch neither. Lock order is stateMu before logMu.
 type Server struct {
 	opts     Options
 	pool     *par.Pool
 	ownsPool bool
-	pcols    map[string]int // relation → routing column
 	m        *serverMetrics
 
 	// traces and logger are the request-tracing surfaces (Options.Traces /
@@ -402,10 +407,6 @@ type Server struct {
 	queries map[string]*servedQuery
 
 	shards []*shard
-
-	// plans holds each shard's two sharing domains (partitioned /
-	// fallback). See plans.go.
-	plans []*planDomain
 
 	epoch    atomic.Int64
 	appended atomic.Int64
@@ -497,20 +498,8 @@ func newServer(master *relation.Database, opts Options, init serverInit, dl *dur
 	}
 	s.logCond = sync.NewCond(&s.logMu)
 	s.rowpos = make(map[string]*relation.RowSet, len(s.master.Names()))
-	s.pcols = make(map[string]int, len(s.master.Names()))
 	for _, name := range s.master.Names() {
 		s.rowpos[name] = relation.NewRowSet(s.master.Relation(name))
-		s.pcols[name] = 0
-	}
-	for rel, col := range opts.PartitionColumns {
-		r := s.master.Relation(rel)
-		if r == nil {
-			return nil, fmt.Errorf("serve: partition column for unknown relation %q", rel)
-		}
-		if col < 0 || col >= len(r.Attrs) {
-			return nil, fmt.Errorf("serve: partition column %d out of range for %s (arity %d)", col, rel, len(r.Attrs))
-		}
-		s.pcols[rel] = col
 	}
 	if opts.Pool != nil {
 		s.pool = opts.Pool
@@ -520,13 +509,12 @@ func newServer(master *relation.Database, opts Options, init serverInit, dl *dur
 	}
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
-		sh := &shard{id: i, patch: s.m.shardPatch.With(shardLabel(i))}
+		sh := &shard{id: i, patch: s.m.shardPatch.With(shardLabel(i)), store: incremental.NewPlanStore()}
 		sh.cond = sync.NewCond(&sh.mu)
 		sh.watermark.Store(init.epoch)
 		s.m.shardEpoch.With(shardLabel(i)).Set(float64(init.epoch))
 		s.shards[i] = sh
 	}
-	s.plans = newPlanDomains(len(s.shards))
 	s.wg.Add(1 + len(s.shards))
 	go s.writer()
 	for _, sh := range s.shards {
@@ -588,7 +576,7 @@ func (s *Server) close(now bool) {
 		s.pool.Close()
 	}
 	s.waitMu.Lock()
-	close(s.epochCh) // wake WaitApplied/WaitShards waiters for their closed-check
+	close(s.epochCh) // wake WaitApplied waiters for their closed-check
 	s.epochCh = nil
 	s.waitMu.Unlock()
 }
@@ -600,12 +588,12 @@ func (s *Server) close(now bool) {
 // prove it holds the lease, so a promoted successor and a demoted
 // predecessor can never both acknowledge writes — in particular never both
 // spend from the same ε-ledger.
-// Fencing also wakes parked WaitApplied/WaitShards waiters: a client
-// waiting for an epoch on a just-demoted leader gets the fence error
-// immediately instead of hanging to its own deadline. A waiter whose
-// target was already reached still succeeds (the reached check runs
-// first); one fenced mid-wait fails even if the remaining backlog would
-// eventually drain — the caller should re-resolve the leader anyway.
+// Fencing also wakes parked WaitApplied waiters: a client waiting for an
+// epoch on a just-demoted leader gets the fence error immediately instead
+// of hanging to its own deadline. A waiter whose target was already
+// reached still succeeds (the reached check runs first); one fenced
+// mid-wait fails even if the remaining backlog would eventually drain —
+// the caller should re-resolve the leader anyway.
 func (s *Server) Fence(reason error) {
 	err := ErrFenced
 	if reason != nil {
@@ -622,14 +610,12 @@ func (s *Server) fenced() error {
 	return nil
 }
 
-// Register opens incremental session state for cfg.Query and adds it to the
-// multiplexer. The expensive solve runs off the writer's lock: Register
-// snapshots the master at the current cut (briefly pausing the drain for a
-// row copy), materializes the sessions while the shards keep draining, then
-// replays the log entries drained in the meantime and installs the query at
-// the live epoch. A partitionable query (incremental.PartitionVar over the
-// server's routing columns) gets one sub-session per shard; anything else
-// gets one full session on a designated shard.
+// Register opens an incremental session for cfg.Query on the query's
+// designated shard and adds it to the multiplexer. The expensive solve runs
+// off the writer's lock: Register snapshots the master at the current cut
+// (briefly pausing the drain for a row copy), opens the session while the
+// shards keep draining, then replays the log entries drained in the
+// meantime and installs the query at the live epoch.
 func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 	if err := s.fenced(); err != nil {
 		return "", nil, err
@@ -717,68 +703,39 @@ func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 		return "", nil, err
 	}
 
-	// Phase 2 — materialize the session state off-lock.
+	// Phase 2 — open the session off-lock.
+	sess, err := incremental.Open(cfg.Query, snap, sopts)
+	if err != nil {
+		return fail(err)
+	}
+	text := cfg.Query.String()
 	sq := &servedQuery{
 		id:      id,
-		text:    cfg.Query.String(),
+		text:    text,
 		q:       cfg.Query,
+		sess:    sess,
+		shard:   s.queryShard(text),
 		private: cfg.Private,
 		cfg:     cfg.Release,
 		sopts:   cfg.Options,
 		drift:   cfg.Drift,
 		ledger:  ledger,
 	}
-	partitioned := false
-	if len(s.shards) > 1 {
-		if v, ok := incremental.PartitionVar(cfg.Query, s.pcol); ok {
-			partitioned = true
-			sq.partVar = v
-		}
-	}
-	if partitioned {
-		subs, err := incremental.SplitDatabase(snap, s.pcol, len(s.shards))
-		if err != nil {
-			return fail(err)
-		}
-		units := make([]*unit, len(s.shards))
-		err = par.Do(s.opts.Parallelism, len(units), func(i int) error {
-			sess, oerr := incremental.Open(cfg.Query, subs[i], sopts)
-			if oerr != nil {
-				return oerr
-			}
-			units[i] = &unit{sq: sq, sess: sess, shard: i, part: i}
-			return nil
-		})
-		if err != nil {
-			return fail(err)
-		}
-		sq.units = units
-	} else {
-		sess, err := incremental.Open(cfg.Query, snap, sopts)
-		if err != nil {
-			return fail(err)
-		}
-		sq.units = []*unit{{sq: sq, sess: sess, shard: s.fallbackShard(sq.text), part: -1}}
-	}
 
 	// Phase 3 — catch up and install. Replaying the entries drained since
 	// the snapshot mirrors the master's absent-delete skips via
 	// Session.Has. While the gap to the live epoch is large, the replay
-	// runs *off-lock* (the sessions are still private to this goroutine),
+	// runs *off-lock* (the session is still private to this goroutine),
 	// advancing the registration cut so log compaction follows; only a
 	// bounded tail replays under stateMu together with the install, so a
 	// long phase-2 solve on a busy server does not translate into a long
 	// drain stall here.
 	applyMissed := func(missed []relation.Update) error {
 		for _, up := range missed {
-			u := sq.units[0]
-			if partitioned {
-				u = sq.units[s.routeOf(up)]
-			}
-			if !up.Insert && !u.sess.Has(up.Rel, up.Row) {
+			if !up.Insert && !sess.Has(up.Rel, up.Row) {
 				continue // the master skipped this delete at apply time too
 			}
-			if err := u.sess.Apply([]relation.Update{up}); err != nil {
+			if err := sess.Apply([]relation.Update{up}); err != nil {
 				return err
 			}
 		}
@@ -818,18 +775,15 @@ func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 	if err := applyMissed(missed); err != nil {
 		return "", nil, err
 	}
-	// Seed every unit's ring at the install cut and build the first view the
-	// way a read does. Nothing here is visible before the install below.
-	for _, u := range sq.units {
-		u.refresh()
-		u.installCut = cur // queued rounds at or below cur were replayed above
-		u.publishVersion(cur, s.opts.DriftFraction)
-	}
-	first := sq.assemble(cur)
+	// Build the first view the way the shard builds every later one.
+	// Nothing here is visible before the install below.
+	sq.refresh()
+	sq.installCut = cur // queued rounds at or below cur were replayed above
+	sq.publish(cur, s.opts.DriftFraction)
+	first := sq.view.Load()
 	if first.Err != nil {
 		return "", nil, first.Err
 	}
-	sq.view.Store(first)
 	// Journal the registration before it becomes visible, so a crash after
 	// a successful Register always recovers the query (and a crash before
 	// the record is durable recovers a server that never acknowledged it).
@@ -840,9 +794,7 @@ func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 		s.regSeq++
 	}
 	s.ackMetric("register")
-	for _, u := range sq.units {
-		s.shards[u.shard].install(s, u)
-	}
+	s.shards[sq.shard].install(s, sq)
 	s.refreshPlanGauges()
 	s.qmu.Lock()
 	s.queries[id] = sq
@@ -852,7 +804,7 @@ func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 	return id, first, nil
 }
 
-// Unregister removes a query. Its sessions and views are dropped.
+// Unregister removes a query. Its session and views are dropped.
 func (s *Server) Unregister(id string) error {
 	if err := s.fenced(); err != nil {
 		return err
@@ -875,24 +827,11 @@ func (s *Server) Unregister(id string) error {
 	delete(s.queries, id)
 	s.m.queries.Set(float64(len(s.queries)))
 	s.dropQueryMetrics(id)
-	for _, sh := range s.shards {
-		sh.umu.Lock()
-		keep := sh.units[:0]
-		var dropped []*unit
-		for _, u := range sh.units {
-			if u.sq != sq {
-				keep = append(keep, u)
-			} else {
-				dropped = append(dropped, u)
-			}
-		}
-		for i := len(keep); i < len(sh.units); i++ {
-			sh.units[i] = nil
-		}
-		sh.units = keep
-		sh.umu.Unlock()
-		sh.retire(dropped)
-	}
+	sh := s.shards[sq.shard]
+	sh.umu.Lock()
+	sh.queries = slices.DeleteFunc(sh.queries, func(o *servedQuery) bool { return o == sq })
+	sh.umu.Unlock()
+	sh.retire(sq)
 	s.refreshPlanGauges()
 	return nil
 }
@@ -900,8 +839,7 @@ func (s *Server) Unregister(id string) error {
 // Append validates ups against the schema and appends them to the update
 // log, returning the log sequence range [from, to) they occupy. The shard
 // writers apply them asynchronously; WaitApplied(to) blocks until they are
-// live in the published views, WaitShards(Owners(ups), to) until the owning
-// shards have folded them.
+// live in every published view.
 func (s *Server) Append(ups []relation.Update) (from, to int64, err error) {
 	return s.AppendTraced(ups, nil)
 }
@@ -1026,18 +964,15 @@ func (s *Server) WAL() *wal.Log {
 	return s.wal.log
 }
 
-// View returns the freshest consistent view of a query: the cached view
-// when it already sits at the query's joined watermark (one atomic load),
-// else the exact cut at that watermark assembled from the unit version
-// rings (atomic loads plus a merge; falling back to the cached view under
-// extreme skew). It never moves backwards and is never blocked by the
-// writers; the View type states the cut contract.
+// View returns the latest published view of a query — one atomic load. It
+// never moves backwards and is never blocked by the writers; the View type
+// states the cut contract.
 func (s *Server) View(id string) (*View, error) {
 	sq, err := s.lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	v := s.currentView(sq)
+	v := sq.view.Load()
 	if v.Err != nil {
 		return nil, fmt.Errorf("serve: query %q failed at epoch %d: %w", id, v.Epoch, v.Err)
 	}
@@ -1086,7 +1021,7 @@ func (s *Server) Release(id string, rng *rand.Rand) (*ReleaseResult, error) {
 	if sq.private == "" {
 		return nil, fmt.Errorf("serve: query %q has no private relation; register with Private set", id)
 	}
-	v := s.currentView(sq)
+	v := sq.view.Load()
 	if v.Err != nil {
 		return nil, fmt.Errorf("serve: query %q failed at epoch %d: %w", id, v.Epoch, v.Err)
 	}
@@ -1146,15 +1081,13 @@ func (s *Server) Queries() []QueryInfo {
 	s.qmu.RUnlock()
 	out := make([]QueryInfo, 0, len(sqs))
 	for _, sq := range sqs {
-		v := s.currentView(sq)
+		v := sq.view.Load()
 		info := QueryInfo{
-			ID:           sq.id,
-			Query:        sq.text,
-			Private:      sq.private,
-			Epoch:        v.Epoch,
-			Parts:        len(sq.units),
-			PartitionVar: sq.partVar,
-			Failed:       v.Err != nil,
+			ID:      sq.id,
+			Query:   sq.text,
+			Private: sq.private,
+			Epoch:   v.Epoch,
+			Failed:  v.Err != nil,
 		}
 		if v.Err == nil {
 			info.Count = v.Count
@@ -1235,30 +1168,15 @@ func (s *Server) writer() {
 			}
 		}
 		s.m.skipped.Set(float64(s.skipped.Load()))
-		routeStart := time.Now()
-		routed := make([][]relation.Update, len(s.shards))
-		for _, up := range valid {
-			i := s.routeOf(up)
-			routed[i] = append(routed[i], up)
-		}
-		routeD := time.Since(routeStart)
 		newEpoch := drained + int64(len(batch))
 		// The frontier advances before stateMu releases, so a Register that
 		// takes over the lock reads a cut consistent with the master rows it
 		// snapshots (the published epoch may still trail).
 		s.frontier.Store(newEpoch)
 
-		rd := &round{valid: valid, routed: routed, cut: newEpoch, btraces: btraces,
-			start: roundStart, routeStart: routeStart, routeD: routeD, batchLen: len(batch)}
+		rd := &round{valid: valid, cut: newEpoch, btraces: btraces,
+			start: roundStart, queued: time.Now(), batchLen: len(batch)}
 		rd.pending.Store(int32(len(s.shards)))
-		var prev *obs.ActiveTrace
-		for _, tr := range btraces {
-			if tr == nil || tr == prev {
-				continue
-			}
-			prev = tr
-			tr.StageAt("shard-route", routeStart, routeD)
-		}
 		for _, sh := range s.shards {
 			sh.enqueue(rd)
 		}
@@ -1303,16 +1221,6 @@ func (s *Server) joinedCut() int64 {
 	return join
 }
 
-// joinFor returns the joined cut relevant to one query: all shards for a
-// partitioned query, the single owning shard for a fallback one (which is
-// fed whole batches, so its watermark alone bounds the query's progress).
-func (s *Server) joinFor(sq *servedQuery) int64 {
-	if len(sq.units) == 1 && sq.units[0].part < 0 {
-		return s.shards[sq.units[0].shard].watermark.Load()
-	}
-	return s.joinedCut()
-}
-
 // finishRound is run by the last shard to fold a round: it stamps the
 // drain stages onto the batch's traces, completes them, bumps the round
 // counters, and emits the slow-round log line. The batch's entries are
@@ -1333,140 +1241,17 @@ func (s *Server) finishRound(rd *round) {
 		if first == 0 {
 			first = tr.ID()
 		}
-		tr.StageAt("shard-drain", rd.routeStart.Add(rd.routeD), roundD-rd.routeD)
+		tr.StageAt("shard-drain", rd.queued, roundD-rd.queued.Sub(rd.start))
 		tr.StageAt("drain", rd.start, roundD)
 		tr.Finish()
 	}
 	if roundD >= s.traces.SlowThreshold() && s.traces.SlowThreshold() > 0 && s.logger != nil {
 		s.logger.Warn("slow drain round",
-			"trace", first, "epoch", rd.cut, "batch", rd.batchLen,
-			"took", roundD, "route", rd.routeD)
+			"trace", first, "epoch", rd.cut, "batch", rd.batchLen, "took", roundD)
 	}
 }
 
-// refreshViews re-assembles the cached view of every distinct query among
-// units (called by a shard after its round): write traffic keeps views
-// fresh even with no readers, which WaitApplied — defined over the epoch
-// the views have reached — depends on.
-func (s *Server) refreshViews(units []*unit) {
-	var prev *servedQuery
-	for _, u := range units {
-		if u.sq == prev {
-			continue
-		}
-		prev = u.sq
-		s.currentView(u.sq)
-	}
-}
-
-// currentView returns the freshest consistent view of sq: the cached view
-// if it already sits at (or, for a first view, ahead of) the query's joined
-// cut, else a fresh assembly from the unit version rings. Assembly failures
-// (a ring entry already evicted under heavy skew) fall back to the cached
-// view — older, but still one consistent cut. Never blocks on the writers.
-func (s *Server) currentView(sq *servedQuery) *View {
-	cached := sq.view.Load()
-	if cached.Err != nil {
-		return cached
-	}
-	join := s.joinFor(sq)
-	if cached.Epoch >= join {
-		return cached
-	}
-	v := sq.assemble(join)
-	if v == nil {
-		return cached
-	}
-	if v.Err != nil {
-		sq.view.Store(v) // tombstone: persists
-		return v
-	}
-	// CAS forward only: concurrent assemblies race, newest cut wins.
-	for {
-		cur := sq.view.Load()
-		if cur.Err != nil {
-			return cur
-		}
-		if cur.Epoch >= v.Epoch {
-			return cur
-		}
-		if sq.view.CompareAndSwap(cur, v) {
-			return v
-		}
-	}
-}
-
-// assemble builds a consistent view of sq at (at most) the joined cut: per
-// unit, the newest ring entry at-or-below the target, tightened until every
-// unit agrees on one exact stamp. Because all shards fold the same round
-// cuts and publish one ring entry per round, entries with equal stamps are
-// exactly the consistent cut at that stamp; requiring an exact common stamp
-// is what makes a mixed pick impossible even after ring eviction. Returns
-// nil when no common stamp survives in the rings (unbounded skew) — the
-// caller then serves the cached view.
-func (sq *servedQuery) assemble(join int64) *View {
-	picks := make([]*unitVersion, len(sq.units))
-	target := join
-	for i, u := range sq.units {
-		v := u.versionAt(target)
-		if v == nil {
-			return nil
-		}
-		picks[i] = v
-		if v.stamp < target {
-			target = v.stamp
-		}
-	}
-	// Tighten: every pick must sit exactly at the final target. A pick above
-	// it re-resolves; a unit with no entry at the target fails the assembly.
-	for i, u := range sq.units {
-		if picks[i].stamp == target {
-			continue
-		}
-		v := u.versionAt(target)
-		if v == nil || v.stamp != target {
-			return nil
-		}
-		picks[i] = v
-	}
-	var (
-		count    int64
-		rebuilds int
-		parts    = make([]*core.Result, len(picks))
-	)
-	for i, v := range picks {
-		if v.err != nil {
-			return &View{Epoch: target, Parts: len(sq.units), Err: v.err}
-		}
-		count = relation.AddSat(count, v.count)
-		rebuilds += v.rebuilds
-		parts[i] = v.res
-	}
-	out := &View{
-		Epoch:    target,
-		Count:    count,
-		LS:       incremental.MergeResults(parts),
-		Rebuilds: rebuilds,
-		Parts:    len(sq.units),
-	}
-	if sq.private != "" {
-		var sens []int64
-		sensEpoch := int64(-1)
-		var sensCount int64
-		for _, v := range picks {
-			sens = append(sens, v.sens...)
-			if sensEpoch < 0 || v.sensEpoch < sensEpoch {
-				sensEpoch = v.sensEpoch
-			}
-			sensCount = relation.AddSat(sensCount, v.sensCount)
-		}
-		sort.Slice(sens, func(i, j int) bool { return sens[i] < sens[j] })
-		out.Sens, out.SensEpoch, out.SensCount = sens, sensEpoch, sensCount
-	}
-	return out
-}
-
-// notify wakes WaitApplied and WaitShards waiters.
+// notify wakes WaitApplied waiters.
 func (s *Server) notify() {
 	s.waitMu.Lock()
 	if s.epochCh != nil {

@@ -13,8 +13,7 @@ import (
 	"tsens/internal/workload"
 )
 
-// starQuery3 is partitionable on the default routing column: variable A
-// sits at column 0 of every relation.
+// starQuery3 joins three relations on the variable at column 0.
 func starQuery3(t *testing.T) *query.Query {
 	t.Helper()
 	q, err := query.New("star", []query.Atom{
@@ -28,10 +27,10 @@ func starQuery3(t *testing.T) *query.Query {
 	return q
 }
 
-// TestServeShardedStarDifferential drives a partitioned query (one
-// sub-session per shard) through a replayed stream and checks every
-// published view — count, LS, and the per-epoch sensitivity snapshot —
-// against the from-scratch solver on the exact log prefix.
+// TestServeShardedStarDifferential drives a private star query on a
+// 4-shard server through a replayed stream and checks every published
+// view — count, LS, and the per-epoch sensitivity snapshot — against the
+// from-scratch solver on the exact log prefix.
 func TestServeShardedStarDifferential(t *testing.T) {
 	db := testDB(t, 30, 6, 51, "R1", "R2", "R3")
 	stream := workload.UpdateStream(db, 60, 0.4, 52)
@@ -48,11 +47,8 @@ func TestServeShardedStarDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v0.Parts != 4 {
-		t.Fatalf("star query opened %d partitions, want 4", v0.Parts)
-	}
-	if infos := srv.Queries(); len(infos) != 1 || infos[0].PartitionVar != "A" || infos[0].Parts != 4 {
-		t.Fatalf("listing does not report the partitioning: %+v", infos)
+	if v0.Epoch != 0 {
+		t.Fatalf("first view at epoch %d, want 0", v0.Epoch)
 	}
 	for off := 0; off < len(stream); off += 6 {
 		end := off + 6
@@ -84,7 +80,7 @@ func TestServeShardedStarDifferential(t *testing.T) {
 			}
 		}
 		// DriftFraction<0 refreshes the sensitivity snapshot every epoch;
-		// the merged, sorted vector must match the from-scratch one.
+		// the sorted vector must match the from-scratch one.
 		if v.SensEpoch != v.Epoch {
 			t.Fatalf("sens snapshot at %d, view at %d", v.SensEpoch, v.Epoch)
 		}
@@ -109,12 +105,104 @@ func TestServeShardedStarDifferential(t *testing.T) {
 	}
 }
 
+// TestServeSensVectorSharedUntilDrift pins the drift-gated sensitivity
+// snapshot of a private query: while the count has not drifted,
+// consecutive views share one Sens backing array instead of copying it
+// every round; a round that drifts the count replaces it with a fresh δ(t)
+// scan of the private relation.
+func TestServeSensVectorSharedUntilDrift(t *testing.T) {
+	db := relation.MustNewDatabase(
+		relation.MustNew("R1", []string{"a", "b"}, []relation.Tuple{{1, 1}, {2, 1}, {3, 2}}),
+		relation.MustNew("R2", []string{"b", "c"}, []relation.Tuple{{1, 5}, {2, 5}}),
+	)
+	q, err := query.New("q", []query.Atom{
+		{Relation: "R1", Vars: []string{"A", "B"}},
+		{Relation: "R2", Vars: []string{"B", "C"}},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(db, Options{Shards: 1, Parallelism: 2, DriftFraction: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	id, v0, err := srv.Register(QueryConfig{
+		Query:   q,
+		Private: "R2",
+		Release: mechanism.TSensDPConfig{Epsilon: 1, Bound: 50},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []relation.Update
+	apply := func(up relation.Update) *View {
+		t.Helper()
+		log = append(log, up)
+		_, to, err := srv.Append([]relation.Update{up})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.WaitApplied(to); err != nil {
+			t.Fatal(err)
+		}
+		v, err := srv.View(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Epoch != to {
+			t.Fatalf("view at epoch %d, want %d", v.Epoch, to)
+		}
+		return v
+	}
+
+	// Rows joining nothing leave the count, and so the snapshot, unchanged.
+	prev := v0
+	for _, row := range []relation.Tuple{{9, 9}, {8, 9}} {
+		v := apply(relation.Update{Rel: "R1", Row: row, Insert: true})
+		if v.Count != v0.Count || v.SensEpoch != v0.SensEpoch {
+			t.Fatalf("epoch %d: count %d, sens epoch %d; want the undrifted (%d, %d)", v.Epoch, v.Count, v.SensEpoch, v0.Count, v0.SensEpoch)
+		}
+		if len(v.Sens) == 0 || &v.Sens[0] != &prev.Sens[0] {
+			t.Fatalf("epoch %d: undrifted view does not share the previous view's sensitivity vector", v.Epoch)
+		}
+		prev = v
+	}
+
+	// A second R2 row on B=1 takes the count from 3 to 5: drifted.
+	v := apply(relation.Update{Rel: "R2", Row: relation.Tuple{1, 6}, Insert: true})
+	if v.SensEpoch != v.Epoch || v.SensCount != v.Count || v.Count != 5 {
+		t.Fatalf("drifted view: epoch %d count %d, sens epoch %d count %d; want a refresh at (%d, 5)",
+			v.Epoch, v.Count, v.SensEpoch, v.SensCount, v.Epoch)
+	}
+	if &v.Sens[0] == &prev.Sens[0] {
+		t.Fatal("drifted view still shares the stale sensitivity vector")
+	}
+	cur := replayPrefix(t, db, log, len(log))
+	fn, err := core.TupleSensitivities(q, cur, "R2", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int64
+	for _, row := range cur.Relation("R2").Rows {
+		want = append(want, fn(row))
+	}
+	sortInts(want)
+	if len(v.Sens) != len(want) {
+		t.Fatalf("sensitivity vector %v, scan %v", v.Sens, want)
+	}
+	for i := range want {
+		if v.Sens[i] != want[i] {
+			t.Fatalf("sensitivity vector %v, scan %v", v.Sens, want)
+		}
+	}
+}
+
 // TestServeShardWatermarkJoin is the hostile-scheduler test for the
-// consistent-cut rule: with one shard's writer paused mid-batch, the other
-// shard's watermark advances (WaitShards gives read-your-writes against
-// healthy shards) but nothing readable — Epoch, Stats.Epoch, views — may
-// reflect the half-applied round. A torn read across shards must never be
-// observable.
+// consistent-cut rule: with the shard owning a query paused mid-batch, the
+// other shard folds the round and its watermark advances, but nothing
+// readable — Epoch, Stats.Epoch, the paused shard's query view — may
+// reflect the half-applied round.
 func TestServeShardWatermarkJoin(t *testing.T) {
 	db := testDB(t, 20, 8, 61, "R1", "R2", "R3")
 	srv, err := New(db, Options{Shards: 2, Parallelism: 2, BatchSize: 64})
@@ -126,55 +214,29 @@ func TestServeShardWatermarkJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v0.Parts != 2 {
-		t.Fatalf("parts %d, want 2", v0.Parts)
-	}
+	slowShard := ownerShard(srv, id)
+	fastShard := 1 - slowShard
 
-	// One insert owned by each shard.
-	var ups []relation.Update
-	for k := int64(0); len(ups) < 2; k++ {
-		up := relation.Update{Rel: "R1", Row: relation.Tuple{k, 1}, Insert: true}
-		if len(ups) == srv.ShardOf(up) {
-			ups = append(ups, up)
-		}
-	}
-	slowShard := srv.ShardOf(ups[1])
-	fastShard := srv.ShardOf(ups[0])
-
-	// Pause the slow shard's writer at the start of its next round. The
-	// gate is released on every exit path (deferred before srv.Close in
-	// LIFO order): a failed assertion while the shard is parked must not
-	// leave Close blocked on the unfinished round.
-	gateCh := make(chan struct{})
-	var gateOnce sync.Once
-	releaseGate := func() { gateOnce.Do(func() { close(gateCh) }) }
+	// Pause the query's shard at the start of its next round. The release
+	// is deferred before srv.Close in LIFO order: a failed assertion while
+	// the shard is parked must not leave Close blocked on the unfinished
+	// round.
+	entered, releaseGate := parkShard(srv.shards[slowShard])
 	defer releaseGate()
-	entered := make(chan struct{}, 1)
-	gate := func(int) {
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
-		<-gateCh
-	}
-	srv.shards[slowShard].gate.Store(&gate)
 
-	from, to, err := srv.Append(ups)
+	ups := []relation.Update{
+		{Rel: "R1", Row: relation.Tuple{0, 1}, Insert: true},
+		{Rel: "R2", Row: relation.Tuple{0, 2}, Insert: true},
+	}
+	_, to, err := srv.Append(ups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = from
-	<-entered // the round started and the slow shard is parked
+	<-entered // the round started and the query's shard is parked
 
-	// The healthy shard finishes its slice of the round: its watermark
-	// reaches the cut, and waiting on just that shard returns.
-	if err := srv.WaitShards([]int{fastShard}, to); err != nil {
-		t.Fatal(err)
-	}
+	// The other shard finishes the round: its watermark reaches the cut.
+	waitWatermark(t, srv, fastShard, to)
 	st := srv.Stats()
-	if st.Watermarks[fastShard] < to {
-		t.Fatalf("fast shard watermark %d, want ≥ %d", st.Watermarks[fastShard], to)
-	}
 	if st.Watermarks[slowShard] != 0 {
 		t.Fatalf("paused shard watermark %d, want 0", st.Watermarks[slowShard])
 	}
@@ -202,7 +264,7 @@ func TestServeShardWatermarkJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := replayPrefix(t, db, []relation.Update{ups[0], ups[1]}, 2)
+	cur := replayPrefix(t, db, ups, len(ups))
 	want, err := core.LocalSensitivity(starQuery3(t), cur, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -251,17 +313,11 @@ func TestServeRegisterWhileDraining(t *testing.T) {
 		cfg := QueryConfig{Query: starQuery3(t)}
 		star := i%2 == 0
 		if !star {
-			cfg = QueryConfig{Query: pathQuery(t)} // unpartitionable: fallback shard
+			cfg = QueryConfig{Query: pathQuery(t)}
 		}
 		id, v, err := srv.Register(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if star && v.Parts != 4 {
-			t.Fatalf("star registration got %d parts", v.Parts)
-		}
-		if !star && v.Parts != 1 {
-			t.Fatalf("path registration got %d parts", v.Parts)
 		}
 		regs = append(regs, reg{id, star, v})
 	}
@@ -360,43 +416,5 @@ func TestServeConcurrentReleaseNoDoubleSpend(t *testing.T) {
 	infos := srv.Queries()
 	if len(infos) != 1 || infos[0].Spent != 1 || infos[0].Releases != 1 {
 		t.Fatalf("ledger drifted from the model: %+v", infos)
-	}
-}
-
-func TestServePartitionColumnValidation(t *testing.T) {
-	db := testDB(t, 4, 3, 91, "R1", "R2")
-	if _, err := New(db, Options{PartitionColumns: map[string]int{"NOPE": 0}}); err == nil {
-		t.Fatal("unknown relation accepted")
-	}
-	if _, err := New(db, Options{PartitionColumns: map[string]int{"R1": 2}}); err == nil {
-		t.Fatal("out-of-range column accepted")
-	}
-	srv, err := New(db, Options{Shards: 2, PartitionColumns: map[string]int{"R1": 1, "R2": 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	// R1(A,B), R2(B,C) joins on B: partitionable exactly because the
-	// configured columns align on it.
-	q, err := query.New("p2", []query.Atom{
-		{Relation: "R1", Vars: []string{"A", "B"}},
-		{Relation: "R2", Vars: []string{"B", "C"}},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, v, err := srv.Register(QueryConfig{Query: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Parts != 2 {
-		t.Fatalf("aligned columns gave %d parts, want 2", v.Parts)
-	}
-	want, err := core.LocalSensitivity(q, db, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Count != want.Count || v.LS.LS != want.LS {
-		t.Fatalf("partitioned view (%d, %d), scratch (%d, %d)", v.Count, v.LS.LS, want.Count, want.LS)
 	}
 }

@@ -30,11 +30,9 @@
 // NewServer turns the session engine into a long-lived serving process: one
 // shared snapshot plus an append-only update log multiplexes many
 // registered queries behind a sharded-writer/multi-reader boundary
-// (ServerOptions.Shards): updates route to per-shard writer goroutines by
-// relation+key hash, queries sharing a variable across all atoms at the
-// routing columns are maintained as one sub-session per shard, and epoch
-// views publish only at consistent cuts joined across every shard's
-// watermark. Budget-accounted ε-DP releases and an HTTP/JSON front end ride
+// (ServerOptions.Shards): every query is one session owned by a per-shard
+// writer goroutine chosen by the hash of its text, every shard folds every
+// update, and each query's epoch view is one exact cut of the log. Budget-accounted ε-DP releases and an HTTP/JSON front end ride
 // on top (NewServerAPI, the tsens serve command; see docs/SERVING.md).
 // With ServerOptions.WALDir set the server is durable: appends, query
 // registrations, and every fresh ε-spend are journaled to a checksummed
@@ -160,17 +158,15 @@ type (
 // Serving types.
 type (
 	// Server is a long-lived DP query server: a shared snapshot plus an
-	// append-only update log partitioned across per-shard writers,
-	// multiplexing registered queries (incremental session state per
+	// append-only update log folded by per-shard writers, multiplexing
+	// registered queries (one incremental session each, owned by one
 	// shard) behind a sharded-writer/multi-reader boundary. Readers answer
-	// from atomically published epoch views — always a consistent cut
-	// joined across the shard watermarks — and never block on update
-	// application.
+	// from atomically published epoch views — always one exact cut of the
+	// log — and never block on update application.
 	Server = serve.Server
-	// ServerOptions configures NewServer (shard count and routing columns,
-	// writer batch size, fan-out parallelism, drift gating, tombstone
-	// compaction watermark, and WAL durability: WALDir, SyncEvery,
-	// CheckpointEvery, WALCodec).
+	// ServerOptions configures NewServer (shard count, writer batch size,
+	// fan-out parallelism, drift gating, tombstone compaction watermark,
+	// and WAL durability: WALDir, SyncEvery, CheckpointEvery, WALCodec).
 	ServerOptions = serve.Options
 	// BudgetLedgerState is the exportable accounting of a BudgetLedger,
 	// the part a durable deployment must persist across restarts.
