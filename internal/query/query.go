@@ -7,6 +7,7 @@ package query
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"tsens/internal/relation"
@@ -203,15 +204,21 @@ func (q *Query) VarOccurrences() map[string]int {
 	return occ
 }
 
-// String renders the query as a datalog rule.
+// String renders the query as a datalog rule, selections by relation name
+// and each relation's predicates in their given order.
 func (q *Query) String() string {
 	parts := make([]string, len(q.Atoms))
 	for i, a := range q.Atoms {
 		parts[i] = a.String()
 	}
 	s := fmt.Sprintf("%s() :- %s", q.Name, strings.Join(parts, ", "))
-	for rel, preds := range q.Selections {
-		for _, p := range preds {
+	rels := make([]string, 0, len(q.Selections))
+	for rel := range q.Selections {
+		rels = append(rels, rel)
+	}
+	sort.Strings(rels) // map order would make the text differ between calls
+	for _, rel := range rels {
+		for _, p := range q.Selections[rel] {
 			s += fmt.Sprintf(", σ[%s: %s]", rel, p)
 		}
 	}

@@ -424,3 +424,22 @@ func TestQueryString(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 }
+
+// TestQueryStringDeterministic pins the rendering order of selections on
+// several relations: sorted by relation name, the same text on every call.
+func TestQueryStringDeterministic(t *testing.T) {
+	atoms := []Atom{
+		{Relation: "R1", Vars: []string{"A", "B"}},
+		{Relation: "R2", Vars: []string{"B", "C"}},
+	}
+	q := MustNew("q", atoms, map[string][]Predicate{
+		"R2": {{Var: "C", Op: Ge, Value: 1}},
+		"R1": {{Var: "A", Op: Ge, Value: 1}},
+	})
+	const want = "q() :- R1(A,B), R2(B,C), σ[R1: A >= 1], σ[R2: C >= 1]"
+	for i := 0; i < 50; i++ {
+		if got := q.String(); got != want {
+			t.Fatalf("render %d: %q, want %q", i, got, want)
+		}
+	}
+}

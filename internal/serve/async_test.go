@@ -34,8 +34,6 @@ func parkShard(sh *shard) (entered chan struct{}, release func()) {
 }
 
 // ownerShard returns the shard owning a registered query's session.
-// Queries are assigned by query text rather than ID, so tests read the
-// installed query instead of re-deriving the hash.
 func ownerShard(s *Server, id string) int {
 	s.qmu.RLock()
 	defer s.qmu.RUnlock()
@@ -75,19 +73,34 @@ func TestServeAsyncStalledShardIndependence(t *testing.T) {
 	}
 	defer srv.Close()
 
-	starID, vStar0, err := srv.Register(QueryConfig{ID: "star", Query: starQuery3(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The star query's shard stalls; the healthy query is the first other
+	// candidate whose plan hashes to the other shard.
 	tri, dec := triangleQuery(t)
-	triID, _, err := srv.Register(QueryConfig{ID: "tri", Query: tri, Options: core.Options{Decomposition: dec}})
+	star := QueryConfig{ID: "star", Query: starQuery3(t)}
+	slow := srv.keyShard(planKey(star.Query, star.Options))
+	var healthy QueryConfig
+	for _, c := range []QueryConfig{
+		{ID: "tri", Query: tri, Options: core.Options{Decomposition: dec}},
+		{ID: "path", Query: pathQuery(t)},
+		{ID: "path2", Query: query.MustNew("path2", pathQuery(t).Atoms[:2], nil)},
+	} {
+		if srv.keyShard(planKey(c.Query, c.Options)) != slow {
+			healthy = c
+			break
+		}
+	}
+	if healthy.Query == nil {
+		t.Fatal("every candidate plan hashes to the star query's shard")
+	}
+	starID, vStar0, err := srv.Register(star)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner, slow := ownerShard(srv, triID), ownerShard(srv, starID)
-	if owner == slow {
-		t.Fatalf("triangle and star queries both on shard %d; the test needs them apart", owner)
+	healthyID, _, err := srv.Register(healthy)
+	if err != nil {
+		t.Fatal(err)
 	}
+	owner := ownerShard(srv, healthyID)
 
 	entered, release := parkShard(srv.shards[slow])
 	defer release()
@@ -103,17 +116,17 @@ func TestServeAsyncStalledShardIndependence(t *testing.T) {
 	// view advances all the way to the appended LSN.
 	waitWatermark(t, srv, owner, to)
 	cur := replayPrefix(t, db, stream, len(stream))
-	wantTri, err := core.LocalSensitivity(tri, cur, core.Options{Decomposition: dec})
+	want, err := core.LocalSensitivity(healthy.Query, cur, healthy.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vTri, err := srv.View(triID)
+	v, err := srv.View(healthyID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vTri.Epoch != to || vTri.Count != wantTri.Count || vTri.LS.LS != wantTri.LS {
-		t.Fatalf("stalled-shard triangle view (%d, %d, %d), want (%d, %d, %d)",
-			vTri.Epoch, vTri.Count, vTri.LS.LS, to, wantTri.Count, wantTri.LS)
+	if v.Epoch != to || v.Count != want.Count || v.LS.LS != want.LS {
+		t.Fatalf("stalled-shard %s view (%d, %d, %d), want (%d, %d, %d)",
+			healthyID, v.Epoch, v.Count, v.LS.LS, to, want.Count, want.LS)
 	}
 
 	// Nothing relevant to the stalled shard moves: the joined epoch stays
@@ -210,111 +223,6 @@ func TestServeFenceWakesWaiters(t *testing.T) {
 			t.Fatalf("epoch %d never reached %d after release", srv.Epoch(), to)
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestServeRegisterChaseUnderLoad drives Register's bounded off-lock
-// catch-up chase under a hostile schedule: the test hook grows the backlog
-// past the chase tail before every iteration, pinning that (a) the
-// registration cut advances chunk-by-chunk through regCuts, (b) log
-// compaction reclaims the replayed prefix mid-registration, and (c) once
-// the feed stops the loop exits with only a bounded tail left for the
-// under-lock install.
-func TestServeRegisterChaseUnderLoad(t *testing.T) {
-	db := testDB(t, 15, 6, 91, "R1", "R2", "R3")
-	srv, err := New(db, Options{Shards: 2, Parallelism: 2, BatchSize: 4}) // tail = 16
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	const chunk = 20 // > tail: every hook round forces one more chase
-	stream := workload.UpdateStream(db, 8+3*chunk, 0.4, 92)
-	next := 0
-	feed := func(n int) int64 {
-		t.Helper()
-		_, to, err := srv.Append(stream[next : next+n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		next += n
-		if err := srv.WaitApplied(to); err != nil {
-			t.Fatal(err)
-		}
-		return to
-	}
-	cut0 := feed(8) // the registration cut the chase starts from
-
-	var chases int
-	var lastTo int64 = cut0
-	srv.testRegChase = func(chase int, cut, frontier int64) {
-		chases++
-		if int64(chase) != 0 && cut != lastTo {
-			t.Errorf("chase %d: cut %d, want the previous chunk end %d", chase, cut, lastTo)
-		}
-		if chase >= 1 {
-			// The previous iteration advanced the registration cut: the
-			// single outstanding regCuts entry must sit exactly at it.
-			srv.logMu.Lock()
-			if len(srv.regCuts) != 1 {
-				t.Errorf("chase %d: %d outstanding regCuts, want 1", chase, len(srv.regCuts))
-			}
-			for _, c := range srv.regCuts {
-				if c != cut {
-					t.Errorf("chase %d: regCuts at %d, want %d", chase, c, cut)
-				}
-			}
-			srv.logMu.Unlock()
-		}
-		if chase >= 2 {
-			// With the cut advanced past the replayed prefix, compaction has
-			// reclaimed it: the log no longer reaches back to the original cut.
-			srv.logMu.Lock()
-			base := srv.logBase
-			srv.logMu.Unlock()
-			if base <= cut0 {
-				t.Errorf("chase %d: logBase %d, want > %d (replayed prefix reclaimed)", chase, base, cut0)
-			}
-		}
-		if chase < 3 {
-			lastTo = feed(chunk) // outrun the tail: force another chase
-		}
-	}
-
-	id, v, err := srv.Register(QueryConfig{ID: "chase", Query: pathQuery(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chases != 4 {
-		t.Fatalf("chase loop ran %d iterations, want 4 (3 forced + the clean exit)", chases)
-	}
-	total := int64(next)
-	if v.Epoch != total {
-		t.Fatalf("registered at epoch %d, want %d", v.Epoch, total)
-	}
-	cur := replayPrefix(t, db, stream, next)
-	want, err := core.LocalSensitivity(pathQuery(t), cur, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Count != want.Count || v.LS.LS != want.LS {
-		t.Fatalf("chased registration view (%d, %d), want (%d, %d)", v.Count, v.LS.LS, want.Count, want.LS)
-	}
-	// The installed query keeps being maintained normally.
-	srv.testRegChase = nil
-	to := feed(len(stream) - next)
-	cur = replayPrefix(t, db, stream, len(stream))
-	want, err = core.LocalSensitivity(pathQuery(t), cur, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := srv.View(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.Epoch != to || v2.Count != want.Count || v2.LS.LS != want.LS {
-		t.Fatalf("post-chase view (%d, %d, %d), want (%d, %d, %d)",
-			v2.Epoch, v2.Count, v2.LS.LS, to, want.Count, want.LS)
 	}
 }
 

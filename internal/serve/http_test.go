@@ -391,7 +391,7 @@ func TestAPIWaitOneReadsYourWrites(t *testing.T) {
 
 // TestAPIDebugPlans pins GET /debug/plans: one domains entry per shard,
 // each the stats of the shard's one plan store, and two identical
-// registrations sharing every node of one store.
+// registrations held by one session in one store.
 func TestAPIDebugPlans(t *testing.T) {
 	db := testDB(t, 10, 4, 21, "R1", "R2", "R3")
 	srv, err := New(db, Options{Shards: 2, Parallelism: 2, BatchSize: 4})
@@ -420,26 +420,23 @@ func TestAPIDebugPlans(t *testing.T) {
 	if len(got) != 1 || !ok || len(domains) != 2 {
 		t.Fatalf("GET /debug/plans = %+v, want only domains, one entry per shard", got)
 	}
-	shared := 0
+	held := 0
 	for i, d := range domains {
 		if d.Shard != i {
 			t.Fatalf("domain %d = %+v, want shard %d", i, d, i)
 		}
 		switch d.Subscribers {
 		case 0:
-		case 2:
-			if d.Nodes == 0 || d.SharedNodes != d.Nodes {
-				t.Fatalf("store %+v, want every node shared", d)
+		case 1:
+			if d.Nodes == 0 || d.NodeRefs != d.Nodes || d.Rows != 3 {
+				t.Fatalf("store %+v, want the session's nodes and one rows entry per relation", d)
 			}
-			if d.Rows != 3 || d.SharedRows != 3 {
-				t.Fatalf("store %+v, want one shared rows entry per relation", d)
-			}
-			shared++
+			held++
 		default:
-			t.Fatalf("store %+v, want both queries on one shard", d)
+			t.Fatalf("store %+v, want both queries on one session", d)
 		}
 	}
-	if shared != 1 {
+	if held != 1 {
 		t.Fatalf("domains %+v, want one store holding both queries", domains)
 	}
 }

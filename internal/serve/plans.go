@@ -1,134 +1,192 @@
 package serve
 
-// Plan stores (docs/SERVING.md "Registration and plan sharing"). Every
-// session keeps its maintained tables in an incremental.PlanStore; a
-// registered query's session moves from a store of its own into its
-// shard's store. incremental.PlanStore correctness rests on every
-// subscriber applying the same update sequence, and every session on a
-// shard is fed the same stream — every valid batch, round by round — so
+// Plans and plan stores (docs/SERVING.md "Registration and plan sharing").
+// A session's maintained state depends only on the join plan and the
+// database, so registered queries with equal plan keys share one
+// incremental.Session, each keeping its own view, ledger and sensitivity
+// vector. Every session keeps its maintained tables in an
+// incremental.PlanStore and moves from a store of its own into its shard's
+// store, where sessions of different plans share the relation rows and the
+// subtrees they have in common. incremental.PlanStore correctness rests on
+// every subscriber applying the same update sequence, and every session on
+// a shard is fed the same stream — every valid batch, round by round — so
 // one store per shard is a sound sharing domain.
 //
-// Attaching and detaching sessions happens only at provably quiescent
-// points. Rounds are enqueued exclusively by the coordinator under stateMu,
-// and Register/Unregister hold stateMu, so "queue empty and no round in
-// flight" observed there is stable for as long as the lock is held — that
-// is when Adopt/ReleaseShared run inline. A busy shard adopts and releases
-// at the end of the round it was busy with (endRound), after every session
-// stepped; endRound also moves a session back into the shard's store after
-// a rebuild (a bulk batch or a compaction) left it in a store of its own.
+// Only the shard's goroutine attaches, detaches and steps its sessions, and
+// it does so between rounds, when its store is quiescent: registrations and
+// drops arrive on the shard's FIFO (shard.go), and the end of a round moves
+// a session back into the shard's store after a rebuild (a bulk batch or a
+// compaction) left it in a store of its own.
 
 import (
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+
+	"tsens/internal/core"
 	"tsens/internal/incremental"
+	"tsens/internal/query"
+	"tsens/internal/relation"
 )
 
-// idle reports whether the shard has neither queued nor in-flight rounds.
-// Stable only while the caller holds stateMu (the coordinator enqueues
-// rounds under stateMu, so none can appear underneath it).
-func (sh *shard) idle() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.q) == 0 && !sh.applying
+// plan is one maintained session and the queries that read it. Owned by its
+// shard's goroutine.
+type plan struct {
+	key     string
+	sess    *incremental.Session
+	queries []*servedQuery
+
+	// count/res/err are the session's outputs after the last round, read by
+	// every query's publish.
+	count int64
+	res   *core.Result
+	err   error
+
+	// tried is the session's Rebuilds() count when it last tried to move
+	// into its shard's store, so a refused Adopt is retried only after the
+	// next rebuild.
+	tried int
 }
 
-// install adds a registered query to the shard and moves its session into
-// the shard's store: inline when the shard is idle (it has then folded
-// every round up to the frontier the session caught up to, so the store is
-// quiescent at the session's state), else parked until the end of the
-// round whose cut reaches the query's installCut (endRound). Deciding under
-// umu and then mu, the order in which endRound adopts and clears applying,
-// means a parked session is always adopted by that round. Caller holds
-// stateMu.
-func (sh *shard) install(s *Server, sq *servedQuery) {
-	sh.umu.Lock()
-	defer sh.umu.Unlock()
-	sq.tried = -1
-	if sh.idle() {
-		sh.adopt(s, sq)
+// planKey identifies what a session maintains: the atoms, the selections
+// (sorted), the decomposition bags and the sorted skip set. It leaves out
+// the query's name, so equal joins registered under different IDs share.
+func planKey(q *query.Query, opts core.Options) string {
+	parts := make([]string, 0, len(q.Atoms)+3)
+	for _, a := range q.Atoms {
+		parts = append(parts, a.String())
 	}
-	sh.queries = append(sh.queries, sq)
+	var sels []string
+	for rel, preds := range q.Selections {
+		for _, p := range preds {
+			sels = append(sels, rel+"."+p.String())
+		}
+	}
+	sort.Strings(sels)
+	parts = append(parts, strings.Join(sels, "&"))
+	bags := ""
+	if d := opts.Decomposition; d != nil {
+		bags = fmt.Sprint(d.Bags)
+	}
+	skip := slices.Clone(opts.SkipRelations)
+	sort.Strings(skip)
+	return relation.CanonKey(append(parts, bags, strings.Join(skip, ","))...)
 }
 
-// adopt moves a query's session into the shard's store, recording the
+// register attaches c's query at c.cut, the cut the shard has folded when
+// it reaches c: to the session the shard keeps for the query's plan, or to
+// one opened from c.snap and moved into the shard's store. It returns the
+// query's first view. A query whose first view fails is not attached.
+func (sh *shard) register(s *Server, c *change) (*View, error) {
+	sq := c.sq
+	p := sh.byKey[sq.key]
+	fresh := p == nil
+	if fresh {
+		sess, err := incremental.Open(sq.q, c.snap, s.sessionOptions(sq.sopts))
+		if err != nil {
+			return nil, err
+		}
+		p = &plan{key: sq.key, sess: sess}
+		sh.adopt(s, p)
+		p.refresh()
+	}
+	sq.plan = p
+	sq.publish(c.cut, s.opts.DriftFraction)
+	first := sq.view.Load()
+	if first.Err != nil {
+		if fresh {
+			p.sess.ReleaseShared()
+		}
+		return nil, first.Err
+	}
+	if fresh {
+		sh.plans = append(sh.plans, p)
+		sh.byKey[p.key] = p
+	}
+	p.queries = append(p.queries, sq)
+	s.refreshPlanGauges()
+	return first, nil
+}
+
+// drop detaches a query from its plan; the session goes with its last
+// query.
+func (sh *shard) drop(s *Server, sq *servedQuery) {
+	p := sq.plan
+	p.queries = slices.DeleteFunc(p.queries, func(o *servedQuery) bool { return o == sq })
+	if len(p.queries) > 0 {
+		return
+	}
+	sh.plans = slices.DeleteFunc(sh.plans, func(o *plan) bool { return o == p })
+	if sh.byKey[p.key] == p {
+		delete(sh.byKey, p.key)
+	}
+	p.sess.ReleaseShared()
+	s.refreshPlanGauges()
+}
+
+// adopt moves a plan's session into the shard's store, recording the
 // session's rebuild count so endRound tries again only after the next
 // rebuild. An Adopt that fails (it errors only before touching any state)
 // leaves the session in its own store.
-func (sh *shard) adopt(s *Server, sq *servedQuery) {
-	sq.tried = sq.sess.Rebuilds()
-	if _, err := sq.sess.Adopt(sh.store); err != nil {
-		s.logger.Warn("serve.plan_adopt_failed", "query", sq.id, "shard", sh.id, "err", err.Error())
+func (sh *shard) adopt(s *Server, p *plan) {
+	p.tried = p.sess.Rebuilds()
+	if _, err := p.sess.Adopt(sh.store); err != nil {
+		s.logger.Warn("serve.plan_adopt_failed", "query", p.sess.Query().Name, "shard", sh.id, "err", err.Error())
 	}
 }
 
-// retire releases the plan-store subscription of a query Unregister has
-// stripped from the shard: inline when the shard is idle, else at the end
-// of the round that keeps it busy, which may still step it from its query
-// snapshot. Deciding under mu, the lock endRound clears applying under,
-// means a query parked here is always collected by that endRound. Caller
-// holds stateMu.
-func (sh *shard) retire(sq *servedQuery) {
-	sh.mu.Lock()
-	idle := len(sh.q) == 0 && !sh.applying
-	if !idle {
-		sh.retired = append(sh.retired, sq)
-	}
-	sh.mu.Unlock()
-	if idle {
-		sq.sess.ReleaseShared()
-	}
-}
-
-// endRound finishes the shard's round at cut. Under umu it moves into the
-// shard's store every live session outside it that has not tried since
-// its last rebuild: the sessions Register parked, once the cut reaches
-// their installCut, and the sessions a rebuild left in a store of their
-// own. Rounds are FIFO with monotone cuts and skip a query up to its
-// installCut, so every established subscriber has then applied exactly
-// the entries the session holds — the quiescent, state-identical moment
-// Adopt requires. Still under umu, it clears applying under mu and returns
-// the queries retired while the round ran, for the shard to release.
-// adopted reports whether any session tried to move.
-func (sh *shard) endRound(s *Server, cut int64) (adopted bool, retired []*servedQuery) {
-	sh.umu.Lock()
-	defer sh.umu.Unlock()
-	for _, sq := range sh.queries {
-		if sq.err != nil || cut < sq.installCut || sq.sess.Store() == sh.store || sq.tried == sq.sess.Rebuilds() {
-			continue
+// endRound finishes a round. A session that failed leaves the shard (its
+// queries keep their failed views) and its store. A session outside the
+// shard's store that has not tried since its last rebuild moves back in:
+// every session on the shard has then applied exactly the same entries —
+// the quiescent, state-identical moment Adopt requires.
+func (sh *shard) endRound(s *Server) {
+	changed := false
+	sh.plans = slices.DeleteFunc(sh.plans, func(p *plan) bool {
+		if p.err == nil {
+			return false
 		}
-		sh.adopt(s, sq)
-		adopted = true
+		delete(sh.byKey, p.key)
+		p.sess.ReleaseShared()
+		changed = true
+		return true
+	})
+	for _, p := range sh.plans {
+		if p.sess.Store() != sh.store && p.tried != p.sess.Rebuilds() {
+			sh.adopt(s, p)
+			changed = true
+		}
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.applying = false
-	retired = sh.retired
-	sh.retired = nil
-	return adopted, retired
+	if changed {
+		s.refreshPlanGauges()
+	}
 }
 
-// planGroups partitions a round's queries into step groups, one per plan
+// planGroups partitions a shard's sessions into step groups, one per plan
 // store: sessions subscribed to the same store patch shared tables and must
 // step sequentially (the store's lead/follower memo discipline is
 // single-round, not concurrent), while sessions alone in their store keep
 // the one-goroutine-per-session fan-out.
-func planGroups(sqs []*servedQuery) [][]*servedQuery {
-	groups := make([][]*servedQuery, 0, len(sqs))
-	byStore := make(map[*incremental.PlanStore]int, len(sqs))
-	for _, sq := range sqs {
-		st := sq.sess.Store()
+func planGroups(plans []*plan) [][]*plan {
+	groups := make([][]*plan, 0, len(plans))
+	byStore := make(map[*incremental.PlanStore]int, len(plans))
+	for _, p := range plans {
+		st := p.sess.Store()
 		gi, ok := byStore[st]
 		if !ok {
 			gi = len(groups)
 			byStore[st] = gi
 			groups = append(groups, nil)
 		}
-		groups[gi] = append(groups[gi], sq)
+		groups[gi] = append(groups[gi], p)
 	}
 	return groups
 }
 
 // refreshPlanGauges re-derives the sharing gauges from every shard's store.
-// Called after any attach/detach transition; cheap relative to the Register
-// or round that triggered it.
+// Called after any attach/detach transition; cheap relative to the
+// registration or round that triggered it.
 func (s *Server) refreshPlanGauges() {
 	var nodes, shared, refs, subs int
 	for _, sh := range s.shards {

@@ -9,13 +9,13 @@ import (
 
 	"tsens/internal/core"
 	"tsens/internal/incremental"
+	"tsens/internal/query"
 	"tsens/internal/relation"
 	"tsens/internal/workload"
 )
 
-// adoptStatsOf returns the adoption outcome of a registered query's
-// session.
-func adoptStatsOf(t *testing.T, s *Server, id string) incremental.AdoptStats {
+// queryOf returns a registered query.
+func queryOf(t *testing.T, s *Server, id string) *servedQuery {
 	t.Helper()
 	s.qmu.RLock()
 	defer s.qmu.RUnlock()
@@ -23,7 +23,7 @@ func adoptStatsOf(t *testing.T, s *Server, id string) incremental.AdoptStats {
 	if sq == nil {
 		t.Fatalf("query %q not registered", id)
 	}
-	return sq.sess.AdoptStats()
+	return sq
 }
 
 // planTotals sums the plan-store stats across every shard of the server.
@@ -32,7 +32,6 @@ func planTotals(s *Server) incremental.PlanStoreStats {
 	for _, d := range s.PlanStats() {
 		tot.Bases += d.Bases
 		tot.Nodes += d.Nodes
-		tot.Residues += d.Residues
 		tot.Rows += d.Rows
 		tot.SharedNodes += d.SharedNodes
 		tot.SharedRows += d.SharedRows
@@ -43,92 +42,91 @@ func planTotals(s *Server) incremental.PlanStoreStats {
 }
 
 // TestSharedPlansIdenticalQueriesFullShare pins the headline sharing
-// property: a byte-identical second registration adopts 100% of its
-// botjoin nodes (and the whole residue) from the first, and unregistering
-// either query leaves the survivor's answers exact.
+// property: identical queries share one session, so the store holds one
+// subscriber; both answers stay exact, and unregistering either query
+// leaves the survivor's answers exact.
 func TestSharedPlansIdenticalQueriesFullShare(t *testing.T) {
-	db := testDB(t, 12, 4, 11, "R1", "R2", "R3")
-	srv, err := New(db, Options{Shards: 1, Parallelism: 2, BatchSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	if _, _, err := srv.Register(QueryConfig{ID: "q1", Query: pathQuery(t)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := srv.Register(QueryConfig{ID: "q2", Query: pathQuery(t)}); err != nil {
-		t.Fatal(err)
-	}
-
-	// q1 donated its tables; q2 must have shared every one of them.
-	if st := adoptStatsOf(t, srv, "q1"); st.NodesShared != 0 || !st.ResidueDonated {
-		t.Fatalf("donor adopt stats %+v, want all-donated", st)
-	}
-	st := adoptStatsOf(t, srv, "q2")
-	if !st.FullShare() || !st.ResidueShared {
-		t.Fatalf("adopter stats %+v, want FullShare with shared residue", st)
-	}
-	tot := planTotals(srv)
-	if tot.Subscribers != 2 || tot.SharedNodes != tot.Nodes || tot.Nodes == 0 {
-		t.Fatalf("plan totals %+v, want 2 subscribers sharing every node", tot)
-	}
-	if tot.NodeRefs != 2*tot.Nodes {
-		t.Fatalf("plan totals %+v, want fan-out of exactly 2 on every node", tot)
-	}
-
-	// Both answers stay exact while sharing one copy of the join state.
-	stream := workload.UpdateStream(db, 40, 0.4, 12)
-	verify := func(when string, ids ...string) {
-		t.Helper()
-		_, to, err := srv.Append(stream)
-		if err != nil {
-			t.Fatalf("%s: append: %v", when, err)
-		}
-		if err := srv.WaitApplied(to); err != nil {
-			t.Fatalf("%s: wait: %v", when, err)
-		}
-		cur := replayPrefix(t, db, stream, len(stream))
-		db = cur
-		stream = workload.UpdateStream(cur, 40, 0.4, to)
-		want, err := core.LocalSensitivity(pathQuery(t), cur, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range ids {
-			v, err := srv.View(id)
+	for _, drop := range []string{"q1", "q2"} {
+		t.Run("drop "+drop, func(t *testing.T) {
+			db := testDB(t, 12, 4, 11, "R1", "R2", "R3")
+			srv, err := New(db, Options{Shards: 1, Parallelism: 2, BatchSize: 4})
 			if err != nil {
-				t.Fatalf("%s: view %s: %v", when, id, err)
+				t.Fatal(err)
 			}
-			if v.Count != want.Count || v.LS.LS != want.LS {
-				t.Fatalf("%s: %s served (%d, %d), scratch (%d, %d)",
-					when, id, v.Count, v.LS.LS, want.Count, want.LS)
+			defer srv.Close()
+
+			for _, id := range []string{"q1", "q2"} {
+				if _, _, err := srv.Register(QueryConfig{ID: id, Query: pathQuery(t)}); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}
-	verify("both registered", "q1", "q2")
+			if queryOf(t, srv, "q1").plan != queryOf(t, srv, "q2").plan {
+				t.Fatal("identical queries read different sessions")
+			}
+			tot := planTotals(srv)
+			if tot.Subscribers != 1 || tot.Nodes == 0 || tot.NodeRefs != tot.Nodes || tot.SharedNodes != 0 {
+				t.Fatalf("plan totals %+v, want one subscriber holding every node once", tot)
+			}
 
-	// Dropping the donor must leave the adopter intact: the store keeps
-	// the canonical tables alive until the last subscriber releases them.
-	if err := srv.Unregister("q1"); err != nil {
-		t.Fatal(err)
-	}
-	verify("after dropping donor", "q2")
+			stream := workload.UpdateStream(db, 40, 0.4, 12)
+			verify := func(when string, ids ...string) {
+				t.Helper()
+				_, to, err := srv.Append(stream)
+				if err != nil {
+					t.Fatalf("%s: append: %v", when, err)
+				}
+				if err := srv.WaitApplied(to); err != nil {
+					t.Fatalf("%s: wait: %v", when, err)
+				}
+				cur := replayPrefix(t, db, stream, len(stream))
+				db = cur
+				stream = workload.UpdateStream(cur, 40, 0.4, to)
+				want, err := core.LocalSensitivity(pathQuery(t), cur, core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range ids {
+					v, err := srv.View(id)
+					if err != nil {
+						t.Fatalf("%s: view %s: %v", when, id, err)
+					}
+					if v.Epoch != to || v.Count != want.Count || v.LS.LS != want.LS {
+						t.Fatalf("%s: %s served (%d, %d, %d), scratch (%d, %d, %d)",
+							when, id, v.Epoch, v.Count, v.LS.LS, to, want.Count, want.LS)
+					}
+				}
+			}
+			verify("both registered", "q1", "q2")
 
-	if err := srv.Unregister("q2"); err != nil {
-		t.Fatal(err)
-	}
-	if tot := planTotals(srv); tot.Subscribers != 0 || tot.Nodes != 0 || tot.Bases != 0 || tot.Residues != 0 {
-		t.Fatalf("plan totals %+v after last unregister, want fully drained", tot)
+			// The session outlives either query.
+			if err := srv.Unregister(drop); err != nil {
+				t.Fatal(err)
+			}
+			keep := "q1"
+			if drop == keep {
+				keep = "q2"
+			}
+			if tot := planTotals(srv); tot.Subscribers != 1 {
+				t.Fatalf("plan totals %+v after dropping %s, want the session kept", tot, drop)
+			}
+			verify("after dropping "+drop, keep)
+
+			if err := srv.Unregister(keep); err != nil {
+				t.Fatal(err)
+			}
+			if tot := planTotals(srv); tot.Subscribers != 0 || tot.Nodes != 0 || tot.Bases != 0 || tot.Rows != 0 {
+				t.Fatalf("plan totals %+v after last unregister, want fully drained", tot)
+			}
+		})
 	}
 }
 
-// TestSharedPlansDeferredAdopt pins the busy-shard install path: a
-// registration landing while the owning shard is mid-round must not patch
-// shared tables under a live writer — the adoption defers to the end of
-// the shard's round that reaches the install cut, with no later write
-// needed, and from then on the session is a full sharer.
-func TestSharedPlansDeferredAdopt(t *testing.T) {
+// TestServeRegisterWaitsForParkedShard pins registration at the round
+// boundary: Register and Unregister against a parked shard return only
+// once it is released. The registered query's first view then sits at its
+// registration cut and equals a scratch solve, and the dropped query's
+// entries are gone from the store.
+func TestServeRegisterWaitsForParkedShard(t *testing.T) {
 	db := testDB(t, 10, 4, 31, "R1", "R2", "R3")
 	srv, err := New(db, Options{Shards: 1, Parallelism: 2, BatchSize: 4})
 	if err != nil {
@@ -139,12 +137,11 @@ func TestSharedPlansDeferredAdopt(t *testing.T) {
 	if _, _, err := srv.Register(QueryConfig{ID: "a", Query: pathQuery(t)}); err != nil {
 		t.Fatal(err)
 	}
-	sh := srv.shards[ownerShard(srv, "a")]
-	entered, release := parkShard(sh)
+	entered, release := parkShard(srv.shards[0])
 	defer release()
-
 	stream := workload.UpdateStream(db, 12, 0.4, 32)
-	if _, _, err := srv.Append(stream[:6]); err != nil {
+	const cut = 4 // one round: BatchSize entries
+	if _, _, err := srv.Append(stream[:cut]); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -153,65 +150,141 @@ func TestSharedPlansDeferredAdopt(t *testing.T) {
 		t.Fatal("shard never entered the parked round")
 	}
 
-	// Mid-round registration: the session catches up from the log, but
-	// the store attach is deferred, so the store still has one subscriber.
-	_, bv, err := srv.Register(QueryConfig{ID: "b", Query: pathQuery(t)})
-	if err != nil {
-		t.Fatal(err)
+	// b reads a prefix of a's path: a different plan, so a's drop must
+	// release what b does not share.
+	prefix := query.MustNew("b", pathQuery(t).Atoms[:2], nil)
+	type reg struct {
+		v   *View
+		err error
 	}
-	// b's first view is taken at the fold frontier, past the first parked
-	// round, while the joined cut is still 0 — ahead of the published
-	// epoch, yet exactly the state after its own prefix of the log.
-	if bv.Epoch < 4 || srv.Epoch() != 0 {
-		t.Fatalf("b registered at epoch %d with server epoch %d, want ≥ 4 ahead of 0", bv.Epoch, srv.Epoch())
-	}
-	bwant, err := core.LocalSensitivity(pathQuery(t), replayPrefix(t, db, stream, int(bv.Epoch)), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bv.Count != bwant.Count || bv.LS.LS != bwant.LS {
-		t.Fatalf("b's first view at %d: (%d, %d), scratch (%d, %d)", bv.Epoch, bv.Count, bv.LS.LS, bwant.Count, bwant.LS)
-	}
-	if st := adoptStatsOf(t, srv, "b"); st.NodesShared != 0 || st.NodesDonated != 0 {
-		t.Fatalf("adopt stats %+v while the shard is parked, want no adoption yet", st)
-	}
-	if tot := planTotals(srv); tot.Subscribers != 1 {
-		t.Fatalf("plan totals %+v while the shard is parked, want the donor alone", tot)
+	registered := make(chan reg, 1)
+	go func() {
+		_, v, err := srv.Register(QueryConfig{ID: "b", Query: prefix})
+		registered <- reg{v, err}
+	}()
+	unregistered := make(chan error, 1)
+	go func() { unregistered <- srv.Unregister("a") }()
+	select {
+	case r := <-registered:
+		t.Fatalf("Register returned (%+v) with the shard parked", r)
+	case err := <-unregistered:
+		t.Fatalf("Unregister returned (%v) with the shard parked", err)
+	case <-time.After(100 * time.Millisecond):
 	}
 
-	// The round that reaches b's install cut performs the adoption as it
-	// ends, on an otherwise quiet server.
 	release()
-	if err := srv.WaitApplied(bv.Epoch); err != nil {
+	r := <-registered
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if err := <-unregistered; err != nil {
 		t.Fatal(err)
 	}
-	if st := adoptStatsOf(t, srv, "b"); !st.FullShare() || !st.ResidueShared {
-		t.Fatalf("deferred adopt stats %+v, want FullShare with shared residue", st)
+	want, err := core.LocalSensitivity(prefix, replayPrefix(t, db, stream, cut), core.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tot := planTotals(srv); tot.Subscribers != 2 {
-		t.Fatalf("plan totals %+v after the deferred adopt, want both subscribers", tot)
+	if r.v.Epoch != cut || r.v.Count != want.Count || r.v.LS.LS != want.LS {
+		t.Fatalf("b's first view (%d, %d, %d), scratch (%d, %d, %d)", r.v.Epoch, r.v.Count, r.v.LS.LS, cut, want.Count, want.LS)
 	}
-	_, to, err := srv.Append(stream[6:])
+	alone, err := incremental.Open(prefix, db, incremental.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone := alone.Store().Stats()
+	if tot := planTotals(srv); tot.Subscribers != 1 || tot.Nodes != lone.Nodes || tot.Bases != lone.Bases || tot.Rows != 2 {
+		t.Fatalf("plan totals %+v after dropping a, want only b's entries (%+v)", tot, lone)
+	}
+
+	// b keeps being maintained.
+	_, to, err := srv.Append(stream[cut:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.WaitApplied(to); err != nil {
 		t.Fatal(err)
 	}
-
-	cur := replayPrefix(t, db, stream, len(stream))
-	want, err := core.LocalSensitivity(pathQuery(t), cur, core.Options{})
+	want, err = core.LocalSensitivity(prefix, replayPrefix(t, db, stream, len(stream)), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if v, err := srv.View("b"); err != nil || v.Count != want.Count || v.LS.LS != want.LS {
+		t.Fatalf("b served %+v (%v), scratch (%d, %d)", v, err, want.Count, want.LS)
+	}
+}
+
+// TestServeEqualPlansShareSession pins placement by plan key: the same join
+// registered under two names and IDs lands on one shard and one session.
+func TestServeEqualPlansShareSession(t *testing.T) {
+	db := testDB(t, 10, 4, 21, "R1", "R2", "R3")
+	srv, err := New(db, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	for _, id := range []string{"a", "b"} {
-		v, err := srv.View(id)
-		if err != nil {
+		q := query.MustNew(id, pathQuery(t).Atoms, nil)
+		if _, _, err := srv.Register(QueryConfig{ID: id, Query: q}); err != nil {
 			t.Fatal(err)
 		}
-		if v.Count != want.Count || v.LS.LS != want.LS {
-			t.Fatalf("%s served (%d, %d), scratch (%d, %d)", id, v.Count, v.LS.LS, want.Count, want.LS)
+	}
+	a, b := queryOf(t, srv, "a"), queryOf(t, srv, "b")
+	if a.shard != b.shard || a.plan != b.plan {
+		t.Fatalf("a on shard %d, b on shard %d, same session %v: want one shard and one session",
+			a.shard, b.shard, a.plan == b.plan)
+	}
+}
+
+// TestServeSessionPerDistinctPlan registers a fanout-shaped set on two
+// shards — identical copies plus selection variants — and pins that the
+// server maintains one session per distinct plan key: the subscriber gauge
+// counts the keys, and every applied update steps each session exactly
+// once.
+func TestServeSessionPerDistinctPlan(t *testing.T) {
+	db := testDB(t, 12, 4, 61, "R1", "R2", "R3")
+	srv, err := New(db, Options{Shards: 2, Parallelism: 2, BatchSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	keys := map[string]bool{}
+	for _, base := range []*query.Query{pathQuery(t), starQuery3(t)} {
+		variants := []*query.Query{base}
+		first := base.Atoms[0]
+		for _, v := range []int64{1, 2} {
+			sel := map[string][]query.Predicate{first.Relation: {{Var: first.Vars[0], Op: query.Ge, Value: v}}}
+			variants = append(variants, query.MustNew(base.Name, base.Atoms, sel))
 		}
+		for vi, q := range variants {
+			for c := 0; c < 3; c++ {
+				id := fmt.Sprintf("%s-%d-%d", base.Name, vi, c)
+				if _, _, err := srv.Register(QueryConfig{ID: id, Query: q}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			keys[planKey(q, core.Options{})] = true
+		}
+	}
+	if tot, g := planTotals(srv), srv.m.planSubs.Value(); tot.Subscribers != len(keys) || g != float64(len(keys)) {
+		t.Fatalf("plan totals %+v, subscriber gauge %v, want %d sessions", tot, g, len(keys))
+	}
+
+	updates := func() float64 {
+		v, _ := srv.Metrics().Value("tsens_session_updates_total")
+		return v
+	}
+	before := updates()
+	stream := workload.UpdateStream(db, 48, 0.4, 62)
+	_, to, err := srv.Append(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WaitApplied(to); err != nil {
+		t.Fatal(err)
+	}
+	applied := to - srv.Stats().Skipped
+	if got, want := updates()-before, float64(int64(len(keys))*applied); got != want {
+		t.Fatalf("tsens_session_updates_total grew by %v over %d applied updates, want %v (%d sessions)", got, applied, want, len(keys))
 	}
 }
 
@@ -219,9 +292,9 @@ func TestSharedPlansDeferredAdopt(t *testing.T) {
 // the server and the rejoin that follows it: with default options, a query
 // alone in its shard's store rebuilds under key churn — each update pair
 // inserts an R2 row with a fresh key and deletes the oldest one — keeps
-// serving exact views, and is back in its shard's fallback store once the
-// round ends, counted once by the subscriber gauge, so a later identical
-// registration shares its tables and rows.
+// serving exact views, and is back in its shard's store once the round
+// ends, counted once by the subscriber gauge, and a later identical
+// registration attaches to its session.
 func TestServeCompactsLoneQuery(t *testing.T) {
 	db := testDB(t, 20, 6, 41, "R1", "R2", "R3")
 	srv, err := New(db, Options{Shards: 1})
@@ -264,13 +337,8 @@ func TestServeCompactsLoneQuery(t *testing.T) {
 		t.Fatalf("served (%d, %d) at epoch %d, scratch (%d, %d)", v.Count, v.LS.LS, v.Epoch, want.Count, want.LS)
 	}
 
-	queryOf := func(id string) *servedQuery {
-		srv.qmu.RLock()
-		defer srv.qmu.RUnlock()
-		return srv.queries[id]
-	}
-	p := queryOf("p")
-	if p.sess.Store() != srv.shards[p.shard].store {
+	p := queryOf(t, srv, "p")
+	if p.plan.sess.Store() != srv.shards[p.shard].store {
 		t.Fatal("compacted session left outside its shard's store")
 	}
 	if tot, g := planTotals(srv), srv.m.planSubs.Value(); tot.Subscribers != 1 || g != 1 {
@@ -279,15 +347,11 @@ func TestServeCompactsLoneQuery(t *testing.T) {
 	if _, _, err := srv.Register(QueryConfig{ID: "p2", Query: pathQuery(t)}); err != nil {
 		t.Fatal(err)
 	}
-	if st := adoptStatsOf(t, srv, "p2"); !st.FullShare() || !st.ResidueShared {
-		t.Fatalf("identical registration after a rebuild: %+v, want FullShare with shared residue", st)
+	if queryOf(t, srv, "p2").plan != p.plan {
+		t.Fatal("identical registration after a rebuild opened its own session")
 	}
-	tot := planTotals(srv)
-	if tot.Subscribers != 2 || tot.SharedNodes != tot.Nodes || tot.Rows != 3 || tot.SharedRows != 3 {
-		t.Fatalf("plan totals %+v, want 2 subscribers sharing every node and relation", tot)
-	}
-	if &queryOf("p2").sess.Rows("R2")[0] != &p.sess.Rows("R2")[0] {
-		t.Fatal("identical registration reads its own copy of R2")
+	if tot := planTotals(srv); tot.Subscribers != 1 || tot.Rows != 3 {
+		t.Fatalf("plan totals %+v, want the one session and one copy of each relation", tot)
 	}
 	if v2, err := srv.View("p2"); err != nil || v2.Epoch != v.Epoch || v2.Count != want.Count || v2.LS.LS != want.LS {
 		t.Fatalf("p2 served %+v (%v), scratch (%d, %d) at epoch %d", v2, err, want.Count, want.LS, v.Epoch)
@@ -295,9 +359,9 @@ func TestServeCompactsLoneQuery(t *testing.T) {
 }
 
 // TestSharedPlansChurnUnderLoad races Register/Unregister churn of
-// overlapping queries against a live writer, exercising
-// deferred adoption (busy shard at install time) and deferred release
-// (unregister mid-round) under the race detector.
+// overlapping queries against a live writer under the race detector:
+// registrations attach to a live session or open one at a busy shard's
+// round boundary, and drops detach there.
 func TestSharedPlansChurnUnderLoad(t *testing.T) {
 	db := testDB(t, 10, 4, 21, "R1", "R2", "R3")
 	srv, err := New(db, Options{Shards: 2, Parallelism: 2, BatchSize: 4})
@@ -343,9 +407,9 @@ func TestSharedPlansChurnUnderLoad(t *testing.T) {
 		}
 	}()
 
-	// Churners: overlapping registrations of the same two query texts, so
-	// every Register lands on a store with live subscribers and every
-	// Unregister drops a refcount another query still holds.
+	// Churners: overlapping registrations of the same two plans, so every
+	// path Register attaches to the pinned query's session and every
+	// Unregister leaves a session another query still reads.
 	tq, td := triangleQuery(t)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -376,9 +440,6 @@ func TestSharedPlansChurnUnderLoad(t *testing.T) {
 		return
 	}
 
-	// No later write is needed to flush releases a busy shard deferred
-	// when the churners unregistered mid-round: each shard releases them
-	// at the end of the round that kept it busy.
 	if err := srv.WaitApplied(int64(len(log))); err != nil {
 		t.Fatal(err)
 	}
@@ -397,15 +458,15 @@ func TestSharedPlansChurnUnderLoad(t *testing.T) {
 		t.Fatalf("pin served (%d, %d), scratch (%d, %d)", v.Count, v.LS.LS, want.Count, want.LS)
 	}
 
-	// Every churned refcount was released: only the pinned query's
-	// subscriptions remain, and dropping it drains the stores to zero.
-	if tot := planTotals(srv); tot.Subscribers == 0 || tot.SharedNodes != 0 {
+	// Every churned session was released: only the pinned query's session
+	// remains, and dropping it drains the stores to zero.
+	if tot := planTotals(srv); tot.Subscribers != 1 || tot.SharedNodes != 0 {
 		t.Fatalf("plan totals %+v after churn, want only the pinned subscriber", tot)
 	}
 	if err := srv.Unregister("pin"); err != nil {
 		t.Fatal(err)
 	}
-	if tot := planTotals(srv); tot.Subscribers != 0 || tot.Nodes != 0 || tot.Bases != 0 || tot.Residues != 0 {
+	if tot := planTotals(srv); tot.Subscribers != 0 || tot.Nodes != 0 || tot.Bases != 0 || tot.Rows != 0 {
 		t.Fatalf("plan totals %+v after last unregister, want fully drained", tot)
 	}
 }

@@ -9,10 +9,11 @@
 //   - The Server owns a master copy of the database and an append-only log
 //     of single-tuple updates. Append validates an update against the static
 //     schema and enqueues it; nothing else happens on the caller.
-//   - The write path is sharded (Options.Shards): every registered query is
-//     one incremental session owned by a designated shard (a hash of its
-//     query text), and each shard owns a writer goroutine plus the sessions
-//     of its queries (shard.go). A coordinator goroutine drains the log in
+//   - The write path is sharded (Options.Shards): registered queries with
+//     equal plan keys share one incremental session, owned by a designated
+//     shard (a hash of the plan key), and each shard owns a writer goroutine
+//     plus the sessions of its queries (shard.go). A coordinator goroutine
+//     drains the log in
 //     batches, folds each batch into the master rows, and hands every shard
 //     the same round. Each shard drains its queue of rounds at its own pace
 //     and, after each round, stores every owned query's new view (count, LS
@@ -29,11 +30,11 @@
 // (linearizability at epoch granularity — the property
 // TestServeConcurrentReaders and internal/serve/difftest assert).
 //
-// Registration does not stall the drain loop for the length of a solve:
-// Register snapshots the master at a cut (a row copy, under the state
-// lock), opens the new session off-lock while shards keep draining, then
-// catches it up through the log entries it missed and installs it at the
-// current epoch.
+// Registration happens at a shard's round boundary: Register copies the
+// relations the query reads at the fold frontier and queues the
+// registration on its shard's FIFO behind the rounds folded so far; the
+// shard attaches the query there, to its plan's session or to a new one
+// opened from the copy, so nothing needs catching up.
 //
 // Privacy releases go through mechanism.Release over the view's sensitivity
 // snapshot and spend ε from a per-query Ledger; answers replay free of
@@ -64,6 +65,9 @@ import (
 
 // ErrNoQuery reports a request against an unregistered query ID.
 var ErrNoQuery = errors.New("serve: no such query")
+
+// errClosed refuses a state change on a closed or closing server.
+var errClosed = errors.New("serve: server closed")
 
 // ErrFenced reports a write refused because the server lost its claim to
 // leadership (replication failover demoted it). A fenced server keeps
@@ -234,8 +238,9 @@ type QueryConfig struct {
 // immutable once published. Every view is one exact cut of the log — the
 // query's session had applied exactly the first Epoch entries — and a
 // query's views never move backwards. A query's first view (the one
-// Register returns) is taken at the fold frontier, so it may be ahead of
-// the joined cut (Server.Epoch) until the query's shard catches up.
+// Register returns) is taken at the fold frontier when it registered, so
+// it may be ahead of the joined cut (Server.Epoch) until every other shard
+// catches up.
 type View struct {
 	// Epoch is the cut (log entries applied) this view reflects.
 	Epoch int64
@@ -320,14 +325,14 @@ type Stats struct {
 	DurableEpoch int64
 }
 
-// servedQuery is the per-query state. The owning shard steps the session
-// and publishes the views; readers load the latest view and share the
+// servedQuery is the per-query state. The owning shard steps the query's
+// plan and publishes the views; readers load the latest view and share the
 // release cache under relMu.
 type servedQuery struct {
 	id      string
 	text    string
 	q       *query.Query
-	sess    *incremental.Session
+	key     string // planKey: queries with equal keys share one session
 	shard   int
 	private string
 	cfg     mechanism.TSensDPConfig
@@ -335,27 +340,11 @@ type servedQuery struct {
 	drift   float64
 	ledger  *mechanism.Ledger
 
-	// count/res/err are the session's cached outputs, written by the owning
-	// shard during rounds (or by Register before install) and copied into
-	// the next view.
-	count int64
-	res   *core.Result
-	err   error
+	// plan is the session the query reads, set by the owning shard when it
+	// attaches the query.
+	plan *plan
 
-	// installCut is the cut the session already reflected when Register
-	// installed it; queued rounds at or below it are skipped (their updates
-	// were replayed during catch-up).
-	installCut int64
-
-	// tried is the session's Rebuilds() count when it last tried to move
-	// into its shard's store, so a refused Adopt is retried only after the
-	// next rebuild; -1 while the query waits for its first try (parked by
-	// shard.install on a busy shard). Handed off through umu: written by
-	// Register as the query joins its shard, then owned by the shard's loop.
-	tried int
-
-	// view is the latest published view, stored only by the owning shard
-	// (or by Register before install).
+	// view is the latest published view, stored only by the owning shard.
 	view atomic.Pointer[View]
 
 	relMu     sync.Mutex // release replay cache; never held by writers
@@ -365,10 +354,11 @@ type servedQuery struct {
 }
 
 // Server is the long-lived serving process. See the package comment for the
-// locking discipline; in short: logMu guards the log and the registration
-// cuts, stateMu guards the master database, the shard query lists, and
-// every session (coordinator rounds, Register, Unregister), and readers
-// touch neither. Lock order is stateMu before logMu.
+// locking discipline; in short: logMu guards the log, stateMu guards the
+// master database, the registration sequence, and the order of the shard
+// FIFOs (coordinator rounds, Register, Unregister), each shard's goroutine
+// alone touches its sessions, and readers touch none of these. Lock order
+// is stateMu before logMu.
 type Server struct {
 	opts     Options
 	pool     *par.Pool
@@ -387,10 +377,8 @@ type Server struct {
 	log      []relation.Update
 	traceLog []*obs.ActiveTrace
 	logBase  int64 // absolute log sequence number of log[0]
-	regCuts  map[int]int64
-	nextReg  int
-	closed   bool // CloseNow: stop immediately, abandon the backlog
-	drain    bool // Close: refuse new appends, drain the backlog, then stop
+	closed   bool  // CloseNow: stop immediately, abandon the backlog
+	drain    bool  // Close: refuse new appends, drain the backlog, then stop
 
 	// wal is the durability glue (nil without Options.WALDir): journaled
 	// appends/registrations/spends and the checkpoint writer (durable.go).
@@ -401,7 +389,7 @@ type Server struct {
 	rowpos   map[string]*relation.RowSet
 	nextID   int
 	regSeq   int64           // journaled registration sequence (durable.go)
-	reserved map[string]bool // IDs mid-registration (solve in flight)
+	reserved map[string]bool // IDs mid-registration (queued on a shard)
 
 	qmu     sync.RWMutex
 	queries map[string]*servedQuery
@@ -423,11 +411,6 @@ type Server struct {
 	// preempted before the gauge write must not later clobber a newer value,
 	// so writers re-load the epoch under this mutex before setting it.
 	epochGaugeMu sync.Mutex
-
-	// testRegChase, when set, runs at the top of each off-lock catch-up
-	// chase iteration of Register (no locks held) — a hostile-scheduler
-	// test hook that can grow the backlog to force further chases.
-	testRegChase func(chase int, cut, frontier int64)
 
 	// fence, once set, makes every state-changing entry point fail with the
 	// stored error (reads keep answering). Set by the replication layer when
@@ -478,7 +461,6 @@ func newServer(master *relation.Database, opts Options, init serverInit, dl *dur
 		logBase:  init.epoch,
 		queries:  make(map[string]*servedQuery),
 		reserved: make(map[string]bool),
-		regCuts:  make(map[int]int64),
 		epochCh:  make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -509,7 +491,8 @@ func newServer(master *relation.Database, opts Options, init serverInit, dl *dur
 	}
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
-		sh := &shard{id: i, patch: s.m.shardPatch.With(shardLabel(i)), store: incremental.NewPlanStore()}
+		sh := &shard{id: i, patch: s.m.shardPatch.With(shardLabel(i)),
+			byKey: make(map[string]*plan), store: incremental.NewPlanStore()}
 		sh.cond = sync.NewCond(&sh.mu)
 		sh.watermark.Store(init.epoch)
 		s.m.shardEpoch.With(shardLabel(i)).Set(float64(init.epoch))
@@ -610,12 +593,15 @@ func (s *Server) fenced() error {
 	return nil
 }
 
-// Register opens an incremental session for cfg.Query on the query's
-// designated shard and adds it to the multiplexer. The expensive solve runs
-// off the writer's lock: Register snapshots the master at the current cut
-// (briefly pausing the drain for a row copy), opens the session while the
-// shards keep draining, then replays the log entries drained in the
-// meantime and installs the query at the live epoch.
+// Register adds cfg.Query to the multiplexer and returns its first view.
+// Under the state lock it reserves the ID, copies the relations the query
+// reads at the fold frontier, and queues the registration on the FIFO of
+// the query's shard, behind exactly the rounds folded so far. The shard
+// reaches it at that cut: it attaches the query to the session it keeps
+// for the query's plan, or opens one from the copy, and publishes the first
+// view. Register waits for the shard, so a stalled shard stalls the
+// registrations it owns; then it journals the registration and makes the
+// query visible.
 func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 	if err := s.fenced(); err != nil {
 		return "", nil, err
@@ -624,16 +610,12 @@ func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 	if cfg.Query == nil {
 		return "", nil, fmt.Errorf("serve: nil query")
 	}
+	if cfg.Options.TopK > 0 {
+		return "", nil, fmt.Errorf("serve: sessions require exact mode (TopK=0)")
+	}
 	var ledger *mechanism.Ledger
 	if cfg.Private != "" {
-		found := false
-		for _, a := range cfg.Query.Atoms {
-			if a.Relation == cfg.Private {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if _, ok := cfg.Query.Atom(cfg.Private); !ok {
 			return "", nil, fmt.Errorf("serve: private relation %q is not an atom of the query", cfg.Private)
 		}
 		var err error
@@ -647,24 +629,18 @@ func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 	if cfg.Drift == 0 {
 		cfg.Drift = DefaultDriftFraction
 	}
-
-	copts := cfg.Options
-	copts.Parallelism = s.opts.Parallelism
-	copts.Pool = s.pool
-	sopts := incremental.Options{
-		Options:       copts,
-		BulkThreshold: s.opts.BulkThreshold,
-		Metrics:       s.m.reg,
-		Logger:        s.logger,
+	sq := &servedQuery{
+		text:    cfg.Query.String(),
+		q:       cfg.Query,
+		key:     planKey(cfg.Query, cfg.Options),
+		private: cfg.Private,
+		cfg:     cfg.Release,
+		sopts:   cfg.Options,
+		drift:   cfg.Drift,
+		ledger:  ledger,
 	}
-	if s.opts.RebuildTombstoneRatio > 0 {
-		sopts.RebuildTombstoneRatio = s.opts.RebuildTombstoneRatio
-	}
+	sq.shard = s.keyShard(sq.key)
 
-	// Phase 1 — reserve the ID and snapshot the master at a cut. This is
-	// the only part that pauses the drain, and it is a row copy, not a
-	// solve. (Registrations serialize their checks on stateMu, so the
-	// duplicate test cannot go stale: later writes re-check reserved.)
 	s.stateMu.Lock()
 	id := cfg.ID
 	if id == "" {
@@ -680,145 +656,59 @@ func (s *Server) Register(cfg QueryConfig) (string, *View, error) {
 		return "", nil, fmt.Errorf("serve: query %q already registered", id)
 	}
 	s.reserved[id] = true
-	snap := s.master.Clone()
-	// The snapshot reflects the fold frontier, not the published epoch —
-	// the coordinator may have folded (and enqueued) rounds the shards have
-	// not finished, and those entries are already in the master rows the
-	// clone copied.
-	cut := s.frontier.Load()
-	s.logMu.Lock()
-	token := s.nextReg
-	s.nextReg++
-	s.regCuts[token] = cut // holds log compaction back past the cut
-	s.logMu.Unlock()
+	sq.id = id
+	c := s.queueChange(sq, s.snapshot(cfg.Query))
 	s.stateMu.Unlock()
+	<-c.done
 
-	fail := func(err error) (string, *View, error) {
-		s.logMu.Lock()
-		delete(s.regCuts, token)
-		s.logMu.Unlock()
-		s.stateMu.Lock()
-		delete(s.reserved, id)
-		s.stateMu.Unlock()
-		return "", nil, err
-	}
-
-	// Phase 2 — open the session off-lock.
-	sess, err := incremental.Open(cfg.Query, snap, sopts)
-	if err != nil {
-		return fail(err)
-	}
-	text := cfg.Query.String()
-	sq := &servedQuery{
-		id:      id,
-		text:    text,
-		q:       cfg.Query,
-		sess:    sess,
-		shard:   s.queryShard(text),
-		private: cfg.Private,
-		cfg:     cfg.Release,
-		sopts:   cfg.Options,
-		drift:   cfg.Drift,
-		ledger:  ledger,
-	}
-
-	// Phase 3 — catch up and install. Replaying the entries drained since
-	// the snapshot mirrors the master's absent-delete skips via
-	// Session.Has. While the gap to the live epoch is large, the replay
-	// runs *off-lock* (the session is still private to this goroutine),
-	// advancing the registration cut so log compaction follows; only a
-	// bounded tail replays under stateMu together with the install, so a
-	// long phase-2 solve on a busy server does not translate into a long
-	// drain stall here.
-	applyMissed := func(missed []relation.Update) error {
-		for _, up := range missed {
-			if !up.Insert && !sess.Has(up.Rel, up.Row) {
-				continue // the master skipped this delete at apply time too
-			}
-			if err := sess.Apply([]relation.Update{up}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	tail := int64(4 * s.opts.BatchSize)
-	// The chase is bounded: if the feed outruns the replay, give up after
-	// a few chunks and finish under the lock (a stall, but never livelock).
-	for chase := 0; chase < 8; chase++ {
-		if hook := s.testRegChase; hook != nil {
-			hook(chase, cut, s.frontier.Load()) // off-lock, before the gap check
-		}
-		s.stateMu.Lock()
-		if s.frontier.Load()-cut <= tail {
-			s.stateMu.Unlock()
-			break
-		}
-		chunkEnd := s.frontier.Load()
-		s.logMu.Lock()
-		missed := append([]relation.Update(nil), s.log[cut-s.logBase:chunkEnd-s.logBase]...)
-		s.regCuts[token] = chunkEnd // compaction may reclaim the replayed prefix
-		s.logMu.Unlock()
-		s.stateMu.Unlock()
-		if err := applyMissed(missed); err != nil {
-			return fail(err)
-		}
-		cut = chunkEnd
-	}
 	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	cur := s.frontier.Load()
-	s.logMu.Lock()
-	delete(s.regCuts, token)
-	missed := append([]relation.Update(nil), s.log[cut-s.logBase:cur-s.logBase]...)
-	s.logMu.Unlock()
 	delete(s.reserved, id)
-	if err := applyMissed(missed); err != nil {
-		return "", nil, err
-	}
-	// Build the first view the way the shard builds every later one.
-	// Nothing here is visible before the install below.
-	sq.refresh()
-	sq.installCut = cur // queued rounds at or below cur were replayed above
-	sq.publish(cur, s.opts.DriftFraction)
-	first := sq.view.Load()
-	if first.Err != nil {
-		return "", nil, first.Err
+	if c.err != nil {
+		s.stateMu.Unlock()
+		return "", nil, c.err
 	}
 	// Journal the registration before it becomes visible, so a crash after
 	// a successful Register always recovers the query (and a crash before
 	// the record is durable recovers a server that never acknowledged it).
+	// The record, regSeq and s.queries change under one stateMu hold, so a
+	// checkpoint never records a regSeq whose query it lacks.
 	if s.wal.enabled() {
 		if err := s.wal.appendJSON(recRegister, registerRecord{Seq: s.regSeq + 1, Config: sq.configJSON()}); err != nil {
+			drop := s.queueChange(sq, nil) // the shard attached it: detach
+			s.stateMu.Unlock()
+			<-drop.done
 			return "", nil, err
 		}
 		s.regSeq++
 	}
 	s.ackMetric("register")
-	s.shards[sq.shard].install(s, sq)
-	s.refreshPlanGauges()
 	s.qmu.Lock()
 	s.queries[id] = sq
 	s.m.queries.Set(float64(len(s.queries)))
 	s.qmu.Unlock()
+	s.stateMu.Unlock()
 	s.budgetMetrics(sq)
-	return id, first, nil
+	return id, c.first, nil
 }
 
-// Unregister removes a query. Its session and views are dropped.
+// Unregister removes a query, once its shard has detached it. The query's
+// session goes with the last query reading it.
 func (s *Server) Unregister(id string) error {
 	if err := s.fenced(); err != nil {
 		return err
 	}
 	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
 	s.qmu.Lock()
-	defer s.qmu.Unlock()
 	sq, ok := s.queries[id]
 	if !ok {
+		s.qmu.Unlock()
+		s.stateMu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNoQuery, id)
 	}
 	if s.wal.enabled() {
 		if err := s.wal.appendJSON(recUnregister, unregisterRecord{Seq: s.regSeq + 1, ID: id}); err != nil {
+			s.qmu.Unlock()
+			s.stateMu.Unlock()
 			return err
 		}
 		s.regSeq++
@@ -826,14 +716,61 @@ func (s *Server) Unregister(id string) error {
 	s.ackMetric("unregister")
 	delete(s.queries, id)
 	s.m.queries.Set(float64(len(s.queries)))
+	s.qmu.Unlock()
 	s.dropQueryMetrics(id)
-	sh := s.shards[sq.shard]
-	sh.umu.Lock()
-	sh.queries = slices.DeleteFunc(sh.queries, func(o *servedQuery) bool { return o == sq })
-	sh.umu.Unlock()
-	sh.retire(sq)
-	s.refreshPlanGauges()
+	c := s.queueChange(sq, nil)
+	s.stateMu.Unlock()
+	<-c.done // a closed server refuses the drop; its sessions go with it
 	return nil
+}
+
+// queueChange puts the registration (snap set) or drop of sq on the FIFO of
+// sq's shard. The caller holds stateMu, under which the coordinator folds
+// and enqueues rounds, so the change sits right behind the round whose cut
+// is the fold frontier. Wait on done outside stateMu: a shard that is busy
+// or stalled would otherwise stall the coordinator too.
+func (s *Server) queueChange(sq *servedQuery, snap *relation.Database) *change {
+	c := &change{sq: sq, snap: snap, cut: s.frontier.Load(), done: make(chan struct{})}
+	if !s.shards[sq.shard].enqueue(task{ch: c}) {
+		c.err = errClosed
+		close(c.done)
+	}
+	return c
+}
+
+// snapshot copies the relations q reads out of the master at the fold
+// frontier: the row lists are copied and the rows shared, since the master
+// never changes a row in place (RowSet.Insert appends a clone, TryRemove
+// only moves rows). The other relations keep their schema alone, which is
+// all a session reads of them. Caller holds stateMu.
+func (s *Server) snapshot(q *query.Query) *relation.Database {
+	rels := make([]*relation.Relation, 0, len(s.master.Names()))
+	for _, name := range s.master.Names() {
+		r := s.master.Relation(name)
+		cp := &relation.Relation{Name: name, Attrs: r.Attrs}
+		if _, ok := q.Atom(name); ok {
+			cp.Rows = slices.Clone(r.Rows)
+		}
+		rels = append(rels, cp)
+	}
+	return relation.MustNewDatabase(rels...)
+}
+
+// sessionOptions are the options of every session the server opens, for
+// the solver options a query registered with.
+func (s *Server) sessionOptions(opts core.Options) incremental.Options {
+	opts.Parallelism = s.opts.Parallelism
+	opts.Pool = s.pool
+	so := incremental.Options{
+		Options:       opts,
+		BulkThreshold: s.opts.BulkThreshold,
+		Metrics:       s.m.reg,
+		Logger:        s.logger,
+	}
+	if s.opts.RebuildTombstoneRatio > 0 {
+		so.RebuildTombstoneRatio = s.opts.RebuildTombstoneRatio
+	}
+	return so
 }
 
 // Append validates ups against the schema and appends them to the update
@@ -875,7 +812,7 @@ func (s *Server) AppendTraced(ups []relation.Update, tr *obs.ActiveTrace) (from,
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	if s.closed || s.drain {
-		return 0, 0, fmt.Errorf("serve: server closed")
+		return 0, 0, errClosed
 	}
 	from = s.appended.Load()
 	cloned := make([]relation.Update, 0, len(ups))
@@ -1178,7 +1115,7 @@ func (s *Server) writer() {
 			start: roundStart, queued: time.Now(), batchLen: len(batch)}
 		rd.pending.Store(int32(len(s.shards)))
 		for _, sh := range s.shards {
-			sh.enqueue(rd)
+			sh.enqueue(task{rd: rd}) // queues close only after this loop exits
 		}
 		if s.wal != nil {
 			s.maybeCheckpointLocked(newEpoch)
@@ -1268,28 +1205,21 @@ func (s *Server) notify() {
 // guarantee that a successful Append is never lost by a clean shutdown.
 //
 // It also compacts the log: everything before the drained offset has been
-// applied and is never read again — except by a registration catching up
-// from its snapshot cut, so compaction is held back to the oldest
-// outstanding cut (regCuts). Once the reclaimable prefix dominates the
-// slice, the live tail moves to a fresh allocation and logBase advances.
+// applied and is never read again. Once the reclaimable prefix dominates
+// the slice, the live tail moves to a fresh allocation and logBase
+// advances.
 // The half-full trigger amortizes the copy to O(1) per entry while keeping
 // a long-lived server's log proportional to its backlog, not its history.
 func (s *Server) nextBatch(off int64) ([]relation.Update, []*obs.ActiveTrace) {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
-	keep := off
-	for _, cut := range s.regCuts {
-		if cut < keep {
-			keep = cut
-		}
-	}
-	if pre := keep - s.logBase; pre > 0 && 2*pre >= int64(len(s.log)) {
+	if pre := off - s.logBase; pre > 0 && 2*pre >= int64(len(s.log)) {
 		s.log = append([]relation.Update(nil), s.log[pre:]...)
 		if s.traceLog != nil {
 			// traceLog compacts in lockstep so entry i's trace stays at i.
 			s.traceLog = append([]*obs.ActiveTrace(nil), s.traceLog[pre:]...)
 		}
-		s.logBase = keep
+		s.logBase = off
 	}
 	for s.logBase+int64(len(s.log)) <= off && !s.closed && !s.drain {
 		s.logCond.Wait()

@@ -1,28 +1,33 @@
 package serve
 
-// The sharded write path. Every registered query is one incremental
-// session owned by a single designated shard (a stable hash of its query
-// text, so queries with identical text land together and can share a plan
-// store); each shard owns a long-lived writer goroutine and the sessions of
-// its queries, and every shard is fed every valid batch.
+// The sharded write path. Registered queries with equal plan keys (see
+// planKey) share one incremental session, owned by a single designated
+// shard: a stable hash of the key, so equal plans land together and
+// distinct ones spread over the shards. Each shard owns a long-lived writer
+// goroutine and the sessions of its queries, and every shard is fed every
+// valid batch.
 //
 // The coordinator folds each batch into the master rows, pushes the round
 // onto every shard's unbounded FIFO queue, and moves on without waiting for
-// any shard. Each shard drains its queue at its own pace: after stepping
-// its sessions through a round it builds and stores each owned query's view
-// at the round's cut, then advances its watermark and tries to move the
-// published epoch up to the joined minimum of all watermarks. A read is one
-// atomic load of the query's view. The cut contract (see View):
+// any shard. Register and Unregister put their changes on the same FIFO,
+// under the same lock, so a shard reaches a registration exactly at the cut
+// the registration snapshotted. Each shard drains its queue at its own
+// pace: after stepping its sessions through a round it builds and stores
+// each owned query's view at the round's cut, then advances its watermark
+// and tries to move the published epoch up to the joined minimum of all
+// watermarks. A read is one atomic load of the query's view. The cut
+// contract (see View):
 //
 //   - every view is one exact cut;
 //   - a query's views never move backwards;
-//   - a query's first view, taken by Register at the fold frontier, may be
-//     ahead of the joined cut until the query's shard catches up;
+//   - a query's first view, taken at the fold frontier when it registered,
+//     may be ahead of the joined cut until every other shard catches up;
 //   - the published epoch never passes the joined cut
 //     (TestServeEpochPublishedNeverAheadOfJoined).
 //
-// A stalled shard therefore stalls only the queries it owns; everything
-// else keeps advancing (TestServeAsyncStalledShardIndependence).
+// A stalled shard therefore stalls only the queries it owns, and the
+// registrations and unregistrations of its plans; everything else keeps
+// advancing (TestServeAsyncStalledShardIndependence).
 
 import (
 	"hash/fnv"
@@ -54,42 +59,52 @@ type round struct {
 	batchLen int
 }
 
-// shard owns one slice of the write path: a writer goroutine (run), the
-// queries whose sessions it steps, their plan store, and the watermark of
-// log entries it has folded.
-type shard struct {
-	id      int
-	queries []*servedQuery
-	patch   *obs.Histogram // per-round patch latency for this shard
+// change is the registration (snap set) or the drop (snap nil) of one
+// query, queued on its shard's FIFO at the fold frontier cut. It is not a
+// round: the shard handles it between rounds and moves no watermark.
+type change struct {
+	sq   *servedQuery
+	snap *relation.Database // the relations sq reads at cut
+	cut  int64
 
-	// store is the shard's sharing domain: every session the shard owns
-	// moves into it once registered (plans.go).
+	// Set by the shard before it closes done.
+	first *View
+	err   error
+	done  chan struct{}
+}
+
+// task is one entry of a shard's FIFO: a round or a change.
+type task struct {
+	rd *round
+	ch *change
+}
+
+// shard owns one slice of the write path: a writer goroutine (run), the
+// sessions of its plans, their plan store, and the watermark of log
+// entries it has folded.
+type shard struct {
+	id    int
+	patch *obs.Histogram // per-round patch latency for this shard
+
+	// plans are the sessions the shard steps, in registration order, and
+	// byKey finds one by plan key. A failed session leaves both, so a later
+	// registration of its plan opens a fresh one. Only the shard's
+	// goroutine touches them (plans.go).
+	plans []*plan
+	byKey map[string]*plan
+
+	// store is the shard's sharing domain: every session the shard opens
+	// moves into it (plans.go).
 	store *incremental.PlanStore
 
-	// umu guards queries: Register/Unregister mutate the slice while a round
-	// may be in flight, so the worker snapshots it under umu at the start of
-	// every round.
-	umu sync.Mutex
-
-	// mu/cond/q is the shard's round queue: unbounded FIFO so a slow shard
+	// mu/cond/q is the shard's task queue: unbounded FIFO so a slow shard
 	// never backpressures the coordinator onto its siblings (a bounded
 	// queue would re-couple the shards). Memory is bounded by the
 	// acknowledged backlog, which Append already admits.
 	mu      sync.Mutex
 	cond    *sync.Cond
-	q       []*round
+	q       []task
 	qclosed bool
-
-	// applying marks a round in flight between next() handing it out and
-	// endRound, so Register/Unregister can tell an empty queue apart from a
-	// truly quiescent shard. Guarded by mu.
-	applying bool
-
-	// retired holds queries stripped by Unregister while the shard was busy;
-	// endRound hands them back for release once the round that may still
-	// step them has finished. Guarded by mu, together with applying, so no
-	// retired session outlives the round that made its shard busy.
-	retired []*servedQuery
 
 	// watermark is the LSN through which every round handed to this shard
 	// has been folded into its sessions and published in their views.
@@ -100,31 +115,35 @@ type shard struct {
 	gate atomic.Pointer[func(shard int)]
 }
 
-// enqueue pushes one round onto the shard's queue.
-func (sh *shard) enqueue(rd *round) {
+// enqueue pushes one task onto the shard's queue, or reports false once the
+// queue is closed and nothing would run it.
+func (sh *shard) enqueue(t task) bool {
 	sh.mu.Lock()
-	sh.q = append(sh.q, rd)
+	ok := !sh.qclosed
+	if ok {
+		sh.q = append(sh.q, t)
+	}
 	sh.mu.Unlock()
 	sh.cond.Signal()
+	return ok
 }
 
-// next blocks for the next queued round, or returns nil once the queue is
+// next blocks for the next queued task, or reports false once the queue is
 // closed and fully drained — queued rounds are already folded into the
 // master, so they always finish.
-func (sh *shard) next() *round {
+func (sh *shard) next() (task, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for len(sh.q) == 0 && !sh.qclosed {
 		sh.cond.Wait()
 	}
 	if len(sh.q) == 0 {
-		return nil
+		return task{}, false
 	}
-	rd := sh.q[0]
-	sh.q[0] = nil
+	t := sh.q[0]
+	sh.q[0] = task{}
 	sh.q = sh.q[1:]
-	sh.applying = true
-	return rd
+	return t, true
 }
 
 func (sh *shard) closeQueue() {
@@ -134,57 +153,53 @@ func (sh *shard) closeQueue() {
 	sh.cond.Broadcast()
 }
 
-// snapshotQueries copies the query list for one round under umu.
-func (sh *shard) snapshotQueries() []*servedQuery {
-	sh.umu.Lock()
-	sqs := append([]*servedQuery(nil), sh.queries...)
-	sh.umu.Unlock()
-	return sqs
-}
-
-// run is the shard's writer loop: step the owned sessions through each
-// round, publish their views, advance the watermark, wake waiters.
+// run is the shard's writer loop: handle each change, and step the
+// sessions through each round, publish their queries' views, advance the
+// watermark, wake waiters.
 func (sh *shard) run(s *Server) {
 	defer s.wg.Done()
 	epochGauge := s.m.shardEpoch.With(shardLabel(sh.id))
 	for {
-		rd := sh.next()
-		if rd == nil {
+		t, ok := sh.next()
+		if !ok {
 			return
 		}
+		if c := t.ch; c != nil {
+			if c.snap != nil {
+				c.first, c.err = sh.register(s, c)
+			} else {
+				sh.drop(s, c.sq)
+			}
+			close(c.done)
+			continue
+		}
+		rd := t.rd
 		if gate := sh.gate.Load(); gate != nil {
 			(*gate)(sh.id)
 		}
-		sqs := sh.snapshotQueries()
 		start := time.Now()
 		// Sessions subscribed to the same plan store patch shared tables and
 		// step sequentially within one group; all other sessions share no
 		// mutable state and fan out. Plain par.Do, not pool.Do: a session
 		// rebuild inside the patch borrows the pool itself, and pool workers
 		// must not block on nested pool waits.
-		groups := planGroups(sqs)
+		groups := planGroups(sh.plans)
 		_ = par.Do(s.opts.Parallelism, len(groups), func(i int) error {
 			stepGroup(groups[i], rd)
 			return nil
 		})
 		sh.patch.ObserveSince(start)
 		publishStart := time.Now()
-		for _, sq := range sqs {
-			if rd.cut > sq.installCut { // Register's catch-up replayed the rest
+		for _, p := range sh.plans {
+			for _, sq := range p.queries {
 				sq.publish(rd.cut, s.opts.DriftFraction)
 			}
 		}
 		s.m.publishView.ObserveSince(publishStart)
-		// The round no longer touches any session: adopt what Register
-		// parked or a rebuild left outside the shard's store, and release
-		// what Unregister retired meanwhile, before the watermark lets
-		// waiters through.
-		if adopted, retired := sh.endRound(s, rd.cut); adopted || len(retired) > 0 {
-			for _, sq := range retired {
-				sq.sess.ReleaseShared()
-			}
-			s.refreshPlanGauges()
-		}
+		// The round no longer touches any session: drop the failed ones and
+		// move back into the shard's store what a rebuild left outside it,
+		// before the watermark lets waiters through.
+		sh.endRound(s)
 		sh.watermark.Store(rd.cut)
 		epochGauge.Set(float64(rd.cut))
 		s.advanceEpoch()
@@ -195,98 +210,87 @@ func (sh *shard) run(s *Server) {
 	}
 }
 
-// stepGroup applies one round to a group of queries whose sessions
-// subscribe to the same plan store (or to a singleton, where it is plain
-// step). With several subscribers, updates interleave one at a time across
-// the whole group: the store's lead/follower discipline requires every
-// subscriber to sit at the same position before the next update's deltas
-// are computed, because a partially-sharing session's private delta-joins
-// read shared operand tables, which therefore must not have advanced past
-// the update at hand.
-func stepGroup(g []*servedQuery, rd *round) {
+// stepGroup applies one round to a group of sessions subscribed to the
+// same plan store (or to a singleton, where it is plain step). With several
+// subscribers, updates interleave one at a time across the whole group:
+// the store's lead/follower discipline requires every subscriber to sit at
+// the same position before the next update's deltas are computed, because
+// a partially-sharing session's private delta-joins read shared operand
+// tables, which therefore must not have advanced past the update at hand.
+func stepGroup(g []*plan, rd *round) {
+	if len(rd.valid) == 0 {
+		return // the cached outputs still describe the unchanged sessions
+	}
 	if len(g) == 1 {
-		g[0].step(rd)
-		return
-	}
-	live := g[:0:0]
-	for _, sq := range g {
-		if sq.err == nil && rd.cut > sq.installCut {
-			live = append(live, sq)
-		}
-	}
-	if len(rd.valid) == 0 || len(live) == 0 {
+		g[0].step(rd.valid)
 		return
 	}
 	one := make([]relation.Update, 1)
 	for _, up := range rd.valid {
 		one[0] = up
-		for _, sq := range live {
-			if sq.err != nil {
+		for _, p := range g {
+			if p.err != nil {
 				continue // a propagation error poisons the store; peers fail fast below
 			}
-			if err := sq.sess.Apply(one); err != nil {
-				sq.err = err
+			if err := p.sess.Apply(one); err != nil {
+				p.err = err
 			}
 		}
 	}
-	for _, sq := range live {
-		sq.refresh()
+	for _, p := range g {
+		p.refresh()
 	}
 }
 
-// step applies the round's valid batch to the query's session and
-// refreshes its cached count/LS. A query that previously failed stays
-// failed (its failed view persists); a round with no valid update keeps
-// the cached outputs, which still describe the unchanged session.
-func (sq *servedQuery) step(rd *round) {
-	if sq.err != nil || rd.cut <= sq.installCut || len(rd.valid) == 0 {
+// step applies a batch to the plan's session and refreshes its cached
+// count/LS.
+func (p *plan) step(batch []relation.Update) {
+	if err := p.sess.Apply(batch); err != nil {
+		p.err = err
 		return
 	}
-	if err := sq.sess.Apply(rd.valid); err != nil {
-		sq.err = err
-		return
-	}
-	sq.refresh()
+	p.refresh()
 }
 
-// refresh recomputes the cached count and LS result from the live session.
-// Callers hold the session quiescent (owning shard inside a round, or
-// Register before install).
-func (sq *servedQuery) refresh() {
-	if sq.err != nil {
+// refresh recomputes the cached count and LS result from the live session:
+// once per round, however many queries read them. Callers hold the session
+// quiescent (its shard, between updates).
+func (p *plan) refresh() {
+	if p.err != nil {
 		return
 	}
-	sq.count = sq.sess.Count()
-	sq.res, sq.err = sq.sess.LS()
+	p.count = p.sess.Count()
+	p.res, p.err = p.sess.LS()
 }
 
-// publish builds the query's view at cut from the session's cached outputs
-// and stores it: the only writer of sq.view, run by the owning shard after
-// a round or by Register before the query is installed. The sensitivity
-// vector carries over by reference while the session has not rebuilt and
-// the count stays within the drift fraction of the vector's baseline;
-// otherwise it is recomputed by one δ(t) scan of the private relation. A
-// failed query keeps the view that first reported the failure.
+// publish builds the query's view at cut from its plan's cached outputs and
+// stores it: the only writer of sq.view, run by the owning shard. The
+// sensitivity vector carries over by reference while the session has not
+// rebuilt and the count stays within the drift fraction of the vector's
+// baseline; otherwise it is recomputed by one δ(t) scan of the private
+// relation. A failed query keeps the view that first reported the failure.
 func (sq *servedQuery) publish(cut int64, driftFrac float64) {
 	prev := sq.view.Load()
 	if prev != nil && prev.Err != nil {
 		return
 	}
+	p := sq.plan
+	err := p.err
 	v := &View{Epoch: cut}
-	if sq.err == nil {
-		v.Count, v.LS, v.Rebuilds = sq.count, sq.res, sq.sess.Rebuilds()
+	if err == nil {
+		v.Count, v.LS, v.Rebuilds = p.count, p.res, p.sess.Rebuilds()
 		if sq.private != "" {
 			if prev != nil && prev.Sens != nil && prev.Rebuilds == v.Rebuilds &&
 				driftFrac >= 0 && !drifted(v.Count, prev.SensCount, driftFrac) {
 				v.Sens, v.SensEpoch, v.SensCount = prev.Sens, prev.SensEpoch, prev.SensCount
 			} else {
-				v.Sens, sq.err = sq.sensitivities()
+				v.Sens, err = sq.sensitivities()
 				v.SensEpoch, v.SensCount = cut, v.Count
 			}
 		}
 	}
-	if sq.err != nil {
-		v = &View{Epoch: cut, Err: sq.err}
+	if err != nil {
+		v = &View{Epoch: cut, Err: err}
 	}
 	sq.view.Store(v)
 }
@@ -295,11 +299,12 @@ func (sq *servedQuery) publish(cut int64, driftFrac float64) {
 // private relation, answered from the session's maintained multiplicity
 // tables.
 func (sq *servedQuery) sensitivities() ([]int64, error) {
-	fn, err := sq.sess.SensitivityFn(sq.private)
+	sess := sq.plan.sess
+	fn, err := sess.SensitivityFn(sq.private)
 	if err != nil {
 		return nil, err
 	}
-	rows := sq.sess.Rows(sq.private)
+	rows := sess.Rows(sq.private)
 	sens := make([]int64, len(rows))
 	for i, row := range rows {
 		sens[i] = fn(row)
@@ -308,14 +313,14 @@ func (sq *servedQuery) sensitivities() ([]int64, error) {
 	return sens, nil
 }
 
-// queryShard is the designated owner of a query's session: a stable hash
-// of the query text, so queries with identical text land on one shard and
-// share its plan store, while distinct ones spread across shards instead of
-// piling onto shard 0. Recovery re-registers the same text, so the assignment
-// survives restarts.
-func (s *Server) queryShard(text string) int {
+// keyShard is the designated owner of a plan's session: a stable hash of
+// the plan key, so equal plans land on one shard and share its session,
+// while distinct ones spread across shards instead of piling onto shard 0.
+// Recovery re-registers the same plans, so the assignment survives
+// restarts.
+func (s *Server) keyShard(key string) int {
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(text))
+	_, _ = h.Write([]byte(key))
 	return relation.Shard(int64(h.Sum64()), len(s.shards))
 }
 
