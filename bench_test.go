@@ -401,12 +401,10 @@ func BenchmarkServeThroughput(b *testing.B) {
 
 // BenchmarkServeManyQueries: per-update drain cost as the number of
 // registered queries grows with heavy overlap — the sweep cycles the four
-// Facebook queries, so at 128 registrations each distinct text has 32
-// byte-identical copies sharing one hash-consed plan via the per-shard
-// PlanStore. The headline metric is ns/update/query: with sharing, the
-// 128-query per-update cost must stay far below 128× the 1-query cost
-// (one shared patch plus cheap memo replays, instead of 128 independent
-// delta propagations).
+// Facebook queries, so 16 and 128 registrations are both 4 plans, and at
+// 128 each plan's 32 copies share its one session. The headline metric is
+// ns/update/query: 128 registrations must cost per update what 16 do (one
+// propagation per plan, instead of one per registered query).
 func BenchmarkServeManyQueries(b *testing.B) {
 	db := facebookDB()
 	specs := workload.Facebook()

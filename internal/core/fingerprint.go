@@ -23,20 +23,14 @@ import (
 )
 
 // PlanShape is the fingerprint view of a built solver: one fingerprint per
-// member base projection, one per join-tree node (covering the node's unit
-// relation and botjoin, folded over the whole subtree), and one for the
-// entire plan (covering topjoins and multiplicity-table state, which depend
-// on the full tree).
+// member base projection and one per join-tree node (covering the node's
+// unit relation and botjoin, folded over the whole subtree).
 type PlanShape struct {
 	// Bases[ui][mi] fingerprints Units[ui].Members[mi].Base.
 	Bases [][]string
 	// Nodes[ui] fingerprints the subtree rooted at tree node ui: its unit
 	// relation, botjoin, and (recursively) everything below.
 	Nodes []string
-	// Plan fingerprints the whole join forest positionally — equal Plan
-	// fingerprints mean the two solvers' Top tables and group-table factors
-	// are identical index-for-index.
-	Plan string
 }
 
 func fpHash(parts ...string) string {
@@ -47,8 +41,7 @@ func fpHash(parts ...string) string {
 // baseFingerprint canonically identifies a member's base projection: the
 // relation it scans, the atom's variable binding (which fixes both arity
 // and the projection columns), the effective variables kept, the selection
-// predicates applied before counting, and the skip flag (a skipped member
-// maintains no multiplicity table, which the residue tier cares about).
+// predicates applied before counting, and the skip flag.
 func baseFingerprint(md *Member) string {
 	preds := make([]string, len(md.Preds))
 	for i, p := range md.Preds {
@@ -103,18 +96,5 @@ func (s *Solver) PlanShape() *PlanShape {
 	for i := range s.Units {
 		nodeFP(i)
 	}
-	// The plan fingerprint is positional: per-index node fingerprints plus
-	// the parent vector pin the exact forest layout, so equal plans agree on
-	// unit indices, Top tables, and group-table wiring index-for-index.
-	parts := make([]string, 0, len(s.Units)+1)
-	parts = append(parts, "plan")
-	for i, node := range s.Tree.Nodes {
-		parent := -1
-		if node.Parent != nil {
-			parent = node.Parent.Index
-		}
-		parts = append(parts, fmt.Sprintf("%s@%d", ps.Nodes[i], parent))
-	}
-	ps.Plan = fpHash(parts...)
 	return ps
 }

@@ -268,14 +268,6 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 		sol.Totals[rootIdx] = sol.Bot[rootIdx].SumCnt()
 	}
 
-	// Phases 4–5 maintain the residual (topjoin + multiplicity-factor)
-	// state. Its lead patches it once on behalf of every subscriber and
-	// followers are already done — the collapse that makes N identical
-	// registered queries cost roughly one query's propagation per update.
-	if s.sres.Val.pos != s.pos {
-		return nil
-	}
-
 	// Phase 4: topjoins, BFS from the seeds.
 	type topJob struct {
 		node       *query.Node

@@ -114,16 +114,13 @@ type Session struct {
 	// Plan-store attachment (see shared.go): store holds the relations and
 	// maintained tables — a store of the session's own after Open and every
 	// rebuild, a shared one after Adopt. pos is the session's cursor in the
-	// store's update stream, and srows[rel]/sbase[ui][mi]/snode[ui]/sres the
-	// refcounted entries the session holds. adopt records what Adopt shared
-	// versus donated.
+	// store's update stream, and srows[rel]/sbase[ui][mi]/snode[ui] the
+	// refcounted entries the session holds.
 	store *PlanStore
 	pos   int64
 	srows map[string]*internedRows
 	sbase [][]*internedBase
 	snode []*internedNode
-	sres  *internedResidue
-	adopt AdoptStats
 
 	// Instruments from Options.Metrics; all nil when no registry was given.
 	updateSecs    *obs.Histogram
@@ -531,16 +528,6 @@ func (s *Session) SensitivityFn(rel string) (core.SensitivityFn, error) {
 	// (patched in place) and the current cross-component scale.
 	return core.ProbeEvaluator(len(md.Atom.Vars), s.selFn[rel],
 		func() int64 { return s.sol.ScaleFor(ref.ui) }, groups), nil
-}
-
-// Has reports whether the session's database currently holds at least one
-// occurrence of row in the named relation — one hash probe against the
-// row multiset in the session's store. The serving layer uses it to replay
-// skipped deletes consistently when catching a freshly-opened session up
-// to the live epoch.
-func (s *Session) Has(rel string, row relation.Tuple) bool {
-	e := s.srows[rel]
-	return e != nil && e.Val.set.Contains(row)
 }
 
 // Rows returns the current rows of the named relation (a live, read-only

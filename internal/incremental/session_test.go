@@ -566,39 +566,3 @@ func TestSessionTombstoneRatioDisconnected(t *testing.T) {
 		t.Fatalf("deletes in the small component rebuilt %d times: watermark denominator ignores the large component", n)
 	}
 }
-
-func TestSessionHas(t *testing.T) {
-	db := relation.MustNewDatabase(
-		relation.MustNew("S1", []string{"k", "v"}, []relation.Tuple{{1, 1}}),
-		relation.MustNew("S2", []string{"k", "v"}, nil),
-	)
-	q, err := query.New("q", []query.Atom{
-		{Relation: "S1", Vars: []string{"A", "B"}},
-		{Relation: "S2", Vars: []string{"A", "C"}},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(q, db, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Has("S1", relation.Tuple{1, 1}) || s.Has("S2", relation.Tuple{1, 1}) {
-		t.Fatal("Has disagrees with the snapshot")
-	}
-	if err := s.Insert("S2", relation.Tuple{1, 7}); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Has("S2", relation.Tuple{1, 7}) {
-		t.Fatal("Has missed an inserted row")
-	}
-	if err := s.Delete("S1", relation.Tuple{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Has("S1", relation.Tuple{1, 1}) {
-		t.Fatal("Has reports a deleted row")
-	}
-	if s.Has("NOPE", relation.Tuple{1}) {
-		t.Fatal("unknown relation reported present")
-	}
-}

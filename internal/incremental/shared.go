@@ -7,18 +7,13 @@ package incremental
 // refcounted nodes, so one delta patch per node fans out to every
 // subscribed query instead of being recomputed per session.
 //
-// Sharing has two tiers, keyed by the structural fingerprints of
-// core.PlanShape:
-//
-//   - Subtree tier: member base projections, unit (bag) relations, and
-//     botjoin tables intern per join-tree subtree. Any two sessions whose
-//     queries name an identical subtree (same relations, variable
-//     bindings, selections, connectors — recursively) share those tables.
-//   - Residue tier: when two sessions' *entire* plans fingerprint equal
-//     (byte-identical queries, typically), the topjoin tables and the
-//     multiplicity-table factor groups — "the residual (topjoin +
-//     multiplicity-factor) state" — intern too, and a follower's
-//     per-update work collapses to memo lookups.
+// Member base projections, unit (bag) relations, and botjoin tables intern
+// per join-tree subtree, keyed by the structural fingerprints of
+// core.PlanShape: any two sessions whose queries name an identical subtree
+// (same relations, variable bindings, selections, connectors —
+// recursively) share those tables. Topjoin tables and multiplicity-table
+// factor groups stay with their session; callers that want one copy of
+// them keep one session per plan (the serving layer does).
 //
 // Delta application is lead/follower with per-node stream positions: all
 // subscribers of a store are fed the same update stream; the first session
@@ -44,8 +39,7 @@ package incremental
 // Adopt and ReleaseShared may be called from other goroutines — they touch
 // only the refcount maps, under the store mutex — but Adopt additionally
 // requires the store quiescent (no round in flight), which the serving
-// layer guarantees by adopting either while the owning shard is idle or
-// inside the shard loop at a round boundary.
+// layer guarantees by adopting inside the shard loop at a round boundary.
 
 import (
 	"errors"
@@ -143,19 +137,8 @@ func (n *sharedNode) memoSet(pos int64, drel, dbot *relation.Counted) *nodeDelta
 	return e
 }
 
-// sharedResidue is an interned whole-plan residue: the topjoin tables and
-// multiplicity-table factor groups of a plan, shared only between sessions
-// whose full plan fingerprints match index-for-index.
-type sharedResidue struct {
-	tops    []*relation.Counted
-	topTabs []*sharedTabs
-	gts     []*gtState
-	gtTabs  []*sharedTabs // index homes of gts[i].table, same order
-	pos     int64
-}
-
 // sharedRows is an interned database relation: the rows every subscriber
-// reads (Has, Rows, the input of a rebuild) and the row multiset that
+// reads (Rows, the input of a rebuild) and the row multiset that
 // validates deletes. All subscribers of a store hold the same rows, since
 // they start from the same state and are fed the same stream. The first
 // subscriber to apply stream position p changes the rows and records p and
@@ -184,10 +167,9 @@ func (sr *sharedRows) apply(up Update) error {
 }
 
 type (
-	internedBase    = relation.Interned[*sharedBase]
-	internedNode    = relation.Interned[*sharedNode]
-	internedResidue = relation.Interned[*sharedResidue]
-	internedRows    = relation.Interned[*sharedRows]
+	internedBase = relation.Interned[*sharedBase]
+	internedNode = relation.Interned[*sharedNode]
+	internedRows = relation.Interned[*sharedRows]
 )
 
 // PlanStore owns the hash-cons maps and refcounts of one sharing domain.
@@ -195,12 +177,11 @@ type (
 // group of sessions fed an identical update stream (the serving layer
 // keeps one per shard) and Adopt them into it.
 type PlanStore struct {
-	mu       sync.Mutex
-	bases    *relation.Interner[*sharedBase]
-	nodes    *relation.Interner[*sharedNode]
-	residues *relation.Interner[*sharedResidue]
-	rows     *relation.Interner[*sharedRows]
-	subs     map[*Session]struct{}
+	mu    sync.Mutex
+	bases *relation.Interner[*sharedBase]
+	nodes *relation.Interner[*sharedNode]
+	rows  *relation.Interner[*sharedRows]
+	subs  map[*Session]struct{}
 
 	// nsubs mirrors len(subs), written under mu and read without it by the
 	// stepping goroutine (see propagate's memo skip and maybeCompact).
@@ -223,11 +204,10 @@ type PlanStore struct {
 // NewPlanStore returns an empty store.
 func NewPlanStore() *PlanStore {
 	return &PlanStore{
-		bases:    relation.NewInterner[*sharedBase](),
-		nodes:    relation.NewInterner[*sharedNode](),
-		residues: relation.NewInterner[*sharedResidue](),
-		rows:     relation.NewInterner[*sharedRows](),
-		subs:     make(map[*Session]struct{}),
+		bases: relation.NewInterner[*sharedBase](),
+		nodes: relation.NewInterner[*sharedNode](),
+		rows:  relation.NewInterner[*sharedRows](),
+		subs:  make(map[*Session]struct{}),
 	}
 }
 
@@ -238,10 +218,6 @@ type AdoptStats struct {
 	// this session's tables interned as new canonical entries.
 	BasesShared, BasesDonated int
 	NodesShared, NodesDonated int
-	// ResidueShared reports whether the whole-plan residue (topjoins +
-	// multiplicity factors) was adopted; ResidueDonated whether this
-	// session's became canonical. Exactly one holds after an Adopt.
-	ResidueShared, ResidueDonated bool
 }
 
 // FullShare reports whether every botjoin node was adopted from the store
@@ -254,15 +230,13 @@ func (a AdoptStats) FullShare() bool {
 // match the serving API's snake_case convention (GET /debug/plans embeds
 // this struct verbatim).
 type PlanStoreStats struct {
-	Bases    int `json:"bases"` // interned entries
-	Nodes    int `json:"nodes"`
-	Residues int `json:"residues"`
-	Rows     int `json:"rows"` // interned relation copies
+	Bases int `json:"bases"` // interned entries
+	Nodes int `json:"nodes"`
+	Rows  int `json:"rows"` // interned relation copies
 	// Shared* count entries with more than one subscriber.
-	SharedBases    int `json:"shared_bases"`
-	SharedNodes    int `json:"shared_nodes"`
-	SharedResidues int `json:"shared_residues"`
-	SharedRows     int `json:"shared_rows"`
+	SharedBases int `json:"shared_bases"`
+	SharedNodes int `json:"shared_nodes"`
+	SharedRows  int `json:"shared_rows"`
 	// NodeRefs is the total node subscriptions; NodeRefs/Nodes is the
 	// mean fan-out.
 	NodeRefs    int   `json:"node_refs"`
@@ -276,16 +250,14 @@ func (ps *PlanStore) Stats() PlanStoreStats {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	st := PlanStoreStats{
-		Bases:          ps.bases.Len(),
-		Nodes:          ps.nodes.Len(),
-		Residues:       ps.residues.Len(),
-		Rows:           ps.rows.Len(),
-		SharedBases:    ps.bases.Shared(),
-		SharedNodes:    ps.nodes.Shared(),
-		SharedResidues: ps.residues.Shared(),
-		SharedRows:     ps.rows.Shared(),
-		Subscribers:    len(ps.subs),
-		Clock:          ps.clock.Load(),
+		Bases:       ps.bases.Len(),
+		Nodes:       ps.nodes.Len(),
+		Rows:        ps.rows.Len(),
+		SharedBases: ps.bases.Shared(),
+		SharedNodes: ps.nodes.Shared(),
+		SharedRows:  ps.rows.Shared(),
+		Subscribers: len(ps.subs),
+		Clock:       ps.clock.Load(),
 	}
 	ps.nodes.Range(func(e *internedNode) {
 		st.MemoEntries += int(e.Val.memoLen.Load())
@@ -348,13 +320,13 @@ func tablesCompatible(canon, mine *relation.Counted) bool {
 func (ps *PlanStore) subscribers() int { return int(ps.nsubs.Load()) }
 
 // Adopt moves the session into store, hash-consing its maintained state:
-// every relation, member base, join-tree subtree, and whole-plan residue
-// already interned there replaces the session's copy, and everything else
-// is donated as the new canonical entry. The move is all or nothing: every
-// hit is checked (tables with tablesCompatible, relations on arity and row
-// count) before anything is spliced, and on any error the session stays in
-// its own store, untouched. After the move the session reads the store's
-// rows (Has, Rows); only its component totals stay private.
+// every relation, member base, and join-tree subtree already interned
+// there replaces the session's copy, and everything else is donated as the
+// new canonical entry. The move is all or nothing: every hit is checked
+// (tables with tablesCompatible, relations on arity and row count) before
+// anything is spliced, and on any error the session stays in its own
+// store, untouched. After the move the session reads the store's rows
+// (Rows); its topjoins, factor groups and component totals stay private.
 //
 // The session must be its current store's only subscriber, at the same
 // database state as store's subscribers (same snapshot + same replayed
@@ -365,19 +337,20 @@ func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 		return AdoptStats{}, fmt.Errorf("incremental: Adopt needs the session alone in a store other than the target")
 	}
 	shape := s.sol.PlanShape()
-	sbase, snode, sres, srows := s.sbase, s.snode, s.sres, s.srows
+	sbase, snode, srows := s.sbase, s.snode, s.srows
 	rows := s.takeRows()
+	var st AdoptStats
 	store.mu.Lock()
 	err := s.adoptable(store, shape)
 	if err == nil {
-		s.adopt = s.attach(store, shape, rows)
+		st = s.attach(store, shape, rows)
 	}
 	store.mu.Unlock()
 	if err != nil {
 		return AdoptStats{}, err
 	}
-	own.release(s, sbase, snode, sres, srows)
-	return s.adopt, nil
+	own.release(s, sbase, snode, srows)
+	return st, nil
 }
 
 // adoptable reports why the session cannot move into store, or nil. Caller
@@ -390,7 +363,6 @@ func (s *Session) adoptable(store *PlanStore, shape *core.PlanShape) error {
 	clk := store.clock.Load()
 	store.bases.Range(func(e *internedBase) { quiet = quiet && e.Val.pos == clk })
 	store.nodes.Range(func(e *internedNode) { quiet = quiet && e.Val.pos == clk })
-	store.residues.Range(func(e *internedResidue) { quiet = quiet && e.Val.pos == clk })
 	store.rows.Range(func(e *internedRows) { quiet = quiet && e.Val.pos == clk })
 	if !quiet {
 		return fmt.Errorf("incremental: plan store not quiescent (round in flight)")
@@ -414,17 +386,6 @@ func (s *Session) adoptable(store *PlanStore, shape *core.PlanShape) error {
 		if e, ok := store.nodes.Lookup(shape.Nodes[ui]); ok &&
 			!(tablesCompatible(e.Val.rel, u.Rel) && tablesCompatible(e.Val.bot, sol.Bot[ui])) {
 			return errCollision
-		}
-	}
-	if e, ok := store.residues.Lookup(shape.Plan); ok {
-		if len(e.Val.tops) != len(sol.Top) {
-			return errCollision
-		}
-		for i, t := range sol.Top {
-			c := e.Val.tops[i]
-			if (c == nil) != (t == nil) || t != nil && !tablesCompatible(c, t) {
-				return errCollision
-			}
 		}
 	}
 	return nil
@@ -516,51 +477,25 @@ func (s *Session) attach(store *PlanStore, shape *core.PlanShape, rows []*shared
 		tabs[e.Val.bot] = e.Val.botTabs
 	}
 
-	// Tier 2: whole-plan residue.
-	e, hit := store.residues.Lookup(shape.Plan)
-	if hit {
-		store.residues.Retain(e)
-		sol.Top = e.Val.tops
-		s.gts = e.Val.gts
-		st.ResidueShared = true
-	} else {
-		// Point the factor-group pieces at the store's tables first, so
-		// later adopters find entries whose pieces are exactly the store's
-		// tables; the compiled plans captured indexes of replaced tables.
-		r := &sharedResidue{
-			tops: sol.Top, topTabs: make([]*sharedTabs, len(sol.Top)),
-			gts: s.gts, gtTabs: make([]*sharedTabs, len(s.gts)),
-			pos: clk,
-		}
-		for i, t := range sol.Top {
-			if t != nil {
-				r.topTabs[i] = s.tabs[t]
-			}
-		}
-		for gi, g := range s.gts {
-			for pi := range g.pieces {
-				g.pieces[pi] = sub(g.pieces[pi])
-			}
-			g.plans = make([]*relation.ExpandPlan, len(g.pieces))
-			r.gtTabs[gi] = s.tabs[g.table]
-		}
-		e = store.residues.Put(shape.Plan, r)
-		st.ResidueDonated = true
-	}
-	s.sres = e
-	for i, t := range e.Val.tops {
+	// The session's own topjoins and factor groups: point the pieces at the
+	// store's tables; the compiled plans captured indexes of replaced ones.
+	for _, t := range sol.Top {
 		if t != nil {
-			tabs[t] = e.Val.topTabs[i]
+			tabs[t] = s.tabs[t]
 		}
 	}
-	for gi, g := range e.Val.gts {
-		tabs[g.table] = e.Val.gtTabs[gi]
+	for _, g := range s.gts {
+		for pi := range g.pieces {
+			g.pieces[pi] = sub(g.pieces[pi])
+		}
+		g.plans = make([]*relation.ExpandPlan, len(g.pieces))
+		tabs[g.table] = s.tabs[g.table]
 	}
 	s.tabs = tabs
 
-	// Re-derive the dependency fan-out from the (possibly adopted) factor
-	// groups, and drop the edge-plan cache: its plans captured indexes of
-	// replaced tables.
+	// Re-derive the dependency fan-out from the re-pointed factor groups,
+	// and drop the edge-plan cache: its plans captured indexes of replaced
+	// tables.
 	s.deps = make(map[*relation.Counted][]pieceRef)
 	s.memberGts = make(map[memberRef][]*gtState)
 	for _, g := range s.gts {
@@ -605,10 +540,6 @@ func (s *Session) detach() []*sharedRows {
 	return rows
 }
 
-// AdoptStats returns what the last Adopt shared/donated; zero while the
-// session is in a store of its own.
-func (s *Session) AdoptStats() AdoptStats { return s.adopt }
-
 // Store returns the plan store holding the session's relations and
 // maintained tables: one of its own after Open and every rebuild, a shared
 // one after Adopt.
@@ -623,18 +554,16 @@ func (s *Session) ReleaseShared() {
 	if s.store == nil {
 		return
 	}
-	s.store.release(s, s.sbase, s.snode, s.sres, s.srows)
+	s.store.release(s, s.sbase, s.snode, s.srows)
 	s.store = nil
 	s.pos = 0
 	s.sbase = nil
 	s.snode = nil
-	s.sres = nil
 	s.srows = nil
-	s.adopt = AdoptStats{}
 }
 
 // release drops one subscriber's references to the given entries.
-func (ps *PlanStore) release(s *Session, sbase [][]*internedBase, snode []*internedNode, sres *internedResidue, srows map[string]*internedRows) {
+func (ps *PlanStore) release(s *Session, sbase [][]*internedBase, snode []*internedNode, srows map[string]*internedRows) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	for _, row := range sbase {
@@ -645,7 +574,6 @@ func (ps *PlanStore) release(s *Session, sbase [][]*internedBase, snode []*inter
 	for _, e := range snode {
 		ps.nodes.Release(e)
 	}
-	ps.residues.Release(sres)
 	for _, e := range srows {
 		ps.rows.Release(e)
 	}
@@ -670,9 +598,6 @@ func (s *Session) advance() {
 		if e.Val.pos == p {
 			e.Val.pos = p + 1
 		}
-	}
-	if s.sres.Val.pos == p {
-		s.sres.Val.pos = p + 1
 	}
 	for _, e := range s.srows {
 		if e.Val.pos == p {

@@ -113,9 +113,6 @@ func TestSharedRowsLockstepDifferential(t *testing.T) {
 					t.Fatalf("step %d, session %d: δ(%s) %+v, private twin %d", step, i, rel, g, w.Sensitivity)
 				}
 			}
-			if s.Has(up.Rel, up.Row) != p.Has(up.Rel, up.Row) {
-				t.Fatalf("step %d, session %d: Has(%v) %v, private twin %v", step, i, up, s.Has(up.Rel, up.Row), p.Has(up.Rel, up.Row))
-			}
 			for _, rel := range rels {
 				if g, w := rowsMultiset(s.Rows(rel)), rowsMultiset(p.Rows(rel)); !reflect.DeepEqual(g, w) {
 					t.Fatalf("step %d, session %d: rows of %s %v, private twin %v", step, i, rel, g, w)

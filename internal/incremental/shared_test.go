@@ -38,12 +38,12 @@ func TestSharedDifferentialIdentical(t *testing.T) {
 			var sessions []*Session
 			for i := 0; i < 3; i++ {
 				s, st := openAdopted(t, q, db, opts, store)
-				if i > 0 && (!st.FullShare() || !st.ResidueShared) {
+				if i > 0 && !st.FullShare() {
 					t.Fatalf("session %d of identical query did not fully share: %+v", i, st)
 				}
 				sessions = append(sessions, s)
 			}
-			if got := store.Stats(); got.SharedResidues != 1 || got.Subscribers != 3 {
+			if got := store.Stats(); got.SharedNodes != got.Nodes || got.Subscribers != 3 {
 				t.Fatalf("store stats after 3 identical adopts: %+v", got)
 			}
 			rels := tc.rels
@@ -109,9 +109,6 @@ func TestSharedDifferentialOverlap(t *testing.T) {
 	b, st := openAdopted(t, q2, db, opts, store)
 	if st.NodesShared == 0 || st.BasesShared == 0 {
 		t.Fatalf("prefix query shared nothing: %+v", st)
-	}
-	if st.ResidueShared {
-		t.Fatalf("different queries must not share a residue: %+v", st)
 	}
 
 	rels := []string{"R1", "R2", "R3"}
@@ -199,7 +196,7 @@ func TestSharedReleaseAndRefcounts(t *testing.T) {
 	store := NewPlanStore()
 	a, _ := openAdopted(t, q, db, opts, store)
 	b, st := openAdopted(t, q, db, opts, store)
-	if !st.FullShare() || !st.ResidueShared {
+	if !st.FullShare() {
 		t.Fatalf("identical query did not fully share: %+v", st)
 	}
 
@@ -217,16 +214,16 @@ func TestSharedReleaseAndRefcounts(t *testing.T) {
 		feedBoth(step)
 	}
 	before := store.Stats()
-	if before.SharedNodes == 0 || before.SharedResidues != 1 {
+	if before.SharedNodes == 0 || before.SharedRows == 0 {
 		t.Fatalf("expected shared entries before release: %+v", before)
 	}
 
 	a.ReleaseShared()
 	after := store.Stats()
-	if after.Subscribers != 1 || after.SharedNodes != 0 || after.SharedResidues != 0 {
+	if after.Subscribers != 1 || after.SharedNodes != 0 || after.SharedRows != 0 {
 		t.Fatalf("release of one subscriber: %+v", after)
 	}
-	if after.Nodes != before.Nodes || after.Residues != before.Residues {
+	if after.Nodes != before.Nodes || after.Bases != before.Bases || after.Rows != before.Rows {
 		t.Fatalf("entries vanished while still referenced: before %+v after %+v", before, after)
 	}
 	// The survivor keeps the canonical tables and stays exact as sole lead.
@@ -239,7 +236,7 @@ func TestSharedReleaseAndRefcounts(t *testing.T) {
 		checkAgainstScratch(t, b, m, opts, 100+step)
 	}
 	b.ReleaseShared()
-	if got := store.Stats(); got.Bases != 0 || got.Nodes != 0 || got.Residues != 0 || got.Subscribers != 0 {
+	if got := store.Stats(); got.Bases != 0 || got.Nodes != 0 || got.Rows != 0 || got.Subscribers != 0 {
 		t.Fatalf("store not empty after last release: %+v", got)
 	}
 	if b.Store() != nil {

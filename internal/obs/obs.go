@@ -54,10 +54,11 @@ func (k Kind) String() string {
 	return "untyped"
 }
 
-// DefBuckets are the default latency buckets, in seconds: 50µs to 10s,
+// DefBuckets are the default latency buckets, in seconds: 1µs to 10s,
 // roughly exponential. They cover everything from a single atomic view
-// read to a slow fsync on contended storage.
+// read or one view publish to a slow fsync on contended storage.
 var DefBuckets = []float64{
+	0.000001, 0.0000025, 0.000005, 0.00001, 0.000025,
 	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }

@@ -702,7 +702,7 @@ func (a *API) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	// under a stalled shard). Every view read through /queries is one exact
 	// cut and never moves backwards, but a freshly registered query's first
 	// view is taken at the fold frontier and may be ahead of "joined" until
-	// its shard catches up.
+	// every other shard catches up.
 	var joined int64
 	for i, wm := range st.Watermarks {
 		if i == 0 || wm < joined {

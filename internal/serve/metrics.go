@@ -74,7 +74,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		shardEpoch: reg.GaugeVec("tsens_shard_epoch",
 			"Per-shard watermark: the LSN through which the shard has folded the log.", "shard"),
 		registerSecs: reg.Histogram("tsens_serve_register_seconds",
-			"Register end to end: snapshot, solve, catch-up, install.", nil),
+			"Register end to end: relation copy, wait for the query's shard to attach it (a solve for a new plan), journal.", nil),
 		viewReads: reg.Counter("tsens_serve_view_reads_total", "View lookups answered from published epochs."),
 
 		releases: reg.CounterVec("tsens_serve_releases_total",

@@ -8,7 +8,7 @@ package serve
 // incremental.PlanStore and moves from a store of its own into its shard's
 // store, where sessions of different plans share the relation rows and the
 // subtrees they have in common. incremental.PlanStore correctness rests on
-// every subscriber applying the same update sequence, and every session on
+// every subscriber being fed the same update sequence, and every session on
 // a shard is fed the same stream — every valid batch, round by round — so
 // one store per shard is a sound sharing domain.
 //
@@ -80,7 +80,12 @@ func planKey(q *query.Query, opts core.Options) string {
 // query's first view. A query whose first view fails is not attached.
 func (sh *shard) register(s *Server, c *change) (*View, error) {
 	sq := c.sq
-	p := sh.byKey[sq.key]
+	var p *plan
+	for _, o := range sh.plans {
+		if o.key == sq.key {
+			p = o
+		}
+	}
 	fresh := p == nil
 	if fresh {
 		sess, err := incremental.Open(sq.q, c.snap, s.sessionOptions(sq.sopts))
@@ -102,10 +107,9 @@ func (sh *shard) register(s *Server, c *change) (*View, error) {
 	}
 	if fresh {
 		sh.plans = append(sh.plans, p)
-		sh.byKey[p.key] = p
+		s.refreshPlanGauges()
 	}
 	p.queries = append(p.queries, sq)
-	s.refreshPlanGauges()
 	return first, nil
 }
 
@@ -118,9 +122,6 @@ func (sh *shard) drop(s *Server, sq *servedQuery) {
 		return
 	}
 	sh.plans = slices.DeleteFunc(sh.plans, func(o *plan) bool { return o == p })
-	if sh.byKey[p.key] == p {
-		delete(sh.byKey, p.key)
-	}
 	p.sess.ReleaseShared()
 	s.refreshPlanGauges()
 }
@@ -147,7 +148,6 @@ func (sh *shard) endRound(s *Server) {
 		if p.err == nil {
 			return false
 		}
-		delete(sh.byKey, p.key)
 		p.sess.ReleaseShared()
 		changed = true
 		return true

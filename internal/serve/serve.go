@@ -13,12 +13,12 @@
 //     equal plan keys share one incremental session, owned by a designated
 //     shard (a hash of the plan key), and each shard owns a writer goroutine
 //     plus the sessions of its queries (shard.go). A coordinator goroutine
-//     drains the log in
-//     batches, folds each batch into the master rows, and hands every shard
-//     the same round. Each shard drains its queue of rounds at its own pace
-//     and, after each round, stores every owned query's new view (count, LS
-//     result, and a drift-gated sensitivity snapshot) behind the query's
-//     atomic pointer, so one stalled shard delays only the queries it owns.
+//     drains the log in batches, folds each batch into the master rows, and
+//     hands every shard the same round. Each shard drains its queue of
+//     rounds at its own pace and, after each round, stores every owned
+//     query's new view (count, LS result, and a drift-gated sensitivity
+//     snapshot) behind the query's atomic pointer, so one stalled shard
+//     delays only the queries it owns.
 //   - A read is one atomic load of that view, which always describes one
 //     exact cut of the log. Readers never take the writer's lock, so they
 //     are never blocked on a session patch; a release adds only a ledger
@@ -491,8 +491,7 @@ func newServer(master *relation.Database, opts Options, init serverInit, dl *dur
 	}
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
-		sh := &shard{id: i, patch: s.m.shardPatch.With(shardLabel(i)),
-			byKey: make(map[string]*plan), store: incremental.NewPlanStore()}
+		sh := &shard{id: i, patch: s.m.shardPatch.With(shardLabel(i)), store: incremental.NewPlanStore()}
 		sh.cond = sync.NewCond(&sh.mu)
 		sh.watermark.Store(init.epoch)
 		s.m.shardEpoch.With(shardLabel(i)).Set(float64(init.epoch))

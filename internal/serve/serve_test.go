@@ -514,6 +514,11 @@ func TestServeRegisterValidation(t *testing.T) {
 	if _, _, err := srv.Register(QueryConfig{ID: "a", Query: pathQuery(t)}); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
+	// a's exact session has the same plan key; a top-k registration must
+	// not attach to it.
+	if _, _, err := srv.Register(QueryConfig{Query: pathQuery(t), Options: core.Options{TopK: 4}}); err == nil {
+		t.Fatal("top-k query accepted")
+	}
 	if _, err := srv.View("missing"); err == nil {
 		t.Fatal("view of unknown query accepted")
 	}

@@ -86,12 +86,11 @@ type shard struct {
 	id    int
 	patch *obs.Histogram // per-round patch latency for this shard
 
-	// plans are the sessions the shard steps, in registration order, and
-	// byKey finds one by plan key. A failed session leaves both, so a later
-	// registration of its plan opens a fresh one. Only the shard's
-	// goroutine touches them (plans.go).
+	// plans are the sessions the shard steps, one per plan key, in
+	// registration order. A failed session leaves at the end of its round,
+	// so a later registration of its plan opens a fresh one. Only the
+	// shard's goroutine touches them (plans.go).
 	plans []*plan
-	byKey map[string]*plan
 
 	// store is the shard's sharing domain: every session the shard opens
 	// moves into it (plans.go).

@@ -90,3 +90,30 @@ func TestServeAppendWALFaultNotAcknowledged(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestServeRegisterWALFaultDetaches pins the journal-failure path of
+// Register: the shard has already attached the query when its record fails
+// to journal, so Register detaches it again through the drop Unregister
+// uses, and neither the query nor its session stays behind.
+func TestServeRegisterWALFaultDetaches(t *testing.T) {
+	db := testDB(t, 12, 4, 5, "R1", "R2", "R3")
+	fs := faultfs.New(nil)
+	srv, err := New(db, Options{Shards: 1, WALDir: t.TempDir(), WALFS: fs, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.CloseNow()
+	if _, _, err := srv.Register(QueryConfig{ID: "path", Query: pathQuery(t)}); err != nil {
+		t.Fatal(err)
+	}
+	fs.FailNthSync(1)
+	if _, _, err := srv.Register(QueryConfig{ID: "star", Query: starQuery3(t)}); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("register with failing fsync: %v, want ErrInjected", err)
+	}
+	if qs := srv.Queries(); len(qs) != 1 || qs[0].ID != "path" {
+		t.Fatalf("queries after the failed register: %+v, want only path", qs)
+	}
+	if tot := planTotals(srv); tot.Subscribers != 1 {
+		t.Fatalf("plan totals %+v after the failed register, want only path's session", tot)
+	}
+}

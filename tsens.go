@@ -30,9 +30,11 @@
 // NewServer turns the session engine into a long-lived serving process: one
 // shared snapshot plus an append-only update log multiplexes many
 // registered queries behind a sharded-writer/multi-reader boundary
-// (ServerOptions.Shards): every query is one session owned by a per-shard
-// writer goroutine chosen by the hash of its text, every shard folds every
-// update, and each query's epoch view is one exact cut of the log. Budget-accounted ε-DP releases and an HTTP/JSON front end ride
+// (ServerOptions.Shards): queries with equal join plans share one session,
+// owned by a per-shard writer goroutine chosen by the hash of the plan key
+// (atoms, selections, decomposition, skip set; not the query's name or
+// text), every shard folds every update, and each query's epoch view is
+// one exact cut of the log. Budget-accounted ε-DP releases and an HTTP/JSON front end ride
 // on top (NewServerAPI, the tsens serve command; see docs/SERVING.md).
 // With ServerOptions.WALDir set the server is durable: appends, query
 // registrations, and every fresh ε-spend are journaled to a checksummed
@@ -159,8 +161,8 @@ type (
 type (
 	// Server is a long-lived DP query server: a shared snapshot plus an
 	// append-only update log folded by per-shard writers, multiplexing
-	// registered queries (one incremental session each, owned by one
-	// shard) behind a sharded-writer/multi-reader boundary. Readers answer
+	// registered queries (one incremental session per distinct plan, owned
+	// by one shard) behind a sharded-writer/multi-reader boundary. Readers answer
 	// from atomically published epoch views — always one exact cut of the
 	// log — and never block on update application.
 	Server = serve.Server
