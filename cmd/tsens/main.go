@@ -23,8 +23,9 @@
 // snapshot: registered queries are maintained incrementally under a live
 // update log and answered concurrently over an HTTP/JSON API, with
 // budget-accounted ε-DP releases (see docs/SERVING.md). The write path is
-// sharded (-shards): every query is one session owned by a shard chosen by
-// the hash of its text, and every shard folds every update.
+// sharded (-shards): queries with equal join plans share one session, owned
+// by a shard chosen by the hash of the plan, and every shard folds every
+// update.
 //
 // A durable server (-wal) can replicate: -replicate starts the WAL-shipping
 // listener followers connect to, -follow runs the process as a follower of
