@@ -48,13 +48,18 @@ func (s *Session) indexFor(c *relation.Counted, attrs []string) (*relation.RowIn
 	return s.tabs[c].index(c, attrs)
 }
 
-// apply patches table c with d and re-syncs c's index home.
+// apply patches table c with d and re-syncs c's index home. It is where a
+// lead or a sole subscriber patches a table, so it also marks c for
+// compaction once c's tombstones pass the watermark (see compactMarked).
 func (s *Session) apply(c, d *relation.Counted) ([]int, error) {
 	changed, err := c.ApplyDelta(d)
 	if err != nil {
 		return nil, err
 	}
 	s.tabs[c].sync()
+	if w := s.opts.RebuildTombstoneRatio; w > 0 && float64(c.Tombstones()) > w*float64(len(c.Rows)) {
+		s.marked = append(s.marked, c)
+	}
 	return changed, nil
 }
 
@@ -92,6 +97,23 @@ func (g *gtState) note(changed []int) {
 			return
 		}
 	}
+}
+
+// beforeCompact moves the running maximum's row position ahead of a
+// compaction of the group table, which keeps the live rows in order: the
+// argmax of a valid maximum holds a positive count, so it survives and
+// moves down by the tombstones before it.
+func (g *gtState) beforeCompact() {
+	if !g.valid || g.argmax < 0 {
+		return
+	}
+	dead := 0
+	for _, cnt := range g.table.Cnt[:g.argmax] {
+		if cnt == 0 {
+			dead++
+		}
+	}
+	g.argmax -= dead
 }
 
 // maxRow returns the selection-filtered maximum row and count, rescanning

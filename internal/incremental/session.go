@@ -54,16 +54,16 @@ type Options struct {
 	// full rebuild instead of per-tuple propagation. Zero means
 	// DefaultBulkThreshold; negative disables the fallback.
 	BulkThreshold int
-	// RebuildTombstoneRatio, when positive, makes the session trigger
-	// Rebuild() itself once the fraction of zero-count (tombstone) rows
-	// across the maintained tables crosses this watermark, instead of
-	// leaving compaction to the caller — but only while the session is its
-	// plan store's only subscriber (see maybeCompact). Deletes leave zeroed
-	// rows behind in every table they patch (see relation.ApplyDelta); the
-	// ratio is exact: resurrected rows leave the tally. Note that an
-	// automatic rebuild, like an explicit one, invalidates outstanding
-	// SensitivityFn evaluators — check Rebuilds() and re-request them when
-	// streaming deletes with this option set.
+	// RebuildTombstoneRatio, when positive, is the per-table tombstone
+	// watermark: once more than this fraction of a maintained table's rows
+	// are zero-count tombstones, the session that patched the table
+	// compacts it in place at the end of the update (relation's
+	// Counted.Compact), in a private store and a shared one alike. Deletes
+	// leave zeroed rows behind in every table they patch (see
+	// relation.ApplyDelta); the tally is exact: resurrected rows leave it.
+	// Compaction changes no count, so SensitivityFn evaluators, compiled
+	// plans and other subscribers stay valid. Zero or negative leaves
+	// tombstones in place until a Rebuild.
 	RebuildTombstoneRatio float64
 	// Metrics, when set, receives per-update delta-propagation and rebuild
 	// latency histograms plus update/rebuild counters (shared across every
@@ -101,6 +101,10 @@ type Session struct {
 	memberGts map[memberRef][]*gtState
 	deps      map[*relation.Counted][]pieceRef
 
+	// marked lists the tables apply found past the tombstone watermark
+	// during the current update, compacted once propagation is done.
+	marked []*relation.Counted
+
 	doublyAcyclic bool
 	maxDegree     int
 	updates       int
@@ -123,10 +127,11 @@ type Session struct {
 	snode []*internedNode
 
 	// Instruments from Options.Metrics; all nil when no registry was given.
-	updateSecs    *obs.Histogram
-	rebuildSecs   *obs.Histogram
-	updatesTotal  *obs.Counter
-	rebuildsTotal *obs.Counter
+	updateSecs       *obs.Histogram
+	rebuildSecs      *obs.Histogram
+	updatesTotal     *obs.Counter
+	rebuildsTotal    *obs.Counter
+	compactionsTotal *obs.Counter
 }
 
 // Open pins q's join tree over a private clone of db and materializes the
@@ -160,11 +165,13 @@ func Open(q *query.Query, db *relation.Database, opts Options) (*Session, error)
 		s.updateSecs = opts.Metrics.Histogram("tsens_session_update_seconds",
 			"Per-update delta propagation latency across sessions.", nil)
 		s.rebuildSecs = opts.Metrics.Histogram("tsens_session_rebuild_seconds",
-			"Full session rebuild latency (bulk batches, compaction, explicit Rebuild).", nil)
+			"Full session rebuild latency (bulk batches, explicit Rebuild).", nil)
 		s.updatesTotal = opts.Metrics.Counter("tsens_session_updates_total",
 			"Single-tuple updates applied across sessions.")
 		s.rebuildsTotal = opts.Metrics.Counter("tsens_session_rebuilds_total",
 			"Full session rebuilds across sessions.")
+		s.compactionsTotal = opts.Metrics.Counter("tsens_session_compactions_total",
+			"Maintained tables compacted in place past the tombstone watermark, across sessions.")
 	}
 	if err := s.build(rows); err != nil {
 		return nil, err
@@ -357,13 +364,13 @@ func (s *Session) applyRow(up Update) (memberRef, bool, error) {
 	return ref, ok, nil
 }
 
-// applyOne applies a single update through delta propagation, compacting
-// afterwards when the tombstone watermark is crossed. The update consumes
-// one position of the store's stream: every exit path except a propagation
-// failure advances the cursor (validation errors and selection rejections
-// are deterministic across subscribers fed the same stream, so positions
-// stay aligned); a propagation error may leave a store table half-patched
-// and poisons the whole store instead.
+// applyOne applies a single update through delta propagation, then
+// compacts the tables it left past the tombstone watermark. The update
+// consumes one position of the store's stream: every exit path except a
+// propagation failure advances the cursor (validation errors and selection
+// rejections are deterministic across subscribers fed the same stream, so
+// positions stay aligned); a propagation error may leave a store table
+// half-patched and poisons the whole store instead.
 func (s *Session) applyOne(up Update) error {
 	if err := s.store.fail; err != nil {
 		return fmt.Errorf("incremental: plan store poisoned: %w", err)
@@ -396,19 +403,19 @@ func (s *Session) applyOne(up Update) error {
 	}
 	dbase := &relation.Counted{Attrs: md.EffVars, Rows: []relation.Tuple{proj}, Cnt: []int64{delta}}
 	if err := s.propagate(ref, dbase); err != nil {
+		s.marked = s.marked[:0]
 		s.poisonStore(err)
 		return err
 	}
+	s.compactMarked()
 	s.advance()
-	return s.maybeCompact()
+	return nil
 }
 
 // TombstoneRatio reports the fraction of the session's maintained rows,
-// shared store tables included, currently sitting at count zero — the
-// quantity RebuildTombstoneRatio watches. The denominator is every
-// maintained table, patched or not, so deletes confined to one small
-// component of a disconnected query cannot cross the watermark on their
-// own.
+// shared store tables included, currently sitting at count zero. With
+// RebuildTombstoneRatio set it stays at or under the watermark, since every
+// table does.
 func (s *Session) TombstoneRatio() float64 {
 	zero, total := 0, 0
 	for c := range s.tabs {
@@ -421,18 +428,26 @@ func (s *Session) TombstoneRatio() float64 {
 	return float64(zero) / float64(total)
 }
 
-// maybeCompact rebuilds the session when the tombstone watermark is set and
-// crossed, provided the session is its store's only subscriber: a rebuild
-// moves the session into a store of its own, which would strand shared
-// tables' tombstones with its peers and end the sharing. A rebuild resets
-// the tally, so the next trigger needs a fresh accumulation of deletes —
-// the watermark cannot thrash.
-func (s *Session) maybeCompact() error {
-	if s.opts.RebuildTombstoneRatio <= 0 || s.store.subscribers() > 1 ||
-		s.TombstoneRatio() < s.opts.RebuildTombstoneRatio {
-		return nil
+// compactMarked compacts the tables apply marked during the update, after
+// propagation has consumed its changed-row lists: each table drops its
+// tombstones, its index home is re-indexed in place (every subscriber's
+// compiled plans keep their RowIndex pointers), and a factor group's
+// running maximum moves with its row. Another subscriber of a shared table
+// sees the same logical rows, so nothing else changes.
+func (s *Session) compactMarked() {
+	for _, c := range s.marked {
+		for _, g := range s.gts {
+			if g.table == c {
+				g.beforeCompact()
+			}
+		}
+		c.Compact()
+		s.tabs[c].reindex()
+		if s.compactionsTotal != nil {
+			s.compactionsTotal.Inc()
+		}
 	}
-	return s.rebuild(s.detach())
+	s.marked = s.marked[:0]
 }
 
 // Count returns |Q(D)| from the maintained component totals, in O(1).
@@ -541,8 +556,8 @@ func (s *Session) Rows(rel string) []relation.Tuple {
 }
 
 // Rebuild discards all maintained state and recomputes it from the current
-// session database, exactly as a fresh Open would. Long update streams can
-// call it occasionally to shed tombstone rows.
+// session database, exactly as a fresh Open would, into a store of the
+// session's own.
 func (s *Session) Rebuild() error { return s.rebuild(s.detach()) }
 
 // rebuild recomputes everything from rows, which detach has taken out of

@@ -6,6 +6,7 @@ import (
 
 	"tsens/internal/core"
 	"tsens/internal/ghd"
+	"tsens/internal/obs"
 	"tsens/internal/par"
 	"tsens/internal/query"
 	"tsens/internal/relation"
@@ -130,6 +131,17 @@ func checkAgainstScratch(t *testing.T, s *Session, m *mirror, opts core.Options,
 			if !found {
 				t.Fatalf("step %d: %s witness %v claimed in database but absent", step, rel, gtr.Values)
 			}
+		}
+	}
+}
+
+// checkTombstoneBound checks that no table the session maintains holds
+// more than the watermark share of tombstones.
+func checkTombstoneBound(t *testing.T, s *Session, watermark float64, step int) {
+	t.Helper()
+	for c := range s.tabs {
+		if float64(c.Tombstones()) > watermark*float64(len(c.Rows)) {
+			t.Fatalf("step %d: table over %v holds %d tombstones in %d rows, past the %v watermark", step, c.Attrs, c.Tombstones(), len(c.Rows), watermark)
 		}
 	}
 }
@@ -450,19 +462,26 @@ func TestSessionSkippedRelationUpdates(t *testing.T) {
 }
 
 // TestSessionTombstoneCompaction exercises RebuildTombstoneRatio: deleting
-// rows plants zero-count tombstones in the maintained tables until the
-// watermark triggers an automatic rebuild, which resets the ratio — and the
-// session agrees with the from-scratch solver throughout.
+// rows plants zero-count tombstones in the maintained tables, and every
+// table that passes the watermark is compacted in place — no table holds
+// more than the watermark share afterwards, the session never rebuilds, and
+// it agrees with the from-scratch solver throughout.
 func TestSessionTombstoneCompaction(t *testing.T) {
 	tc := streamCases()[0] // path
 	rng := rand.New(rand.NewSource(7))
 	q, db, copts := buildCase(t, tc, rng, 12, 4)
-	sess, err := Open(q, db, Options{Options: copts, RebuildTombstoneRatio: 0.3})
+	reg := obs.NewRegistry()
+	sess, err := Open(q, db, Options{Options: copts, RebuildTombstoneRatio: 0.3, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r := sess.TombstoneRatio(); r != 0 {
 		t.Fatalf("fresh session tombstone ratio = %g, want 0", r)
+	}
+	// An evaluator taken before the stream stays valid across compactions.
+	fn, err := sess.SensitivityFn("R1")
+	if err != nil {
+		t.Fatal(err)
 	}
 	m := newMirror(db)
 	sawTombstones := false
@@ -472,18 +491,29 @@ func TestSessionTombstoneCompaction(t *testing.T) {
 		if err := sess.Delete(up.Rel, up.Row); err != nil {
 			t.Fatal(err)
 		}
-		if r := sess.TombstoneRatio(); r >= 0.3 {
-			t.Fatalf("step %d: ratio %g survived past the 0.3 watermark", step, r)
-		} else if r > 0 {
+		checkTombstoneBound(t, sess, 0.3, step)
+		if sess.TombstoneRatio() > 0 {
 			sawTombstones = true
 		}
 		checkAgainstScratch(t, sess, m, copts, step)
+		want, err := core.TupleSensitivities(q, m.database(t), "R1", copts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range m.rows["R1"] {
+			if g, w := fn(row), want(row); g != w {
+				t.Fatalf("step %d: δ(R1:%v) from the evaluator taken before the stream: %d, scratch %d", step, row, g, w)
+			}
+		}
 	}
 	if !sawTombstones {
 		t.Fatal("stream never planted a tombstone; the watermark was not exercised")
 	}
-	if sess.Rebuilds() == 0 {
-		t.Fatal("watermark never triggered an automatic rebuild")
+	if n := reg.Counter("tsens_session_compactions_total", "").Value(); n == 0 {
+		t.Fatal("watermark never compacted a table")
+	}
+	if sess.Rebuilds() != 0 {
+		t.Fatalf("session rebuilt %d times, want compaction in place", sess.Rebuilds())
 	}
 
 	// Without the option the same stream accumulates tombstones and never
@@ -509,12 +539,11 @@ func TestSessionTombstoneCompaction(t *testing.T) {
 	}
 }
 
-// TestSessionTombstoneRatioDisconnected pins the watermark's denominator to
-// the whole maintained state, not just the tables updates have patched:
-// deletes confined to the small component of a disconnected query are a
-// sliver of the maintained rows, so they must not cross the watermark and
-// trigger rebuilds — the failure mode is an O(|DB|) rebuild storm on the
-// per-update path.
+// TestSessionTombstoneRatioDisconnected pins the watermark to the tables
+// an update patches: deletes confined to the small component of a
+// disconnected query compact only that component's tables, in place, and
+// never rebuild the session — the failure mode is an O(|DB|) rebuild storm
+// on the per-update path.
 func TestSessionTombstoneRatioDisconnected(t *testing.T) {
 	atoms := []query.Atom{
 		{Relation: "A1", Vars: []string{"A", "B"}},

@@ -91,6 +91,13 @@ func (st *sharedTabs) sync() {
 	}
 }
 
+// reindex rebuilds every index after its table was compacted.
+func (st *sharedTabs) reindex() {
+	for _, ix := range st.m {
+		ix.Reindex()
+	}
+}
+
 // nodeDelta is one memoized per-update delta of one node: the unit
 // relation delta (set only at the update's landing node) and the botjoin
 // delta. Counted deltas are immutable once produced, so followers read
@@ -184,7 +191,7 @@ type PlanStore struct {
 	subs  map[*Session]struct{}
 
 	// nsubs mirrors len(subs), written under mu and read without it by the
-	// stepping goroutine (see propagate's memo skip and maybeCompact).
+	// stepping goroutine (see propagate's memo skip).
 	nsubs atomic.Int32
 
 	// clock is the number of stream updates fully applied through the

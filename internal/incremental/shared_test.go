@@ -2,9 +2,11 @@ package incremental
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tsens/internal/core"
+	"tsens/internal/obs"
 	"tsens/internal/query"
 	"tsens/internal/relation"
 )
@@ -289,17 +291,31 @@ func TestSharedRebuildDetaches(t *testing.T) {
 	}
 }
 
-// TestSharedStoreNeverCompacts pins the sole-subscriber compaction rule:
-// two sessions sharing one store are fed deletes past their watermark and
-// neither rebuilds (a rebuild would move it into a store of its own), both
-// stay exact, and both report the store tables' tombstones.
-func TestSharedStoreNeverCompacts(t *testing.T) {
+// TestSharedStoreCompacts feeds two different plans in one store — the
+// path query and a selection variant sharing its R1 and R2 subtrees — a
+// churn stream of 4,000 updates to R2, each pair inserting a row with a
+// fresh key and deleting the oldest row, with a random update to R1 or R3
+// after every fourth, so that plans probing the compacted tables through
+// their row indexes run too. Tables shared by both sessions are compacted
+// in place by whichever session patches them (the sessions take turns
+// applying first): after every update every maintained table stays at or
+// under the watermark, both sessions stay in the store without a rebuild,
+// and both equal a from-scratch solve.
+func TestSharedStoreCompacts(t *testing.T) {
+	const watermark = 0.25
 	tc := streamCases()[0] // path
 	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(7)), 12, 4)
+	qsel, err := query.New("path_sel", tc.atoms, map[string][]query.Predicate{
+		"R3": {{Var: "D", Op: query.Le, Value: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
 	store := NewPlanStore()
 	var sessions []*Session
-	for i := 0; i < 2; i++ {
-		s, err := Open(q, db, Options{Options: opts, RebuildTombstoneRatio: 0.3})
+	for _, qq := range []*query.Query{q, qsel} {
+		s, err := Open(qq, db, Options{Options: opts, RebuildTombstoneRatio: watermark, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,24 +324,44 @@ func TestSharedStoreNeverCompacts(t *testing.T) {
 		}
 		sessions = append(sessions, s)
 	}
+	if st := store.Stats(); st.SharedBases == 0 || st.SharedNodes == 0 {
+		t.Fatalf("the two plans share no table: %+v", st)
+	}
 	m := newMirror(db)
-	for step := 0; len(m.rows["R2"]) > 0; step++ {
-		up := Update{Rel: "R2", Row: m.rows["R2"][0].Clone(), Insert: false}
+	apply := func(step int, up Update) {
 		m.apply(t, up)
-		for _, s := range sessions {
-			if err := s.Delete(up.Rel, up.Row); err != nil {
-				t.Fatal(err)
+		for k := range sessions {
+			if err := sessions[(step+k)%2].Apply([]Update{up}); err != nil {
+				t.Fatalf("step %d: %v", step, err)
 			}
+		}
+		for _, s := range sessions {
+			checkTombstoneBound(t, s, watermark, step)
 			checkAgainstScratch(t, s, m, opts, step)
+		}
+	}
+	live := slices.Clone(db.Relation("R2").Rows) // oldest first
+	rng := rand.New(rand.NewSource(8))
+	for step := 0; step < 4000; step++ {
+		if step%2 == 0 {
+			up := Update{Rel: "R2", Row: relation.Tuple{int64(100 + step), int64(rng.Intn(4))}, Insert: true}
+			live = append(live, up.Row)
+			apply(step, up)
+		} else {
+			apply(step, Update{Rel: "R2", Row: live[0], Insert: false})
+			live = live[1:]
+		}
+		if step%4 == 3 {
+			apply(step, randomUpdate(rng, m, []string{"R1", "R3"}, 4))
 		}
 	}
 	for i, s := range sessions {
 		if s.Rebuilds() != 0 || s.Store() != store {
-			t.Fatalf("session %d rebuilt %d times (store kept: %v), want no compaction in a shared store", i, s.Rebuilds(), s.Store() == store)
+			t.Fatalf("session %d rebuilt %d times (store kept: %v), want in-place compaction", i, s.Rebuilds(), s.Store() == store)
 		}
-		if r := s.TombstoneRatio(); r < 0.3 {
-			t.Fatalf("session %d reports tombstone ratio %g after draining R2, want the shared tables' zero rows past 0.3", i, r)
-		}
+	}
+	if n := reg.Counter("tsens_session_compactions_total", "").Value(); n == 0 {
+		t.Fatal("no table was compacted")
 	}
 }
 

@@ -27,7 +27,8 @@ type Update struct {
 // so probes never trigger an O(n) rebuild after a patch. Keys whose count
 // reaches zero are kept as tombstones (they contribute nothing to any
 // operator), counted by Tombstones; callers running unbounded update
-// streams should periodically rebuild their tables.
+// streams should Compact a table once its tombstones pass a fixed share of
+// its rows.
 //
 // The returned slice lists the indexes of the rows that were patched or
 // appended, for callers tracking derived aggregates (e.g. maxima).
@@ -109,6 +110,43 @@ func (c *Counted) patch(r int, delta int64) {
 // this package's operators build from zero-free inputs.
 func (c *Counted) Tombstones() int { return c.zeroes }
 
+// Compact drops c's tombstones, keeping the live rows in order. The live
+// rows are copied into fresh arena storage and the lookup index is rebuilt
+// over them in the same pass, so storage that held dead rows can be freed.
+// Existing row storage is never written: a Tuple read before the call keeps
+// its values. Row positions move, so RowIndexes over c must be Reindexed
+// afterwards. Like ApplyDelta, Compact must not run concurrently with
+// readers of c.
+func (c *Counted) Compact() {
+	live := len(c.Rows) - c.zeroes
+	rows := make([]Tuple, 0, live)
+	cnt := make([]int64, 0, live)
+	ar := newTupleArena(len(c.Attrs), live)
+	var ix *lookupIndex
+	if len(c.Attrs) > 0 {
+		ix = &lookupIndex{tbl: newIntTable(len(c.Attrs), live), rowOf: make([]int32, 0, live)}
+	}
+	for i, t := range c.Rows {
+		if c.Cnt[i] == 0 {
+			continue
+		}
+		row := ar.alloc()
+		copy(row, t)
+		if ix != nil {
+			if _, added := ix.tbl.insert(row); added {
+				ix.rowOf = append(ix.rowOf, int32(len(rows)))
+			}
+		}
+		rows = append(rows, row)
+		cnt = append(cnt, c.Cnt[i])
+	}
+	c.Rows, c.Cnt, c.zeroes = rows, cnt, 0
+	if ix != nil {
+		ix.n = len(rows)
+		c.lookupIdx.Store(ix)
+	}
+}
+
 // RowIndex is a secondary index over a subset of a counted relation's
 // attributes, mapping each key to the indexes of the rows holding it.
 // Unlike the per-call join indexes of the hash kernels it survives in-place
@@ -144,6 +182,15 @@ func NewRowIndex(c *Counted, attrs []string) (*RowIndex, error) {
 
 // Attrs returns the key attributes, in index order.
 func (ix *RowIndex) Attrs() []string { return ix.attrs }
+
+// Reindex rebuilds the index over the relation's current rows, after
+// Counted.Compact moved them. The index keeps its identity, so plans
+// compiled against it stay valid.
+func (ix *RowIndex) Reindex() {
+	ix.tbl = newIntTable(len(ix.idxs), groupHint(len(ix.c.Rows)))
+	ix.rows, ix.n = nil, 0
+	ix.Sync()
+}
 
 // Sync indexes the rows appended to the underlying relation since the index
 // was built or last synced.

@@ -3,6 +3,7 @@ package relation
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -138,6 +139,116 @@ func TestApplyDeltaTombstones(t *testing.T) {
 		}
 		if got := c.Clone().Tombstones(); got != recount(c) {
 			t.Fatalf("attrs %v: clone reports %d tombstones, want %d", attrs, got, recount(c))
+		}
+	}
+}
+
+// TestCompactDifferential interleaves Compact with random ApplyDelta
+// sequences on 0- to 3-column tables and checks every compaction against a
+// brute-force multiset: no tombstone survives, every live key probes to its
+// count, re-indexed RowIndexes list exactly the live rows of each key, and
+// tuples read before the compaction keep their values.
+func TestCompactDifferential(t *testing.T) {
+	type entry struct {
+		row Tuple
+		n   int64
+	}
+	keyOf := func(row Tuple, pos []int) string {
+		key := make(Tuple, len(pos))
+		for i, p := range pos {
+			key[i] = row[p]
+		}
+		return string(encodeTuple(nil, key))
+	}
+	rng := rand.New(rand.NewSource(29))
+	for width := 0; width <= 3; width++ {
+		attrs := []string{"A", "B", "C"}[:width]
+		all := []int{0, 1, 2}[:width]
+		c := &Counted{Attrs: attrs}
+		want := map[string]*entry{}
+		var ixs []*RowIndex
+		for lo := 0; lo < width; lo++ {
+			ix, err := NewRowIndex(c, attrs[lo:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ixs = append(ixs, ix)
+		}
+		compactions := 0
+		for step := 0; step < 2000; step++ {
+			d := &Counted{Attrs: attrs}
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				row := make(Tuple, width)
+				for i := range row {
+					row[i] = int64(rng.Intn(4))
+				}
+				e := want[keyOf(row, all)]
+				if e == nil {
+					e = &entry{row: row}
+					want[keyOf(row, all)] = e
+				}
+				cnt := int64(1 + rng.Intn(2))
+				if rng.Intn(2) == 0 { // delete, down to zero at most
+					cnt = -min(cnt, e.n)
+				}
+				e.n += cnt
+				d.Rows = append(d.Rows, row)
+				d.Cnt = append(d.Cnt, cnt)
+			}
+			if _, err := c.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+			for _, ix := range ixs {
+				ix.Sync()
+			}
+			if rng.Intn(8) != 0 {
+				continue
+			}
+			before := append([]Tuple(nil), c.Rows...)
+			vals := make([]Tuple, len(before))
+			for i, r := range before {
+				vals[i] = r.Clone()
+			}
+			c.Compact()
+			for _, ix := range ixs {
+				ix.Reindex()
+			}
+			compactions++
+			for i, r := range before {
+				if !r.Equal(vals[i]) {
+					t.Fatalf("width %d step %d: row %d read before Compact changed from %v to %v", width, step, i, vals[i], r)
+				}
+			}
+			if c.Tombstones() != 0 || slices.Contains(c.Cnt, 0) {
+				t.Fatalf("width %d step %d: tombstones left after Compact (tally %d, counts %v)", width, step, c.Tombstones(), c.Cnt)
+			}
+			live := 0
+			for _, e := range want {
+				if e.n != 0 {
+					live++
+				}
+				if got, ok := c.Probe(e.row); ok != (e.n != 0) || got != e.n {
+					t.Fatalf("width %d step %d: Probe(%v) = %d, %v, want %d", width, step, e.row, got, ok, e.n)
+				}
+			}
+			if len(c.Rows) != live || len(c.Cnt) != live {
+				t.Fatalf("width %d step %d: %d rows after Compact, want %d live", width, step, len(c.Rows), live)
+			}
+			for lo, ix := range ixs {
+				byKey := map[string][]int32{}
+				for r, row := range c.Rows {
+					k := keyOf(row, all[lo:])
+					byKey[k] = append(byKey[k], int32(r))
+				}
+				for _, e := range want {
+					if got, exp := ix.Rows(e.row[lo:]), byKey[keyOf(e.row, all[lo:])]; !slices.Equal(got, exp) {
+						t.Fatalf("width %d step %d: index on %v lists rows %v for %v, want %v", width, step, ix.Attrs(), got, e.row[lo:], exp)
+					}
+				}
+			}
+		}
+		if compactions == 0 {
+			t.Fatalf("width %d: no compaction ran", width)
 		}
 	}
 }

@@ -15,8 +15,9 @@ package serve
 // Only the shard's goroutine attaches, detaches and steps its sessions, and
 // it does so between rounds, when its store is quiescent: registrations and
 // drops arrive on the shard's FIFO (shard.go), and the end of a round moves
-// a session back into the shard's store after a rebuild (a bulk batch or a
-// compaction) left it in a store of its own.
+// a session back into the shard's store after a bulk batch rebuilt it into
+// a store of its own. Tombstones are compacted in place, table by table, in
+// whichever store a session is in (incremental.Options.RebuildTombstoneRatio).
 
 import (
 	"fmt"

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -288,12 +289,61 @@ func TestServeSessionPerDistinctPlan(t *testing.T) {
 	}
 }
 
-// TestServeCompactsLoneQuery pins the sole-subscriber compaction rule at
-// the server and the rejoin that follows it: with default options, a query
-// alone in its shard's store rebuilds under key churn — each update pair
-// inserts an R2 row with a fresh key and deletes the oldest one — keeps
-// serving exact views, and is back in its shard's store once the round
-// ends, counted once by the subscriber gauge, and a later identical
+// churnStream returns n updates: pairs that insert an R2 row with a fresh
+// key and delete the oldest R2 row, and after every other pair an insert
+// into R1 or R3, so that plans reading R2's tables through their row
+// indexes run between R2's compactions.
+func churnStream(db *relation.Database, n int, seed int64) []relation.Update {
+	rng := rand.New(rand.NewSource(seed))
+	live := slices.Clone(db.Relation("R2").Rows)
+	stream := make([]relation.Update, 0, n+1)
+	for i := 0; len(stream) < n; i++ {
+		row := relation.Tuple{int64(100 + i), int64(rng.Intn(6))}
+		stream = append(stream,
+			relation.Update{Rel: "R2", Row: row, Insert: true},
+			relation.Update{Rel: "R2", Row: live[0], Insert: false})
+		live = append(live[1:], row)
+		if i%2 == 1 {
+			rel := []string{"R1", "R3"}[rng.Intn(2)]
+			stream = append(stream, relation.Update{Rel: rel, Row: relation.Tuple{int64(rng.Intn(6)), int64(rng.Intn(6))}, Insert: true})
+		}
+	}
+	return stream[:n]
+}
+
+// checkCompacted checks that the query's view equals a from-scratch solve
+// at its epoch without a rebuild, and that its session, still in its
+// shard's store, holds no more than the watermark share of tombstones.
+func checkCompacted(t *testing.T, srv *Server, db *relation.Database, stream []relation.Update, id string) {
+	t.Helper()
+	v, err := srv.View(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sq := queryOf(t, srv, id)
+	want, err := core.LocalSensitivity(sq.q, replayPrefix(t, db, stream, int(v.Epoch)), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Count != want.Count || v.LS.LS != want.LS {
+		t.Fatalf("%s served (%d, %d) at epoch %d, scratch (%d, %d)", id, v.Count, v.LS.LS, v.Epoch, want.Count, want.LS)
+	}
+	if v.Rebuilds != 0 {
+		t.Fatalf("%s rebuilt %d times by epoch %d, want compaction in place", id, v.Rebuilds, v.Epoch)
+	}
+	sess := sq.plan.sess
+	if sess.Store() != srv.shards[sq.shard].store {
+		t.Fatalf("%s: session left its shard's store", id)
+	}
+	if r := sess.TombstoneRatio(); r > DefaultRebuildTombstoneRatio {
+		t.Fatalf("%s: tombstone ratio %v at epoch %d, past the %v watermark", id, r, v.Epoch, DefaultRebuildTombstoneRatio)
+	}
+}
+
+// TestServeCompactsLoneQuery pins compaction of a query alone in its
+// shard's store: under key churn (churnStream) it keeps serving exact views,
+// compacts its tables in place without a rebuild, stays in its shard's
+// store counted once by the subscriber gauge, and a later identical
 // registration attaches to its session.
 func TestServeCompactsLoneQuery(t *testing.T) {
 	db := testDB(t, 20, 6, 41, "R1", "R2", "R3")
@@ -305,16 +355,7 @@ func TestServeCompactsLoneQuery(t *testing.T) {
 	if _, _, err := srv.Register(QueryConfig{ID: "p", Query: pathQuery(t)}); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(42))
-	live := append([]relation.Tuple(nil), db.Relation("R2").Rows...)
-	var stream []relation.Update
-	for i := 0; i < 400; i++ {
-		row := relation.Tuple{int64(100 + i), int64(rng.Intn(6))}
-		stream = append(stream,
-			relation.Update{Rel: "R2", Row: row, Insert: true},
-			relation.Update{Rel: "R2", Row: live[0], Insert: false})
-		live = append(live[1:], row)
-	}
+	stream := churnStream(db, 800, 42)
 	_, to, err := srv.Append(stream)
 	if err != nil {
 		t.Fatal(err)
@@ -322,39 +363,102 @@ func TestServeCompactsLoneQuery(t *testing.T) {
 	if err := srv.WaitApplied(to); err != nil {
 		t.Fatal(err)
 	}
-	v, err := srv.View("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.LocalSensitivity(pathQuery(t), replayPrefix(t, db, stream, int(v.Epoch)), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Rebuilds == 0 {
-		t.Fatalf("view at epoch %d reports no rebuilds: a lone query never compacted", v.Epoch)
-	}
-	if v.Count != want.Count || v.LS.LS != want.LS {
-		t.Fatalf("served (%d, %d) at epoch %d, scratch (%d, %d)", v.Count, v.LS.LS, v.Epoch, want.Count, want.LS)
-	}
-
-	p := queryOf(t, srv, "p")
-	if p.plan.sess.Store() != srv.shards[p.shard].store {
-		t.Fatal("compacted session left outside its shard's store")
-	}
+	checkCompacted(t, srv, db, stream, "p")
 	if tot, g := planTotals(srv), srv.m.planSubs.Value(); tot.Subscribers != 1 || g != 1 {
-		t.Fatalf("plan totals %+v, subscriber gauge %v, want the rebuilt session counted once", tot, g)
+		t.Fatalf("plan totals %+v, subscriber gauge %v, want the session counted once", tot, g)
 	}
 	if _, _, err := srv.Register(QueryConfig{ID: "p2", Query: pathQuery(t)}); err != nil {
 		t.Fatal(err)
 	}
-	if queryOf(t, srv, "p2").plan != p.plan {
-		t.Fatal("identical registration after a rebuild opened its own session")
+	if queryOf(t, srv, "p2").plan != queryOf(t, srv, "p").plan {
+		t.Fatal("identical registration after compaction opened its own session")
 	}
 	if tot := planTotals(srv); tot.Subscribers != 1 || tot.Rows != 3 {
 		t.Fatalf("plan totals %+v, want the one session and one copy of each relation", tot)
 	}
-	if v2, err := srv.View("p2"); err != nil || v2.Epoch != v.Epoch || v2.Count != want.Count || v2.LS.LS != want.LS {
-		t.Fatalf("p2 served %+v (%v), scratch (%d, %d) at epoch %d", v2, err, want.Count, want.LS, v.Epoch)
+	checkCompacted(t, srv, db, stream, "p2")
+}
+
+// TestServeCompactsSharedStore runs two different plans — the path query
+// and a selection variant sharing its R1 and R2 subtrees — in the one store
+// of a one-shard server under the same key churn, with readers polling
+// their views and a third plan registering halfway. The session patching a
+// shared table compacts it in place under the other subscribers' compiled
+// plans: every view stays exact without a rebuild, and no session holds
+// more than the watermark share of tombstones.
+func TestServeCompactsSharedStore(t *testing.T) {
+	db := testDB(t, 20, 6, 41, "R1", "R2", "R3")
+	srv, err := New(db, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	path := pathQuery(t)
+	sel, err := query.New("path_sel", path.Atoms, map[string][]query.Predicate{
+		"R3": {{Var: "D", Op: query.Le, Value: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix, err := query.New("prefix", path.Atoms[:2], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, q := range map[string]*query.Query{"p": path, "s": sel} {
+		if _, _, err := srv.Register(QueryConfig{ID: id, Query: q}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := planTotals(srv); st.Subscribers != 2 || st.SharedNodes == 0 {
+		t.Fatalf("plan totals %+v, want two sessions sharing nodes", st)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, id := range []string{"p", "s"} {
+				if _, err := srv.View(id); err != nil {
+					t.Errorf("view %s: %v", id, err)
+					return
+				}
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	stream := churnStream(db, 4000, 43)
+	ids := []string{"p", "s"}
+	for lo := 0; lo < len(stream); lo += 500 {
+		if lo == 2000 {
+			if _, _, err := srv.Register(QueryConfig{ID: "r", Query: prefix}); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, "r")
+		}
+		_, to, err := srv.Append(stream[lo : lo+500])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.WaitApplied(to); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			checkCompacted(t, srv, db, stream, id)
+		}
+	}
+	if n := srv.Metrics().Counter("tsens_session_compactions_total", "").Value(); n == 0 {
+		t.Fatal("no table was compacted")
 	}
 }
 

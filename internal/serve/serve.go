@@ -85,10 +85,11 @@ const DefaultBatchSize = 32
 // drifted by this fraction since the snapshot was taken.
 const DefaultDriftFraction = 0.1
 
-// DefaultRebuildTombstoneRatio is the tombstone-compaction watermark the
+// DefaultRebuildTombstoneRatio is the per-table tombstone watermark the
 // server sets on every session it opens (see
-// incremental.Options.RebuildTombstoneRatio).
-const DefaultRebuildTombstoneRatio = 0.5
+// incremental.Options.RebuildTombstoneRatio): a maintained table is
+// compacted in place once more than a quarter of its rows are tombstones.
+const DefaultRebuildTombstoneRatio = 0.25
 
 // DefaultMaxShards caps the GOMAXPROCS-derived default shard count.
 const DefaultMaxShards = 8
@@ -109,10 +110,6 @@ type Options struct {
 	// DriftFraction gates sensitivity-snapshot refreshes. 0 means
 	// DefaultDriftFraction; negative refreshes every epoch.
 	DriftFraction float64
-	// RebuildTombstoneRatio is the compaction watermark set on every
-	// session. 0 means DefaultRebuildTombstoneRatio; negative disables
-	// automatic compaction.
-	RebuildTombstoneRatio float64
 	// Shards is the number of write-path shards (per-shard writer
 	// goroutines; see shard.go). 0 means min(GOMAXPROCS, DefaultMaxShards);
 	// 1 restores the single-writer pipeline.
@@ -178,9 +175,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DriftFraction == 0 {
 		o.DriftFraction = DefaultDriftFraction
-	}
-	if o.RebuildTombstoneRatio == 0 {
-		o.RebuildTombstoneRatio = DefaultRebuildTombstoneRatio
 	}
 	if o.Shards == 0 {
 		o.Shards = par.N(0)
@@ -257,8 +251,9 @@ type View struct {
 	SensEpoch int64
 	// SensCount is |Q(D)| at SensEpoch, the drift baseline.
 	SensCount int64
-	// Rebuilds is how many full session rebuilds (bulk batches, tombstone
-	// compactions) had happened as of Epoch.
+	// Rebuilds is how many full session rebuilds (bulk batches) had
+	// happened as of Epoch. Tombstone compaction is done in place and
+	// counts none.
 	Rebuilds int
 	// Err, when non-nil, marks the query failed: a session could not
 	// absorb an update batch and stopped being maintained.
@@ -760,16 +755,13 @@ func (s *Server) snapshot(q *query.Query) *relation.Database {
 func (s *Server) sessionOptions(opts core.Options) incremental.Options {
 	opts.Parallelism = s.opts.Parallelism
 	opts.Pool = s.pool
-	so := incremental.Options{
-		Options:       opts,
-		BulkThreshold: s.opts.BulkThreshold,
-		Metrics:       s.m.reg,
-		Logger:        s.logger,
+	return incremental.Options{
+		Options:               opts,
+		BulkThreshold:         s.opts.BulkThreshold,
+		RebuildTombstoneRatio: DefaultRebuildTombstoneRatio,
+		Metrics:               s.m.reg,
+		Logger:                s.logger,
 	}
-	if s.opts.RebuildTombstoneRatio > 0 {
-		so.RebuildTombstoneRatio = s.opts.RebuildTombstoneRatio
-	}
-	return so
 }
 
 // Append validates ups against the schema and appends them to the update
