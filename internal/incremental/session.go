@@ -403,7 +403,7 @@ func (s *Session) applyOne(up Update) error {
 	}
 	dbase := &relation.Counted{Attrs: md.EffVars, Rows: []relation.Tuple{proj}, Cnt: []int64{delta}}
 	if err := s.propagate(ref, dbase); err != nil {
-		s.marked = s.marked[:0]
+		s.marked = nil
 		s.poisonStore(err)
 		return err
 	}
@@ -447,6 +447,7 @@ func (s *Session) compactMarked() {
 			s.compactionsTotal.Inc()
 		}
 	}
+	clear(s.marked) // keep no table reachable past a rebuild
 	s.marked = s.marked[:0]
 }
 
