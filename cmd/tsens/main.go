@@ -319,7 +319,7 @@ func buildServe(args []string) (*serveCmd, error) {
 		budget     = fs.Float64("budget", 0, "total ε budget of the startup query (0 = unlimited)")
 		replayFile = fs.String("replay", "", "feed this "+csvio.UpdatesFileName+" stream through the update log")
 		replayN    = fs.Int("replay-batch", 32, "updates per replayed append")
-		parN       = fs.Int("parallelism", 0, "per-shard fan-out and session parallelism (0 = all cores)")
+		parN       = fs.Int("parallelism", 0, "parallelism of each session open (0 = all cores)")
 		batch      = fs.Int("batch", 0, "log entries per epoch (0 = default)")
 		shards     = fs.Int("shards", 0, "write-path shards (0 = GOMAXPROCS-bounded default, 1 = single writer)")
 		seed       = fs.Int64("seed", 0, "release-noise seed (0 = cryptographically random; fix only for tests)")

@@ -170,19 +170,16 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 
 	// Lead/follower election: for each store entry on this update's path,
 	// the first subscriber to apply stream position s.pos computes the
-	// delta, patches the entry's table, and memoizes the delta (lead);
-	// every later subscriber finds the entry already advanced past its
-	// cursor and replays the memo without touching the table (follower).
-	// Election is per entry, not per store — a session can lead one node
-	// and follow another when their subscriber sets differ — and is stable
-	// across the whole propagation because cursors only advance after it
-	// completes. A store's sole subscriber always leads and writes no memo:
-	// nobody could read it, since Adopt joins only a quiescent store and a
-	// newcomer never replays a position from before it arrived.
+	// delta, patches the entry's table, and records the delta in the node's
+	// slot (lead); every later subscriber finds the entry already advanced
+	// past its cursor and replays the slot without touching the table
+	// (follower). Election is per entry, not per store — a session can lead
+	// one node and follow another when their subscriber sets differ — and
+	// is stable across the whole propagation because cursors only advance
+	// after it completes. A store's sole subscriber always leads.
 	sb := s.sbase[ref.ui][ref.mi].Val
 	ln := s.snode[ref.ui].Val
 	lnLead := ln.pos == s.pos
-	memo := s.store.subscribers() > 1
 
 	// Phase 1: member base.
 	if sb.pos == s.pos {
@@ -195,9 +192,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 	// Phase 2: unit relation.
 	drel := dbase
 	if !lnLead {
-		if e := ln.memo[s.pos]; e != nil && e.drel != nil {
-			drel = e.drel
-		} else {
+		if drel, _ = ln.deltas(s.pos); drel == nil {
 			drel = &relation.Counted{Attrs: u.Vars} // lead saw no bag survivors
 		}
 	} else if u.Rel != md.Base {
@@ -218,8 +213,8 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 			}
 		}
 	}
-	if memo && lnLead && len(drel.Rows) > 0 {
-		ln.memoSet(s.pos, drel, nil)
+	if lnLead && len(drel.Rows) > 0 {
+		ln.record(s.pos, drel, nil)
 	}
 
 	// Phase 3: botjoins up the path.
@@ -240,9 +235,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 			if err != nil {
 				return err
 			}
-		} else if e := ln.memo[s.pos]; e != nil && e.dbot != nil {
-			dbot = e.dbot
-		} else {
+		} else if _, dbot = ln.deltas(s.pos); dbot == nil {
 			dbot = &relation.Counted{Attrs: node.ConnectorVars()}
 		}
 		child, dchild := node, dbot
@@ -251,9 +244,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 				if _, err := s.apply(sol.Bot[child.Index], dchild); err != nil {
 					return err
 				}
-				if memo {
-					sn.memoSet(s.pos, nil, dchild)
-				}
+				sn.record(s.pos, nil, dchild)
 			}
 			pieceChanges = append(pieceChanges, change{sol.Bot[child.Index], dchild})
 			botDeltas = append(botDeltas, botChange{child.Index, dchild})
@@ -263,13 +254,13 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 			}
 			if sn := s.snode[p.Index].Val; sn.pos != s.pos {
 				// The parent's lead already climbed through here this
-				// position: replay its memo (absence = the climb died at
-				// the parent, for every subscriber alike).
-				e := sn.memo[s.pos]
-				if e == nil || e.dbot == nil {
+				// position: replay its slot (nothing recorded = the climb
+				// died at the parent, for every subscriber alike).
+				_, dnext := sn.deltas(s.pos)
+				if dnext == nil {
 					break
 				}
-				child, dchild = p, e.dbot
+				child, dchild = p, dnext
 				continue
 			}
 			operands := []*relation.Counted{sol.Units[p.Index].Rel}

@@ -18,11 +18,11 @@ package incremental
 // Delta application is lead/follower with per-node stream positions: all
 // subscribers of a store are fed the same update stream; the first session
 // to apply stream position p against a node computes the delta, patches
-// the node's tables once, and memoizes the delta; every later subscriber
-// at p replays the memo without touching the tables. A store's only
-// subscriber always leads. Positions are per *node*, not per store, so
-// sessions whose shared regions differ interleave correctly: a node's
-// tables advance exactly once per stream position no matter which
+// the node's tables once, and records the delta in the node's slot; every
+// later subscriber at p replays the slot without touching the tables. A
+// store's only subscriber always leads. Positions are per *node*, not per
+// store, so sessions whose shared regions differ interleave correctly: a
+// node's tables advance exactly once per stream position no matter which
 // subscriber reaches it first.
 //
 // The relations themselves are a tier too, interned by name: a store keeps
@@ -35,7 +35,9 @@ package incremental
 // fed identical update streams, and must step in lockstep: every subscriber
 // applies stream position p before any applies p+1 (serve's stepGroup
 // interleaves a round's updates one at a time across a store's sessions). The
-// rows tier relies on this, since it keeps the outcome of one position only.
+// rows tier and the node slots rely on this, since each keeps one position
+// only: a follower reads them only at the position they were written for,
+// and applyRow fails a subscriber that finds the rows further ahead.
 // Adopt and ReleaseShared may be called from other goroutines — they touch
 // only the refcount maps, under the store mutex — but Adopt additionally
 // requires the store quiescent (no round in flight), which the serving
@@ -51,9 +53,6 @@ import (
 	"tsens/internal/core"
 	"tsens/internal/relation"
 )
-
-// trimStride is how many updates a subscriber applies between memo trims.
-const trimStride = 256
 
 // errCollision refuses an Adopt whose fingerprint hit a store entry that
 // disagrees with the session's table.
@@ -98,14 +97,6 @@ func (st *sharedTabs) reindex() {
 	}
 }
 
-// nodeDelta is one memoized per-update delta of one node: the unit
-// relation delta (set only at the update's landing node) and the botjoin
-// delta. Counted deltas are immutable once produced, so followers read
-// them without copying.
-type nodeDelta struct {
-	drel, dbot *relation.Counted
-}
-
 // sharedBase is an interned member base projection.
 type sharedBase struct {
 	table *relation.Counted
@@ -115,33 +106,40 @@ type sharedBase struct {
 
 // sharedNode is an interned join-tree subtree: the unit relation and
 // botjoin at its root (everything deeper is interned by the child nodes),
-// plus the per-position delta memos followers replay.
+// plus the slot followers replay: the deltas the lead computed at stream
+// position at (−1 until a lead writes one), the unit relation delta drel
+// (set only at the update's landing node) and the botjoin delta dbot.
+// Counted deltas are immutable once produced, so followers read them
+// without copying. Only the stepping goroutine touches the slot.
 type sharedNode struct {
 	rel, bot         *relation.Counted
 	relTabs, botTabs *sharedTabs
 	pos              int64
-	memo             map[int64]*nodeDelta
-	// memoLen mirrors len(memo) for Stats: the memo map is owned by the
-	// stepping goroutine, which writes it without the store lock (the
-	// step-group discipline serializes subscribers), so Stats must read
-	// the count through this atomic instead of the map.
-	memoLen atomic.Int64
+	at               int64
+	drel, dbot       *relation.Counted
 }
 
-func (n *sharedNode) memoSet(pos int64, drel, dbot *relation.Counted) *nodeDelta {
-	e := n.memo[pos]
-	if e == nil {
-		e = &nodeDelta{}
-		n.memo[pos] = e
-		n.memoLen.Add(1)
+// record keeps a delta the lead computed at stream position pos, dropping
+// those of an earlier position; a nil delta leaves its half of the slot.
+func (n *sharedNode) record(pos int64, drel, dbot *relation.Counted) {
+	if n.at != pos {
+		n.at, n.drel, n.dbot = pos, nil, nil
 	}
 	if drel != nil {
-		e.drel = drel
+		n.drel = drel
 	}
 	if dbot != nil {
-		e.dbot = dbot
+		n.dbot = dbot
 	}
-	return e
+}
+
+// deltas returns what the lead recorded at stream position pos: nil where
+// it recorded nothing, which is how followers observe "no change here".
+func (n *sharedNode) deltas(pos int64) (drel, dbot *relation.Counted) {
+	if n.at != pos {
+		return nil, nil
+	}
+	return n.drel, n.dbot
 }
 
 // sharedRows is an interned database relation: the rows every subscriber
@@ -189,10 +187,6 @@ type PlanStore struct {
 	nodes *relation.Interner[*sharedNode]
 	rows  *relation.Interner[*sharedRows]
 	subs  map[*Session]struct{}
-
-	// nsubs mirrors len(subs), written under mu and read without it by the
-	// stepping goroutine (see propagate's memo skip).
-	nsubs atomic.Int32
 
 	// clock is the number of stream updates fully applied through the
 	// store: every interned entry sits at pos == clock whenever the store
@@ -248,7 +242,6 @@ type PlanStoreStats struct {
 	// mean fan-out.
 	NodeRefs    int   `json:"node_refs"`
 	Subscribers int   `json:"subscribers"`
-	MemoEntries int   `json:"memo_entries"`
 	Clock       int64 `json:"clock"`
 }
 
@@ -266,38 +259,8 @@ func (ps *PlanStore) Stats() PlanStoreStats {
 		Subscribers: len(ps.subs),
 		Clock:       ps.clock.Load(),
 	}
-	ps.nodes.Range(func(e *internedNode) {
-		st.MemoEntries += int(e.Val.memoLen.Load())
-		st.NodeRefs += e.Refs
-	})
+	ps.nodes.Range(func(e *internedNode) { st.NodeRefs += e.Refs })
 	return st
-}
-
-// Trim drops memoized deltas no live subscriber can still need.
-// Subscribers call it every trimStride updates. Must not run concurrently
-// with subscriber update application (same-goroutine discipline), because
-// it reads subscriber cursors. A store with one subscriber has no memos to
-// trim, since its sole subscriber writes none (see propagate).
-func (ps *PlanStore) Trim() {
-	if ps.subscribers() <= 1 {
-		return
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	min := ps.clock.Load()
-	for s := range ps.subs {
-		if s.pos < min {
-			min = s.pos
-		}
-	}
-	ps.nodes.Range(func(e *internedNode) {
-		for p := range e.Val.memo {
-			if p < min {
-				delete(e.Val.memo, p)
-				e.Val.memoLen.Add(-1)
-			}
-		}
-	})
 }
 
 // tablesCompatible is the defensive check backing every fingerprint hit: a
@@ -323,9 +286,6 @@ func tablesCompatible(canon, mine *relation.Counted) bool {
 	return len(canon.Rows)-canon.Tombstones() == len(mine.Rows)-mine.Tombstones()
 }
 
-// subscribers returns how many sessions hold entries in the store.
-func (ps *PlanStore) subscribers() int { return int(ps.nsubs.Load()) }
-
 // Adopt moves the session into store, hash-consing its maintained state:
 // every relation, member base, and join-tree subtree already interned
 // there replaces the session's copy, and everything else is donated as the
@@ -340,7 +300,10 @@ func (ps *PlanStore) subscribers() int { return int(ps.nsubs.Load()) }
 // stream), and store must be quiescent — no subscriber mid-update.
 func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
 	own := s.store
-	if store == own || own.subscribers() != 1 {
+	own.mu.Lock()
+	alone := len(own.subs) == 1
+	own.mu.Unlock()
+	if store == own || !alone {
 		return AdoptStats{}, fmt.Errorf("incremental: Adopt needs the session alone in a store other than the target")
 	}
 	shape := s.sol.PlanShape()
@@ -474,8 +437,7 @@ func (s *Session) attach(store *PlanStore, shape *core.PlanShape, rows []*shared
 			e = store.nodes.Put(key, &sharedNode{
 				rel: u.Rel, bot: sol.Bot[i],
 				relTabs: relTabs, botTabs: s.tabs[sol.Bot[i]],
-				pos:  clk,
-				memo: make(map[int64]*nodeDelta),
+				pos: clk, at: -1,
 			})
 			st.NodesDonated++
 		}
@@ -516,7 +478,6 @@ func (s *Session) attach(store *PlanStore, shape *core.PlanShape, rows []*shared
 	s.store = store
 	s.pos = clk
 	store.subs[s] = struct{}{}
-	store.nsubs.Store(int32(len(store.subs)))
 	return st
 }
 
@@ -585,13 +546,12 @@ func (ps *PlanStore) release(s *Session, sbase [][]*internedBase, snode []*inter
 		ps.rows.Release(e)
 	}
 	delete(ps.subs, s)
-	ps.nsubs.Store(int32(len(ps.subs)))
 }
 
 // advance moves the session's stream cursor past one applied update,
 // bumping every subscribed entry still waiting at this position (entries
-// the update never touched advance with an implicit empty delta — memo
-// absence is how followers observe "no change here").
+// the update never touched advance with an implicit empty delta — a slot
+// left at an earlier position is how followers observe "no change here").
 func (s *Session) advance() {
 	p := s.pos
 	for _, row := range s.sbase {
@@ -614,9 +574,6 @@ func (s *Session) advance() {
 	s.pos = p + 1
 	if s.pos > s.store.clock.Load() {
 		s.store.clock.Store(s.pos)
-	}
-	if s.pos%trimStride == 0 {
-		s.store.Trim()
 	}
 }
 

@@ -283,15 +283,113 @@ func TestSharedRowsOutOfLockstepFails(t *testing.T) {
 	}
 }
 
+// pathSelQuery is a selection variant of the path query: it shares the R1
+// and R2 subtrees (nodes and bases) with the path query, and not R3's.
+func pathSelQuery(tc streamCase) *query.Query {
+	return query.MustNew("path_sel", tc.atoms, map[string][]query.Predicate{
+		"R3": {{Var: "D", Op: query.Le, Value: 2}},
+	})
+}
+
+// sharedState renders every entry of a store that more than one session
+// holds — tables, positions, node slots and relation rows — keyed by the
+// entry's key, for before/after checks.
+func sharedState(ps *PlanStore) map[string]string {
+	out := make(map[string]string)
+	ps.bases.Range(func(e *internedBase) {
+		if b := e.Val; e.Refs > 1 {
+			out["base "+e.Key] = fmt.Sprint(b.pos, b.table.Rows, b.table.Cnt)
+		}
+	})
+	ps.nodes.Range(func(e *internedNode) {
+		if n := e.Val; e.Refs > 1 {
+			out["node "+e.Key] = fmt.Sprintf("%d %v %v %v %v at=%d %p %p",
+				n.pos, n.rel.Rows, n.rel.Cnt, n.bot.Rows, n.bot.Cnt, n.at, n.drel, n.dbot)
+		}
+	})
+	ps.rows.Range(func(e *internedRows) {
+		if r := e.Val; e.Refs > 1 {
+			out["rows "+e.Key] = fmt.Sprint(r.pos, r.at, r.err, r.rel.Rows)
+		}
+	})
+	return out
+}
+
+// TestSharedSlotOutOfLockstepFails pins the invariant behind the node
+// slots' one position: with the path query and a selection variant in one
+// store, updates to R2 land in a node both plans share, and a subscriber two
+// positions behind fails instead of reading the slot of another position,
+// leaving every shared table, slot and row as it found them.
+func TestSharedSlotOutOfLockstepFails(t *testing.T) {
+	tc := streamCases()[0] // path
+	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(83)), 12, 4)
+	store := NewPlanStore()
+	a, _ := openAdopted(t, q, db, opts, store)
+	b, _ := openAdopted(t, pathSelQuery(tc), db, opts, store)
+	node := a.snode[a.memberOf["R2"].ui]
+	if node.Refs < 2 || b.snode[b.memberOf["R2"].ui] != node {
+		t.Fatal("R2 does not land in a node both plans share")
+	}
+	ups := []Update{
+		{Rel: "R2", Row: relation.Tuple{1, 2}, Insert: true},
+		{Rel: "R2", Row: relation.Tuple{2, 1}, Insert: true},
+	}
+	if err := a.Apply(ups); err != nil {
+		t.Fatal(err)
+	}
+	if node.Val.at != 1 || node.Val.drel == nil || node.Val.dbot == nil {
+		t.Fatalf("lead left the shared node's slot at position %d (drel %v, dbot %v), want both deltas of position 1",
+			node.Val.at, node.Val.drel, node.Val.dbot)
+	}
+	before := sharedState(store)
+	if err := b.Apply(ups[:1]); err == nil {
+		t.Fatal("subscriber two positions behind applied an update")
+	}
+	if got := sharedState(store); !reflect.DeepEqual(got, before) {
+		t.Fatalf("failed subscriber changed the store:\n got %v\nwant %v", got, before)
+	}
+}
+
+// sharedUpdateAllocs pins the allocations of one insert plus one delete of
+// an R2 row applied in lockstep to the path query and a selection variant
+// in one store: 271 with one delta slot per node, 277 while nodes kept a
+// memo map.
+const sharedUpdateAllocs = 271
+
+// TestSharedLockstepUpdateAllocs pins two subscribers' allocations for one
+// insert plus one delete, each applied to both in lockstep, at
+// sharedUpdateAllocs.
+func TestSharedLockstepUpdateAllocs(t *testing.T) {
+	tc := streamCases()[0] // path
+	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(73)), 12, 4)
+	store := NewPlanStore()
+	a, _ := openAdopted(t, q, db, opts, store)
+	b, _ := openAdopted(t, pathSelQuery(tc), db, opts, store)
+	row := relation.Tuple{1, 2}
+	step := func() {
+		for _, insert := range []bool{true, false} {
+			for _, s := range []*Session{a, b} {
+				if err := s.applyOne(Update{Rel: "R2", Row: row, Insert: insert}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	step() // compile the plans and grow the tables once
+	if allocs := testing.AllocsPerRun(100, step); allocs > sharedUpdateAllocs {
+		t.Fatalf("lockstep insert+delete on two subscribers: %v allocs, want at most %d", allocs, sharedUpdateAllocs)
+	}
+}
+
 // soleUpdateAllocs pins the allocations of one insert plus one delete on a
-// standalone path-query session: 155 since the sole-subscriber memo skip,
-// 159 while a sole subscriber still wrote a delta memo per patched node.
+// standalone path-query session: 155 since a sole subscriber's delta
+// records stopped allocating (first by writing no memo, now a slot write),
+// 159 while it wrote a delta memo per patched node.
 const soleUpdateAllocs = 155
 
-// TestSoleSubscriberWritesNoMemo pins the sole-subscriber memo skip: a
-// standalone session's updates leave no delta memo in its store, and their
-// allocations stay at soleUpdateAllocs.
-func TestSoleSubscriberWritesNoMemo(t *testing.T) {
+// TestSoleSubscriberUpdateAllocs pins a standalone session's allocations
+// for one insert plus one delete at soleUpdateAllocs.
+func TestSoleSubscriberUpdateAllocs(t *testing.T) {
 	tc := streamCases()[0] // path
 	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(73)), 12, 4)
 	s, err := Open(q, db, Options{Options: opts})
@@ -308,11 +406,7 @@ func TestSoleSubscriberWritesNoMemo(t *testing.T) {
 		}
 	}
 	step() // compile the plans and grow the tables once
-	allocs := testing.AllocsPerRun(100, step)
-	if st := s.Store().Stats(); st.MemoEntries != 0 {
-		t.Fatalf("standalone session wrote %d memo entries", st.MemoEntries)
-	}
-	if allocs > soleUpdateAllocs {
+	if allocs := testing.AllocsPerRun(100, step); allocs > soleUpdateAllocs {
 		t.Fatalf("insert+delete on a standalone session: %v allocs, want at most %d", allocs, soleUpdateAllocs)
 	}
 }

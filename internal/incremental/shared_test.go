@@ -75,10 +75,6 @@ func TestSharedDifferentialIdentical(t *testing.T) {
 					}
 				}
 			}
-			store.Trim()
-			if got := store.Stats(); got.MemoEntries != 0 {
-				t.Fatalf("memos survived a full trim at quiescence: %+v", got)
-			}
 		})
 	}
 }
@@ -305,16 +301,10 @@ func TestSharedStoreCompacts(t *testing.T) {
 	const watermark = 0.25
 	tc := streamCases()[0] // path
 	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(7)), 12, 4)
-	qsel, err := query.New("path_sel", tc.atoms, map[string][]query.Predicate{
-		"R3": {{Var: "D", Op: query.Le, Value: 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry()
 	store := NewPlanStore()
 	var sessions []*Session
-	for _, qq := range []*query.Query{q, qsel} {
+	for _, qq := range []*query.Query{q, pathSelQuery(tc)} {
 		s, err := Open(qq, db, Options{Options: opts, RebuildTombstoneRatio: watermark, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)

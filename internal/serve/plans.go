@@ -13,11 +13,12 @@ package serve
 // one store per shard is a sound sharing domain.
 //
 // Only the shard's goroutine attaches, detaches and steps its sessions, and
-// it does so between rounds, when its store is quiescent: registrations and
-// drops arrive on the shard's FIFO (shard.go), and the end of a round moves
-// a session back into the shard's store after a bulk batch rebuilt it into
-// a store of its own. Tombstones are compacted in place, table by table, in
-// whichever store a session is in (incremental.Options.RebuildTombstoneRatio).
+// it attaches and detaches them between rounds, when its store is
+// quiescent: registrations and drops arrive on the shard's FIFO (shard.go).
+// A session stays in the shard's store until its last query is dropped or
+// it fails: served sessions take the per-update delta path for every batch
+// (no bulk rebuild), and tombstones are compacted in place, table by table
+// (incremental.Options.RebuildTombstoneRatio).
 
 import (
 	"fmt"
@@ -43,11 +44,6 @@ type plan struct {
 	count int64
 	res   *core.Result
 	err   error
-
-	// tried is the session's Rebuilds() count when it last tried to move
-	// into its shard's store, so a refused Adopt is retried only after the
-	// next rebuild.
-	tried int
 }
 
 // planKey identifies what a session maintains: the atoms, the selections
@@ -127,22 +123,18 @@ func (sh *shard) drop(s *Server, sq *servedQuery) {
 	s.refreshPlanGauges()
 }
 
-// adopt moves a plan's session into the shard's store, recording the
-// session's rebuild count so endRound tries again only after the next
-// rebuild. An Adopt that fails (it errors only before touching any state)
-// leaves the session in its own store.
+// adopt moves a plan's session into the shard's store. An Adopt that fails
+// (it errors only before touching any state) leaves the session in a store
+// of its own for good; it shares nothing, and the shard steps it beside the
+// store's subscribers.
 func (sh *shard) adopt(s *Server, p *plan) {
-	p.tried = p.sess.Rebuilds()
 	if _, err := p.sess.Adopt(sh.store); err != nil {
 		s.logger.Warn("serve.plan_adopt_failed", "query", p.sess.Query().Name, "shard", sh.id, "err", err.Error())
 	}
 }
 
-// endRound finishes a round. A session that failed leaves the shard (its
-// queries keep their failed views) and its store. A session outside the
-// shard's store that has not tried since its last rebuild moves back in:
-// every session on the shard has then applied exactly the same entries —
-// the quiescent, state-identical moment Adopt requires.
+// endRound finishes a round: a session that failed leaves the shard (its
+// queries keep their failed views) and its store.
 func (sh *shard) endRound(s *Server) {
 	changed := false
 	sh.plans = slices.DeleteFunc(sh.plans, func(p *plan) bool {
@@ -153,36 +145,9 @@ func (sh *shard) endRound(s *Server) {
 		changed = true
 		return true
 	})
-	for _, p := range sh.plans {
-		if p.sess.Store() != sh.store && p.tried != p.sess.Rebuilds() {
-			sh.adopt(s, p)
-			changed = true
-		}
-	}
 	if changed {
 		s.refreshPlanGauges()
 	}
-}
-
-// planGroups partitions a shard's sessions into step groups, one per plan
-// store: sessions subscribed to the same store patch shared tables and must
-// step sequentially (the store's lead/follower memo discipline is
-// single-round, not concurrent), while sessions alone in their store keep
-// the one-goroutine-per-session fan-out.
-func planGroups(plans []*plan) [][]*plan {
-	groups := make([][]*plan, 0, len(plans))
-	byStore := make(map[*incremental.PlanStore]int, len(plans))
-	for _, p := range plans {
-		st := p.sess.Store()
-		gi, ok := byStore[st]
-		if !ok {
-			gi = len(groups)
-			byStore[st] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], p)
-	}
-	return groups
 }
 
 // refreshPlanGauges re-derives the sharing gauges from every shard's store.

@@ -328,10 +328,10 @@ func checkCompacted(t *testing.T, srv *Server, db *relation.Database, stream []r
 	if v.Count != want.Count || v.LS.LS != want.LS {
 		t.Fatalf("%s served (%d, %d) at epoch %d, scratch (%d, %d)", id, v.Count, v.LS.LS, v.Epoch, want.Count, want.LS)
 	}
-	if v.Rebuilds != 0 {
-		t.Fatalf("%s rebuilt %d times by epoch %d, want compaction in place", id, v.Rebuilds, v.Epoch)
-	}
 	sess := sq.plan.sess
+	if n := sess.Rebuilds(); n != 0 {
+		t.Fatalf("%s rebuilt %d times by epoch %d, want no rebuild", id, n, v.Epoch)
+	}
 	if sess.Store() != srv.shards[sq.shard].store {
 		t.Fatalf("%s: session left its shard's store", id)
 	}
@@ -377,6 +377,45 @@ func TestServeCompactsLoneQuery(t *testing.T) {
 		t.Fatalf("plan totals %+v, want the one session and one copy of each relation", tot)
 	}
 	checkCompacted(t, srv, db, stream, "p2")
+}
+
+// TestServeBulkBatchStaysInStore pins that a served session takes the
+// per-update delta path for every batch: on one shard with BatchSize 128, a
+// lone query fed batches of 64 and 128 updates (each at or past the
+// library's default bulk threshold) never rebuilds and never leaves its
+// shard's store, whose clock counts every applied update, and every view
+// equals a from-scratch solve.
+func TestServeBulkBatchStaysInStore(t *testing.T) {
+	db := testDB(t, 20, 6, 47, "R1", "R2", "R3")
+	srv, err := New(db, Options{Shards: 1, BatchSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, _, err := srv.Register(QueryConfig{ID: "p", Query: pathQuery(t)}); err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{64, 128, 64, 128}
+	stream := churnStream(db, 384, 48)
+	from := 0
+	for _, n := range sizes {
+		_, to, err := srv.Append(stream[from : from+n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.WaitApplied(to); err != nil {
+			t.Fatal(err)
+		}
+		from += n
+		checkCompacted(t, srv, db, stream, "p")
+		applied := to - srv.Stats().Skipped
+		if clk := srv.shards[0].store.Stats().Clock; clk != applied {
+			t.Fatalf("shard store clock %d after %d applied updates: the session left the store", clk, applied)
+		}
+	}
+	if n, _ := srv.Metrics().Value("tsens_session_rebuilds_total"); n != 0 {
+		t.Fatalf("tsens_session_rebuilds_total = %v, want 0", n)
+	}
 }
 
 // TestServeCompactsSharedStore runs two different plans — the path query

@@ -76,8 +76,8 @@ var errClosed = errors.New("serve: server closed")
 var ErrFenced = errors.New("serve: fenced: leadership lost")
 
 // DefaultBatchSize bounds how many log entries one drain round folds into a
-// single cut. It sits below incremental.DefaultBulkThreshold so
-// drained batches stay on the per-tuple delta path instead of rebuilding.
+// single cut. Sessions apply a round one update at a time whatever its
+// size; the batch size sets how often views are published.
 const DefaultBatchSize = 32
 
 // DefaultDriftFraction gates sensitivity-snapshot refreshes: the writer
@@ -96,17 +96,14 @@ const DefaultMaxShards = 8
 
 // Options configures a Server.
 type Options struct {
-	// Parallelism bounds each shard's fan-out across its sessions and each
-	// session's open/rebuild parallelism. 0 means GOMAXPROCS.
+	// Parallelism bounds the parallelism of each session's open (the
+	// one-shot solver passes). 0 means GOMAXPROCS.
 	Parallelism int
 	// Pool supplies worker goroutines; nil makes the server own one sized
 	// to Parallelism (closed by Close).
 	Pool *par.Pool
 	// BatchSize caps log entries per epoch. 0 means DefaultBatchSize.
 	BatchSize int
-	// BulkThreshold is forwarded to every session (see
-	// incremental.Options.BulkThreshold). 0 keeps the session default.
-	BulkThreshold int
 	// DriftFraction gates sensitivity-snapshot refreshes. 0 means
 	// DefaultDriftFraction; negative refreshes every epoch.
 	DriftFraction float64
@@ -244,17 +241,13 @@ type View struct {
 	LS *core.Result
 	// Sens is the sorted per-tuple sensitivity vector of the private
 	// relation, taken at SensEpoch (≤ Epoch; refreshed when the count
-	// drifts or the session rebuilds, and shared by consecutive views
-	// until then). Nil when the query has no private relation. Treat as
-	// read-only — releases copy it.
+	// drifts, and shared by consecutive views until then). Nil when the
+	// query has no private relation. Treat as read-only — releases copy
+	// it.
 	Sens      []int64
 	SensEpoch int64
 	// SensCount is |Q(D)| at SensEpoch, the drift baseline.
 	SensCount int64
-	// Rebuilds is how many full session rebuilds (bulk batches) had
-	// happened as of Epoch. Tombstone compaction is done in place and
-	// counts none.
-	Rebuilds int
 	// Err, when non-nil, marks the query failed: a session could not
 	// absorb an update batch and stopped being maintained.
 	Err error
@@ -290,7 +283,6 @@ type QueryInfo struct {
 	Budget   float64
 	Spent    float64
 	Releases int
-	Rebuilds int
 	Failed   bool
 }
 
@@ -751,13 +743,14 @@ func (s *Server) snapshot(q *query.Query) *relation.Database {
 }
 
 // sessionOptions are the options of every session the server opens, for
-// the solver options a query registered with.
+// the solver options a query registered with. Sessions never take the bulk
+// rebuild, which would move a session out of its shard's store (plans.go).
 func (s *Server) sessionOptions(opts core.Options) incremental.Options {
 	opts.Parallelism = s.opts.Parallelism
 	opts.Pool = s.pool
 	return incremental.Options{
 		Options:               opts,
-		BulkThreshold:         s.opts.BulkThreshold,
+		BulkThreshold:         -1,
 		RebuildTombstoneRatio: DefaultRebuildTombstoneRatio,
 		Metrics:               s.m.reg,
 		Logger:                s.logger,
@@ -1020,7 +1013,6 @@ func (s *Server) Queries() []QueryInfo {
 		if v.Err == nil {
 			info.Count = v.Count
 			info.LS = v.LS.LS
-			info.Rebuilds = v.Rebuilds
 		}
 		if sq.ledger != nil {
 			info.Budget = sq.ledger.Budget()

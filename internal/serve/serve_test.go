@@ -562,49 +562,6 @@ func TestServeLogCompaction(t *testing.T) {
 	}
 }
 
-// TestServeSensRefreshAfterRebuild checks that a session rebuild (here a
-// bulk batch) invalidates the carried-over sensitivity snapshot even when
-// the count has not drifted: the post-rebuild view must be re-read.
-func TestServeSensRefreshAfterRebuild(t *testing.T) {
-	db := testDB(t, 12, 3, 7, "R1", "R2", "R3")
-	// A huge drift gate makes the rebuild check the only refresh trigger,
-	// and BatchSize ≥ BulkThreshold makes every full drained batch rebuild.
-	srv, err := New(db, Options{Parallelism: 2, BatchSize: 8, BulkThreshold: 4, DriftFraction: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	id, v0, err := srv.Register(QueryConfig{
-		Query:   pathQuery(t),
-		Private: "R2",
-		Release: mechanism.TSensDPConfig{Epsilon: 1, Bound: 50},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ups := make([]relation.Update, 8)
-	for i := range ups {
-		ups[i] = relation.Update{Rel: "R1", Row: relation.Tuple{int64(i % 3), int64(i % 3)}, Insert: true}
-	}
-	_, to, err := srv.Append(ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.WaitApplied(to); err != nil {
-		t.Fatal(err)
-	}
-	v, err := srv.View(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Rebuilds <= v0.Rebuilds {
-		t.Fatalf("bulk batch did not rebuild (rebuilds %d -> %d)", v0.Rebuilds, v.Rebuilds)
-	}
-	if v.SensEpoch != v.Epoch {
-		t.Fatalf("post-rebuild view kept the snapshot of epoch %d (view epoch %d)", v.SensEpoch, v.Epoch)
-	}
-}
-
 // TestServeCloseDrainsAcknowledged is the regression test for the
 // acknowledged-write-loss bug: a successful Append must be folded into the
 // published views by a graceful Close, even when Close races the drain.

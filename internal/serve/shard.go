@@ -38,7 +38,6 @@ import (
 
 	"tsens/internal/incremental"
 	"tsens/internal/obs"
-	"tsens/internal/par"
 	"tsens/internal/relation"
 )
 
@@ -177,16 +176,7 @@ func (sh *shard) run(s *Server) {
 			(*gate)(sh.id)
 		}
 		start := time.Now()
-		// Sessions subscribed to the same plan store patch shared tables and
-		// step sequentially within one group; all other sessions share no
-		// mutable state and fan out. Plain par.Do, not pool.Do: a session
-		// rebuild inside the patch borrows the pool itself, and pool workers
-		// must not block on nested pool waits.
-		groups := planGroups(sh.plans)
-		_ = par.Do(s.opts.Parallelism, len(groups), func(i int) error {
-			stepGroup(groups[i], rd)
-			return nil
-		})
+		stepGroup(sh.plans, rd)
 		sh.patch.ObserveSince(start)
 		publishStart := time.Now()
 		for _, p := range sh.plans {
@@ -195,8 +185,7 @@ func (sh *shard) run(s *Server) {
 			}
 		}
 		s.m.publishView.ObserveSince(publishStart)
-		// The round no longer touches any session: drop the failed ones and
-		// move back into the shard's store what a rebuild left outside it,
+		// The round no longer touches any session: drop the failed ones
 		// before the watermark lets waiters through.
 		sh.endRound(s)
 		sh.watermark.Store(rd.cut)
@@ -209,25 +198,21 @@ func (sh *shard) run(s *Server) {
 	}
 }
 
-// stepGroup applies one round to a group of sessions subscribed to the
-// same plan store (or to a singleton, where it is plain step). With several
-// subscribers, updates interleave one at a time across the whole group:
-// the store's lead/follower discipline requires every subscriber to sit at
-// the same position before the next update's deltas are computed, because
-// a partially-sharing session's private delta-joins read shared operand
-// tables, which therefore must not have advanced past the update at hand.
-func stepGroup(g []*plan, rd *round) {
+// stepGroup applies one round to the shard's sessions, one update at a time
+// across all of them: the store keeps the rows and node deltas of one stream
+// position only, so every subscriber must sit at the same position before
+// the next update's deltas are computed (a partially sharing session's
+// private delta-joins also read shared operand tables, which therefore must
+// not have advanced past the update at hand). A session whose Adopt was
+// refused shares nothing, so stepping it in the same loop is harmless.
+func stepGroup(plans []*plan, rd *round) {
 	if len(rd.valid) == 0 {
 		return // the cached outputs still describe the unchanged sessions
-	}
-	if len(g) == 1 {
-		g[0].step(rd.valid)
-		return
 	}
 	one := make([]relation.Update, 1)
 	for _, up := range rd.valid {
 		one[0] = up
-		for _, p := range g {
+		for _, p := range plans {
 			if p.err != nil {
 				continue // a propagation error poisons the store; peers fail fast below
 			}
@@ -236,19 +221,9 @@ func stepGroup(g []*plan, rd *round) {
 			}
 		}
 	}
-	for _, p := range g {
+	for _, p := range plans {
 		p.refresh()
 	}
-}
-
-// step applies a batch to the plan's session and refreshes its cached
-// count/LS.
-func (p *plan) step(batch []relation.Update) {
-	if err := p.sess.Apply(batch); err != nil {
-		p.err = err
-		return
-	}
-	p.refresh()
 }
 
 // refresh recomputes the cached count and LS result from the live session:
@@ -264,10 +239,10 @@ func (p *plan) refresh() {
 
 // publish builds the query's view at cut from its plan's cached outputs and
 // stores it: the only writer of sq.view, run by the owning shard. The
-// sensitivity vector carries over by reference while the session has not
-// rebuilt and the count stays within the drift fraction of the vector's
-// baseline; otherwise it is recomputed by one δ(t) scan of the private
-// relation. A failed query keeps the view that first reported the failure.
+// sensitivity vector carries over by reference while the count stays within
+// the drift fraction of the vector's baseline; otherwise it is recomputed
+// by one δ(t) scan of the private relation. A failed query keeps the view
+// that first reported the failure.
 func (sq *servedQuery) publish(cut int64, driftFrac float64) {
 	prev := sq.view.Load()
 	if prev != nil && prev.Err != nil {
@@ -277,9 +252,9 @@ func (sq *servedQuery) publish(cut int64, driftFrac float64) {
 	err := p.err
 	v := &View{Epoch: cut}
 	if err == nil {
-		v.Count, v.LS, v.Rebuilds = p.count, p.res, p.sess.Rebuilds()
+		v.Count, v.LS = p.count, p.res
 		if sq.private != "" {
-			if prev != nil && prev.Sens != nil && prev.Rebuilds == v.Rebuilds &&
+			if prev != nil && prev.Sens != nil &&
 				driftFrac >= 0 && !drifted(v.Count, prev.SensCount, driftFrac) {
 				v.Sens, v.SensEpoch, v.SensCount = prev.Sens, prev.SensEpoch, prev.SensCount
 			} else {

@@ -167,9 +167,10 @@ type (
 	// log — and never block on update application.
 	Server = serve.Server
 	// ServerOptions configures NewServer (shard count, writer batch size,
-	// fan-out parallelism, drift gating, and WAL durability: WALDir,
+	// session-open parallelism, drift gating, and WAL durability: WALDir,
 	// SyncEvery, CheckpointEvery, WALCodec). Every session the server opens
-	// compacts its tables in place at serve.DefaultRebuildTombstoneRatio.
+	// applies each batch one update at a time and compacts its tables in
+	// place at serve.DefaultRebuildTombstoneRatio.
 	ServerOptions = serve.Options
 	// BudgetLedgerState is the exportable accounting of a BudgetLedger,
 	// the part a durable deployment must persist across restarts.
