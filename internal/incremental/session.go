@@ -123,6 +123,10 @@ type Session struct {
 	store *PlanStore
 	pos   int64
 	srows map[string]*internedRows
+	// lost is the lockstep failure of applyRow, once one happened: the
+	// store moved past an update the session never applied to its
+	// unshared tables, so every later update fails with it.
+	lost  error
 	sbase [][]*internedBase
 	snode []*internedNode
 
@@ -275,6 +279,9 @@ func (s *Session) Delete(rel string, row relation.Tuple) error {
 // tuple) abort the batch at the failing update; updates before it remain
 // applied and the session stays consistent.
 func (s *Session) Apply(batch []Update) error {
+	if s.lost != nil {
+		return s.lost
+	}
 	// The bulk-rebuild shortcut takes the rows private and leaves the store
 	// before changing them, then rebuilds into a store of its own. Leaving a
 	// shared store never advances it, so remaining subscribers stay aligned
@@ -337,7 +344,8 @@ func (s *Session) validate(up Update) error {
 // referenced by the query). The first subscriber at the session's stream
 // position changes the rows (lead); later ones replay its outcome
 // (follower), and a subscriber that finds the rows further ahead fails
-// rather than apply the update twice.
+// rather than apply the update twice, for good: it records the failure in
+// s.lost and does not advance.
 func (s *Session) applyRow(up Update) (memberRef, bool, error) {
 	if err := s.validate(up); err != nil {
 		return memberRef{}, false, err
@@ -354,7 +362,8 @@ func (s *Session) applyRow(up Update) (memberRef, bool, error) {
 	case sr.pos == s.pos:
 		sr.at, sr.err = s.pos, sr.apply(up)
 	case sr.pos != s.pos+1 || sr.at != s.pos:
-		return memberRef{}, false, fmt.Errorf("incremental: rows of %s at stream position %d, session at %d: plan store subscribers out of lockstep", up.Rel, sr.pos, s.pos)
+		s.lost = fmt.Errorf("incremental: rows of %s at stream position %d, session at %d: plan store subscribers out of lockstep", up.Rel, sr.pos, s.pos)
+		return memberRef{}, false, s.lost
 	}
 	if sr.err != nil {
 		return memberRef{}, false, sr.err
@@ -367,11 +376,15 @@ func (s *Session) applyRow(up Update) (memberRef, bool, error) {
 // applyOne applies a single update through delta propagation, then
 // compacts the tables it left past the tombstone watermark. The update
 // consumes one position of the store's stream: every exit path except a
-// propagation failure advances the cursor (validation errors and selection
-// rejections are deterministic across subscribers fed the same stream, so
-// positions stay aligned); a propagation error may leave a store table
-// half-patched and poisons the whole store instead.
+// propagation or lockstep failure advances the cursor (validation errors,
+// the rows' recorded outcome and selection rejections are deterministic
+// across subscribers fed the same stream, so positions stay aligned); a
+// propagation error may leave a store table half-patched and poisons the
+// whole store instead, and a lockstep failure fails the session for good.
 func (s *Session) applyOne(up Update) error {
+	if s.lost != nil {
+		return s.lost
+	}
 	if err := s.store.fail; err != nil {
 		return fmt.Errorf("incremental: plan store poisoned: %w", err)
 	}
@@ -381,7 +394,9 @@ func (s *Session) applyOne(up Update) error {
 	}
 	ref, ok, err := s.applyRow(up)
 	if err != nil {
-		s.advance()
+		if s.lost == nil {
+			s.advance()
+		}
 		return err
 	}
 	if !ok {

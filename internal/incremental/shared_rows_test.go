@@ -350,6 +350,39 @@ func TestSharedSlotOutOfLockstepFails(t *testing.T) {
 	}
 }
 
+// TestSharedLockstepFailureSticks pins that a lockstep failure is final:
+// with the path query and a selection variant in one store, a subscriber
+// that fails an R2 insert because the store is two positions ahead does not
+// advance, and fails the next insert with the same error. Were it to
+// advance, it would replay the shared rows and slot of that insert and
+// succeed, with its own R3 tables never having seen the first one.
+func TestSharedLockstepFailureSticks(t *testing.T) {
+	tc := streamCases()[0] // path
+	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(83)), 12, 4)
+	store := NewPlanStore()
+	a, _ := openAdopted(t, q, db, opts, store)
+	b, _ := openAdopted(t, pathSelQuery(tc), db, opts, store)
+	ups := []Update{
+		{Rel: "R2", Row: relation.Tuple{1, 2}, Insert: true},
+		{Rel: "R2", Row: relation.Tuple{2, 1}, Insert: true},
+	}
+	if err := a.Apply(ups); err != nil {
+		t.Fatal(err)
+	}
+	lost := b.Apply(ups[:1])
+	if lost == nil {
+		t.Fatal("subscriber two positions behind applied an update")
+	}
+	for _, up := range ups[1:] {
+		if err := b.Apply([]Update{up}); !errors.Is(err, lost) {
+			t.Fatalf("update after a lockstep failure: %v, want %v", err, lost)
+		}
+		if err := b.Insert(up.Rel, up.Row); !errors.Is(err, lost) {
+			t.Fatalf("insert after a lockstep failure: %v, want %v", err, lost)
+		}
+	}
+}
+
 // sharedUpdateAllocs pins the allocations of one insert plus one delete of
 // an R2 row applied in lockstep to the path query and a selection variant
 // in one store: 271 with one delta slot per node, 277 while nodes kept a

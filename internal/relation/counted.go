@@ -34,11 +34,41 @@ type Counted struct {
 }
 
 // lookupIndex is the lazily built hash index behind Probe/Lookup: full-row
-// keys to the first row holding them.
+// keys to the first row holding them. While the indexed rows are
+// key-distinct, key id i is row i and rowOf stays nil; the first repeated
+// key materializes it.
 type lookupIndex struct {
 	tbl   *intTable
-	rowOf []int32 // id -> first row index
+	rowOf []int32 // id -> first row index; nil while ids are row numbers
 	n     int     // len(Rows) when built, to detect staleness
+	// owned: Rows[i] is a view of key i in tbl's arena, so each key is
+	// held once (see ApplyDelta and Compact).
+	owned bool
+}
+
+// add indexes row r, which follows every row indexed so far, and returns
+// the id of its key.
+func (ix *lookupIndex) add(t Tuple, r int) int32 {
+	id, added := ix.tbl.insert(t)
+	switch {
+	case added && ix.rowOf != nil:
+		ix.rowOf = append(ix.rowOf, int32(r))
+	case !added && ix.rowOf == nil:
+		// Until now every row added a key, so ids were row numbers.
+		ix.rowOf = make([]int32, ix.tbl.n)
+		for i := range ix.rowOf {
+			ix.rowOf[i] = int32(i)
+		}
+	}
+	return id
+}
+
+// row returns the first row holding key id.
+func (ix *lookupIndex) row(id int32) int {
+	if ix.rowOf == nil {
+		return int(id)
+	}
+	return int(ix.rowOf[id])
 }
 
 // FromRelation groups a base relation by all of its attributes, producing
@@ -455,17 +485,16 @@ func JoinGroupChain(a *Counted, bs []*Counted, attrs []string) (*Counted, error)
 
 // lookupOp is one operand of joinGroupLookup compiled to a key→count table:
 // the operand's rows summed by its (full) attribute tuple, addressed by the
-// corresponding columns of the probing relation. When the operand's rows are
-// already key-distinct — always true for group-by outputs, i.e. every
-// botjoin/topjoin table — the operand's cached lazy index is reused, so
-// repeated edges over the same table build it exactly once.
+// corresponding columns of the probing relation. The operand's cached lazy
+// index is reused, so repeated edges over the same table build it exactly
+// once; when the operand's rows are already key-distinct — always true for
+// group-by outputs, i.e. every botjoin/topjoin table — its ids are row
+// numbers and its counts are read in place.
 type lookupOp struct {
 	width  int
 	aIdx   []int // positions of the operand's attrs within a, in operand order
 	tbl    *intTable
-	rowOf  []int32 // shared-index path: id -> row of b
-	bCnt   []int64 // shared-index path: b.Cnt
-	cnt    []int64 // summed path: id -> summed count
+	cnt    []int64 // id -> summed count (b.Cnt itself when b is key-distinct)
 	scalar int64   // width==0 with rows: total count
 	hasRow bool
 	def    int64
@@ -485,9 +514,8 @@ func buildLookupOp(a, b *Counted) *lookupOp {
 	}
 	ix := b.index()
 	op.tbl = ix.tbl
-	if ix.tbl.n == len(b.Rows) { // key-distinct: count lookup via row indirection
-		op.rowOf = ix.rowOf
-		op.bCnt = b.Cnt
+	if ix.tbl.n == len(b.Rows) { // key-distinct: ids are row numbers
+		op.cnt = b.Cnt
 		return op
 	}
 	// Duplicate rows: sum counts per distinct key, probing the same cached
@@ -516,9 +544,6 @@ func (op *lookupOp) lookup(t Tuple, scratch []int64) (int64, bool) {
 	id := op.tbl.find(scratch[:op.width])
 	if id < 0 {
 		return 0, false
-	}
-	if op.rowOf != nil {
-		return op.bCnt[op.rowOf[id]], true
 	}
 	return op.cnt[id], true
 }
@@ -708,9 +733,7 @@ func (c *Counted) index() *lookupIndex {
 	}
 	ix := &lookupIndex{tbl: newIntTable(len(c.Attrs), groupHint(len(c.Rows))), n: len(c.Rows)}
 	for i, t := range c.Rows {
-		if _, added := ix.tbl.insert(t); added {
-			ix.rowOf = append(ix.rowOf, int32(i))
-		}
+		ix.add(t, i)
 	}
 	c.lookupIdx.Store(ix)
 	return ix
@@ -743,7 +766,7 @@ func (c *Counted) Probe(key Tuple) (int64, bool) {
 	if id < 0 {
 		return 0, false
 	}
-	return c.Cnt[ix.rowOf[id]], true
+	return c.Cnt[ix.row(id)], true
 }
 
 // Lookup returns the count of the row matching key values over the given

@@ -22,13 +22,20 @@ type Update struct {
 
 // ApplyDelta adds d's counts into c by full-row key: existing keys are
 // patched in place, unseen keys are appended. d's attributes must be a
-// permutation of c's, and both relations must be exact (no top-k Default).
-// The lazy Probe/Lookup index of c, if built, is maintained incrementally,
-// so probes never trigger an O(n) rebuild after a patch. Keys whose count
-// reaches zero are kept as tombstones (they contribute nothing to any
-// operator), counted by Tombstones; callers running unbounded update
-// streams should Compact a table once its tombstones pass a fixed share of
-// its rows.
+// permutation of c's, both relations must be exact (no top-k Default), and
+// c must be key-distinct (no key on two rows), as every group-by output is;
+// ApplyDelta keeps it so, and returns an error, leaving c unchanged, for a
+// table that is not. Keys whose count reaches zero are kept as tombstones
+// (they contribute nothing to any operator), counted by Tombstones; callers
+// running unbounded update streams should Compact a table once its
+// tombstones pass a fixed share of its rows.
+//
+// The lazy Probe/Lookup index of c is built if need be and maintained
+// incrementally, so probes never trigger an O(n) rebuild after a patch. The
+// patched table holds each key once: the first patch points c.Rows into the
+// index's key arena, and an appended row is a view of the key the index just
+// stored. Existing row storage is never written, so a Tuple read before the
+// call keeps its values.
 //
 // The returned slice lists the indexes of the rows that were patched or
 // appended, for callers tracking derived aggregates (e.g. maxima).
@@ -45,6 +52,9 @@ func (c *Counted) ApplyDelta(d *Counted) ([]int, error) {
 	}
 	changed := make([]int, 0, len(d.Rows))
 	if len(c.Attrs) == 0 {
+		if len(c.Rows) > 1 {
+			return nil, errNotDistinct(len(c.Rows), 1)
+		}
 		var total int64
 		for _, cnt := range d.Cnt {
 			total = AddSat(total, cnt)
@@ -65,29 +75,54 @@ func (c *Counted) ApplyDelta(d *Counted) ([]int, error) {
 		return nil, err
 	}
 	ix := c.index()
+	if ix.tbl.n != len(c.Rows) {
+		return nil, errNotDistinct(len(c.Rows), ix.tbl.n)
+	}
+	if !ix.owned {
+		// The index holds a copy of every row: read the rows from it, and
+		// let the storage they were built in go.
+		ix.repoint(c.Rows)
+		ix.owned = true
+	}
 	key := make(Tuple, len(c.Attrs))
 	for i, row := range d.Rows {
 		for k, p := range perm {
 			key[k] = row[p]
 		}
-		if id := ix.tbl.find(key); id >= 0 {
-			r := int(ix.rowOf[id])
+		first := cap(ix.tbl.chunks[0])
+		id, added := ix.tbl.insert(key)
+		r := int(id) // c is key-distinct: ids are row numbers
+		if !added {
 			c.patch(r, d.Cnt[i])
 			changed = append(changed, r)
 			continue
 		}
-		r := len(c.Rows)
-		c.Rows = append(c.Rows, key.Clone())
+		if cap(ix.tbl.chunks[0]) != first {
+			// The first chunk grew by moving; every row so far lives in it.
+			ix.repoint(c.Rows)
+		}
+		c.Rows = append(c.Rows, ix.tbl.row(id))
 		c.Cnt = append(c.Cnt, d.Cnt[i])
 		if d.Cnt[i] == 0 {
 			c.zeroes++
 		}
-		ix.tbl.insert(key)
-		ix.rowOf = append(ix.rowOf, int32(r))
 		ix.n = len(c.Rows)
 		changed = append(changed, r)
 	}
 	return changed, nil
+}
+
+func errNotDistinct(rows, keys int) error {
+	return fmt.Errorf("relation: ApplyDelta requires a key-distinct table, but its %d rows hold %d distinct keys", rows, keys)
+}
+
+// repoint makes each row a view of its key in the index's arena, where
+// rows are key-distinct and ids are row numbers. Only the row headers are
+// written; the storage they pointed at keeps its values.
+func (ix *lookupIndex) repoint(rows []Tuple) {
+	for r := range rows {
+		rows[r] = ix.tbl.row(int32(r))
+	}
 }
 
 // patch adds delta to row r's count, moving the tombstone tally when the
@@ -111,33 +146,30 @@ func (c *Counted) patch(r int, delta int64) {
 func (c *Counted) Tombstones() int { return c.zeroes }
 
 // Compact drops c's tombstones, keeping the live rows in order. The live
-// rows are copied into fresh arena storage and the lookup index is rebuilt
-// over them in the same pass, so storage that held dead rows can be freed.
-// Existing row storage is never written: a Tuple read before the call keeps
-// its values. Row positions move, so RowIndexes over c must be Reindexed
-// afterwards. Like ApplyDelta, Compact must not run concurrently with
-// readers of c.
+// rows are inserted into a new lookup index sized for them, and the rows
+// are carved out of that index's key arena, so each key is held once and
+// storage that held dead rows can be freed. Existing row storage is never
+// written: a Tuple read before the call keeps its values. Row positions
+// move, so RowIndexes over c must be Reindexed afterwards. Like ApplyDelta,
+// Compact must not run concurrently with readers of c.
 func (c *Counted) Compact() {
 	live := len(c.Rows) - c.zeroes
 	rows := make([]Tuple, 0, live)
 	cnt := make([]int64, 0, live)
-	ar := newTupleArena(len(c.Attrs), live)
 	var ix *lookupIndex
 	if len(c.Attrs) > 0 {
-		ix = &lookupIndex{tbl: newIntTable(len(c.Attrs), live), rowOf: make([]int32, 0, live)}
+		// The first chunk holds every live key (up to a full chunk), so the
+		// rows carved from it never see it move.
+		ix = &lookupIndex{tbl: newSizedIntTable(len(c.Attrs), live, max(live, 1)), owned: true}
 	}
 	for i, t := range c.Rows {
 		if c.Cnt[i] == 0 {
 			continue
 		}
-		row := ar.alloc()
-		copy(row, t)
 		if ix != nil {
-			if _, added := ix.tbl.insert(row); added {
-				ix.rowOf = append(ix.rowOf, int32(len(rows)))
-			}
+			t = ix.tbl.row(ix.add(t, len(rows)))
 		}
-		rows = append(rows, row)
+		rows = append(rows, t)
 		cnt = append(cnt, c.Cnt[i])
 	}
 	c.Rows, c.Cnt, c.zeroes = rows, cnt, 0
@@ -148,17 +180,24 @@ func (c *Counted) Compact() {
 }
 
 // RowIndex is a secondary index over a subset of a counted relation's
-// attributes, mapping each key to the indexes of the rows holding it.
-// Unlike the per-call join indexes of the hash kernels it survives in-place
-// count patches, and Sync extends it over rows appended since the last call
-// (e.g. by ApplyDelta), so an index built once serves every later delta.
+// attributes, mapping each key to the rows holding it. Unlike the per-call
+// join indexes of the hash kernels it survives in-place count patches, and
+// Sync extends it over rows appended since the last call (e.g. by
+// ApplyDelta), so an index built once serves every later delta.
+//
+// Each key's rows form an ascending chain through flat arrays (the first
+// and last row per key, the next row per row), so the index holds no
+// per-key slice and walking a key's rows allocates nothing:
+//
+//	for r := ix.First(key); r >= 0; r = ix.Next(r) { ... }
 type RowIndex struct {
 	c     *Counted
 	attrs []string
 	idxs  []int
 	tbl   *intTable
-	rows  [][]int32
-	n     int
+	first []int32 // key id -> first row holding the key
+	last  []int32 // key id -> last row holding the key
+	next  []int32 // row -> next row holding its key; -1 ends the chain
 }
 
 // NewRowIndex indexes c's rows on the non-empty attribute subset attrs.
@@ -175,6 +214,7 @@ func NewRowIndex(c *Counted, attrs []string) (*RowIndex, error) {
 		attrs: append([]string(nil), attrs...),
 		idxs:  idxs,
 		tbl:   newIntTable(len(idxs), groupHint(len(c.Rows))),
+		next:  make([]int32, 0, len(c.Rows)),
 	}
 	ix.Sync()
 	return ix, nil
@@ -185,39 +225,50 @@ func (ix *RowIndex) Attrs() []string { return ix.attrs }
 
 // Reindex rebuilds the index over the relation's current rows, after
 // Counted.Compact moved them. The index keeps its identity, so plans
-// compiled against it stay valid.
+// compiled against it stay valid, and it reuses its table and chain
+// arrays, so it allocates only when the rows outgrow them.
 func (ix *RowIndex) Reindex() {
-	ix.tbl = newIntTable(len(ix.idxs), groupHint(len(ix.c.Rows)))
-	ix.rows, ix.n = nil, 0
+	ix.tbl.reset()
+	ix.first, ix.last, ix.next = ix.first[:0], ix.last[:0], ix.next[:0]
 	ix.Sync()
 }
 
 // Sync indexes the rows appended to the underlying relation since the index
 // was built or last synced.
 func (ix *RowIndex) Sync() {
+	if len(ix.next) == len(ix.c.Rows) {
+		return
+	}
 	scratch := make([]int64, len(ix.idxs))
-	for ; ix.n < len(ix.c.Rows); ix.n++ {
-		t := ix.c.Rows[ix.n]
+	for r := len(ix.next); r < len(ix.c.Rows); r++ {
+		t := ix.c.Rows[r]
 		for k, x := range ix.idxs {
 			scratch[k] = t[x]
 		}
 		id, added := ix.tbl.insert(scratch)
+		ix.next = append(ix.next, -1)
 		if added {
-			ix.rows = append(ix.rows, nil)
+			ix.first = append(ix.first, int32(r))
+			ix.last = append(ix.last, int32(r))
+			continue
 		}
-		ix.rows[id] = append(ix.rows[id], int32(ix.n))
+		ix.next[ix.last[id]] = int32(r)
+		ix.last[id] = int32(r)
 	}
 }
 
-// Rows returns the indexes of the rows whose key columns equal key (given
-// in the index's attribute order), or nil when the key is absent.
-func (ix *RowIndex) Rows(key Tuple) []int32 {
+// First returns the lowest row whose key columns equal key (given in the
+// index's attribute order), or -1 when the key is absent.
+func (ix *RowIndex) First(key Tuple) int32 {
 	id := ix.tbl.find(key)
 	if id < 0 {
-		return nil
+		return -1
 	}
-	return ix.rows[id]
+	return ix.first[id]
 }
+
+// Next returns the row after r holding r's key, or -1 after the last.
+func (ix *RowIndex) Next(r int32) int32 { return ix.next[r] }
 
 // IndexProvider supplies RowIndexes over table attribute subsets, letting a
 // caller (the incremental session) share one maintained index across every
@@ -425,7 +476,7 @@ func (p *ExpandPlan) Run(d *Counted) (*Counted, error) {
 		for k, x := range st.keyPos {
 			st.scratch[k] = accum[x]
 		}
-		for _, r := range st.index.Rows(st.scratch) {
+		for r := st.index.First(st.scratch); r >= 0; r = st.index.Next(r) {
 			if st.table.Cnt[r] == 0 {
 				continue
 			}

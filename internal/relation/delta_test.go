@@ -144,10 +144,15 @@ func TestApplyDeltaTombstones(t *testing.T) {
 }
 
 // TestCompactDifferential interleaves Compact with random ApplyDelta
-// sequences on 0- to 3-column tables and checks every compaction against a
+// sequences on 0- to 3-column tables, over key domains wide enough that
+// the tables outgrow the first key chunk's smallest size (64 rows) and a
+// full chunk (4,096 rows), and checks every compaction against a
 // brute-force multiset: no tombstone survives, every live key probes to its
-// count, re-indexed RowIndexes list exactly the live rows of each key, and
-// tuples read before the compaction keep their values.
+// count, and re-indexed RowIndexes list exactly the live rows of each key,
+// in ascending order. Around every ApplyDelta (some of which move the
+// first chunk) and every Compact it checks that tuples read before the call
+// keep their values, and that each row of a patched table is a view of its
+// key in the table's lookup index, so the key is held once.
 func TestCompactDifferential(t *testing.T) {
 	type entry struct {
 		row Tuple
@@ -160,10 +165,44 @@ func TestCompactDifferential(t *testing.T) {
 		}
 		return string(encodeTuple(nil, key))
 	}
+	// read copies the rows, and their values flat, before a call; kept
+	// checks the values after it.
+	var before []Tuple
+	var vals []int64
+	read := func(c *Counted) {
+		before, vals = append(before[:0], c.Rows...), vals[:0]
+		for _, r := range before {
+			vals = append(vals, r...)
+		}
+	}
+	kept := func(what string, width, step int) {
+		t.Helper()
+		for i, r := range before {
+			if v := Tuple(vals[i*width : (i+1)*width]); !r.Equal(v) {
+				t.Fatalf("width %d step %d: row %d read before %s changed from %v to %v", width, step, i, what, v, r)
+			}
+		}
+	}
+	heldOnce := func(c *Counted, width, step int) {
+		t.Helper()
+		ix := c.lookupIdx.Load()
+		if width == 0 {
+			return
+		}
+		if ix == nil || !ix.owned || ix.rowOf != nil {
+			t.Fatalf("width %d step %d: patched table does not own its index (%+v)", width, step, ix)
+		}
+		for i, r := range c.Rows {
+			if k := ix.tbl.keyAt(int32(i)); &r[0] != &k[0] || cap(r) != width {
+				t.Fatalf("width %d step %d: row %d (cap %d) is not a view of its index key", width, step, i, cap(r))
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(29))
 	for width := 0; width <= 3; width++ {
 		attrs := []string{"A", "B", "C"}[:width]
 		all := []int{0, 1, 2}[:width]
+		dom := []int{1, 10000, 100, 22}[width] // about 10,000 keys
 		c := &Counted{Attrs: attrs}
 		want := map[string]*entry{}
 		var ixs []*RowIndex
@@ -174,13 +213,13 @@ func TestCompactDifferential(t *testing.T) {
 			}
 			ixs = append(ixs, ix)
 		}
-		compactions := 0
-		for step := 0; step < 2000; step++ {
+		compactions, moves, maxRows := 0, 0, 0
+		for step := 0; step < 1200; step++ {
 			d := &Counted{Attrs: attrs}
-			for k := 1 + rng.Intn(3); k > 0; k-- {
+			for k := 1 + rng.Intn(14); k > 0; k-- {
 				row := make(Tuple, width)
 				for i := range row {
-					row[i] = int64(rng.Intn(4))
+					row[i] = int64(rng.Intn(dom))
 				}
 				e := want[keyOf(row, all)]
 				if e == nil {
@@ -188,37 +227,41 @@ func TestCompactDifferential(t *testing.T) {
 					want[keyOf(row, all)] = e
 				}
 				cnt := int64(1 + rng.Intn(2))
-				if rng.Intn(2) == 0 { // delete, down to zero at most
+				if rng.Intn(4) == 0 { // delete, down to zero at most
 					cnt = -min(cnt, e.n)
 				}
 				e.n += cnt
 				d.Rows = append(d.Rows, row)
 				d.Cnt = append(d.Cnt, cnt)
 			}
+			read(c)
+			first := -1
+			if ix := c.lookupIdx.Load(); ix != nil {
+				first = cap(ix.tbl.chunks[0])
+			}
 			if _, err := c.ApplyDelta(d); err != nil {
 				t.Fatal(err)
 			}
+			if ix := c.lookupIdx.Load(); ix != nil && first >= 0 && cap(ix.tbl.chunks[0]) != first {
+				moves++
+			}
+			kept("ApplyDelta", width, step)
+			heldOnce(c, width, step)
 			for _, ix := range ixs {
 				ix.Sync()
 			}
-			if rng.Intn(8) != 0 {
+			maxRows = max(maxRows, len(c.Rows))
+			if 4*c.Tombstones() <= len(c.Rows) && rng.Intn(64) != 0 {
 				continue
 			}
-			before := append([]Tuple(nil), c.Rows...)
-			vals := make([]Tuple, len(before))
-			for i, r := range before {
-				vals[i] = r.Clone()
-			}
+			read(c)
 			c.Compact()
 			for _, ix := range ixs {
 				ix.Reindex()
 			}
 			compactions++
-			for i, r := range before {
-				if !r.Equal(vals[i]) {
-					t.Fatalf("width %d step %d: row %d read before Compact changed from %v to %v", width, step, i, vals[i], r)
-				}
-			}
+			kept("Compact", width, step)
+			heldOnce(c, width, step)
 			if c.Tombstones() != 0 || slices.Contains(c.Cnt, 0) {
 				t.Fatalf("width %d step %d: tombstones left after Compact (tally %d, counts %v)", width, step, c.Tombstones(), c.Cnt)
 			}
@@ -241,7 +284,7 @@ func TestCompactDifferential(t *testing.T) {
 					byKey[k] = append(byKey[k], int32(r))
 				}
 				for _, e := range want {
-					if got, exp := ix.Rows(e.row[lo:]), byKey[keyOf(e.row, all[lo:])]; !slices.Equal(got, exp) {
+					if got, exp := chain(ix, e.row[lo:]), byKey[keyOf(e.row, all[lo:])]; !slices.Equal(got, exp) {
 						t.Fatalf("width %d step %d: index on %v lists rows %v for %v, want %v", width, step, ix.Attrs(), got, e.row[lo:], exp)
 					}
 				}
@@ -250,7 +293,108 @@ func TestCompactDifferential(t *testing.T) {
 		if compactions == 0 {
 			t.Fatalf("width %d: no compaction ran", width)
 		}
+		if width > 0 && (maxRows <= arenaChunkRows || moves == 0) {
+			t.Fatalf("width %d: the table peaked at %d rows with %d first-chunk moves; the test must cross a full chunk and move the first", width, maxRows, moves)
+		}
+		t.Logf("width %d: %d compactions, %d first-chunk moves, peak %d rows", width, compactions, moves, maxRows)
 	}
+}
+
+// TestApplyDeltaRequiresDistinctKeys checks that ApplyDelta refuses a
+// table holding a key on two rows, with and without attributes, and leaves
+// its rows, counts and probes as they were.
+func TestApplyDeltaRequiresDistinctKeys(t *testing.T) {
+	for _, c := range []*Counted{
+		{Attrs: []string{"A", "B"}, Rows: []Tuple{{1, 1}, {2, 2}, {1, 1}}, Cnt: []int64{1, 2, 3}},
+		{Rows: []Tuple{{}, {}}, Cnt: []int64{1, 2}},
+	} {
+		rows := make([]Tuple, len(c.Rows))
+		for i, r := range c.Rows {
+			rows[i] = r.Clone()
+		}
+		cnt := slices.Clone(c.Cnt)
+		probe, _ := c.Probe(rows[0])
+		key := make(Tuple, len(c.Attrs))
+		d := &Counted{Attrs: c.Attrs, Rows: []Tuple{rows[0], key}, Cnt: []int64{5, 7}}
+		if _, err := c.ApplyDelta(d); err == nil {
+			t.Fatalf("attrs %v: ApplyDelta on a table with a repeated key succeeded", c.Attrs)
+		}
+		if len(c.Rows) != len(rows) || !slices.Equal(c.Cnt, cnt) || c.Tombstones() != 0 {
+			t.Fatalf("attrs %v: refused ApplyDelta changed the table to rows %v counts %v", c.Attrs, c.Rows, c.Cnt)
+		}
+		for i, r := range c.Rows {
+			if !r.Equal(rows[i]) {
+				t.Fatalf("attrs %v: refused ApplyDelta changed row %d to %v", c.Attrs, i, r)
+			}
+		}
+		if got, _ := c.Probe(rows[0]); got != probe {
+			t.Fatalf("attrs %v: Probe after a refused ApplyDelta = %d, want %d", c.Attrs, got, probe)
+		}
+	}
+}
+
+// TestApplyDeltaAppendAllocs pins the append path of a patched table: 10,000
+// fresh keys cost the index's chunks and slot array and the growth of the
+// row and count slices, not an allocation per key.
+func TestApplyDeltaAppendAllocs(t *testing.T) {
+	const keys = 10000
+	c := &Counted{Attrs: []string{"A", "B"}, Rows: []Tuple{{-1, -1}}, Cnt: []int64{1}}
+	if _, err := c.ApplyDelta(&Counted{Attrs: c.Attrs, Rows: []Tuple{{-1, -1}}, Cnt: []int64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun calls f once more than it measures; each call appends
+	// keys the table does not hold yet.
+	var deltas []*Counted
+	for run := 0; run < 2; run++ {
+		d := &Counted{Attrs: c.Attrs}
+		for i := 0; i < keys; i++ {
+			d.Rows = append(d.Rows, Tuple{int64(run), int64(i)})
+			d.Cnt = append(d.Cnt, 1)
+		}
+		deltas = append(deltas, d)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := c.ApplyDelta(deltas[0]); err != nil {
+			t.Fatal(err)
+		}
+		deltas = deltas[1:]
+	})
+	if len(c.Rows) != 2*keys+1 {
+		t.Fatalf("%d rows after appending %d keys twice, want %d", len(c.Rows), keys, 2*keys+1)
+	}
+	if allocs > 16 {
+		t.Errorf("appending %d fresh keys allocates %v times, want at most 16", keys, allocs)
+	}
+}
+
+// TestRowIndexReindexAllocs pins Reindex to a constant number of
+// allocations: it reuses its table and chain arrays, where one row list per
+// distinct key (5,000 here) would cost one allocation each.
+func TestRowIndexReindexAllocs(t *testing.T) {
+	c := &Counted{Attrs: []string{"A", "B"}}
+	for i := 0; i < 10000; i++ {
+		c.Rows = append(c.Rows, Tuple{int64(i % 5000), int64(i)})
+		c.Cnt = append(c.Cnt, 1)
+	}
+	ix, err := NewRowIndex(c, []string{"A"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, ix.Reindex); allocs > 2 {
+		t.Errorf("Reindex allocates %v times, want at most 2", allocs)
+	}
+	if got := chain(ix, Tuple{7}); !slices.Equal(got, []int32{7, 5007}) {
+		t.Fatalf("rows of key 7 after Reindex: %v, want [7 5007]", got)
+	}
+}
+
+// chain lists the rows a RowIndex holds for key, nil when it holds none.
+func chain(ix *RowIndex, key Tuple) []int32 {
+	var rows []int32
+	for r := ix.First(key); r >= 0; r = ix.Next(r) {
+		rows = append(rows, r)
+	}
+	return rows
 }
 
 func TestRowIndexSync(t *testing.T) {
@@ -259,17 +403,17 @@ func TestRowIndexSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Rows(Tuple{1}); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+	if got := chain(ix, Tuple{1}); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("Rows(1) = %v", got)
 	}
 	if _, err := c.ApplyDelta(&Counted{Attrs: []string{"A", "B"}, Rows: []Tuple{{1, 40}}, Cnt: []int64{5}}); err != nil {
 		t.Fatal(err)
 	}
 	ix.Sync()
-	if got := ix.Rows(Tuple{1}); len(got) != 3 || got[2] != 3 {
+	if got := chain(ix, Tuple{1}); len(got) != 3 || got[2] != 3 {
 		t.Fatalf("Rows(1) after sync = %v", got)
 	}
-	if got := ix.Rows(Tuple{3}); got != nil {
+	if got := chain(ix, Tuple{3}); got != nil {
 		t.Fatalf("Rows(3) = %v, want nil", got)
 	}
 }

@@ -31,7 +31,8 @@ func hashKey(key []int64) uint64 {
 // intTable is an open-addressing (linear probing) hash table mapping
 // fixed-width []int64 keys to dense ids 0,1,2,… in insertion order. Distinct
 // keys live in a chunked key arena, so the table doubles as the row storage
-// of a group-by result.
+// of a group-by result, and of a table ApplyDelta patches or Compact
+// compacts (its probe index's arena holds its rows).
 //
 // Each slot is 4 bytes. A table of 2^k slots holds fewer than 2^k ids, so
 // the low k bits hold id+1 (0 means empty) and the 32-k bits above them a
@@ -41,10 +42,11 @@ func hashKey(key []int64) uint64 {
 // almost never reads the arena.
 //
 // The arena stores keys in chunks of arenaChunkRows rows. Only the first
-// chunk grows (by doubling, from at most 64 rows up to a full chunk); later
-// chunks are allocated full-size once, so a growing table never copies the
-// keys of a full chunk, and its unused capacity stays under one chunk. grow
-// rehashes from the arena, a sequential read.
+// chunk grows (by doubling, from at most 64 rows, or the size
+// newSizedIntTable gave it, up to a full chunk), moving its keys each time;
+// later chunks are allocated full-size once, so a growing table never copies
+// the keys of a full chunk, and its unused capacity stays under one chunk.
+// grow rehashes from the arena, a sequential read.
 type intTable struct {
 	width  int
 	slots  []uint32 // tag | id+1; 0 means empty
@@ -66,18 +68,23 @@ func groupHint(n int) int {
 	return n
 }
 
-// newIntTable sizes the table for about hint distinct keys.
+// newIntTable sizes the table for about hint distinct keys. The hint bounds
+// the distinct keys from above (a RowIndex may see few distinct keys among
+// many rows), so the first chunk starts small and doubles as keys arrive.
 func newIntTable(width, hint int) *intTable {
+	return newSizedIntTable(width, hint, min(max(hint, 8), 64))
+}
+
+// newSizedIntTable sizes the table for about hint distinct keys and its
+// first chunk for firstRows keys (at most a full chunk).
+func newSizedIntTable(width, hint, firstRows int) *intTable {
 	size := 8
 	for size*3 < hint*4 { // keep load factor under 3/4 at the hint
 		size *= 2
 	}
 	t := &intTable{width: width}
 	t.resize(size)
-	// The hint bounds the distinct keys from above (a RowIndex may see few
-	// distinct keys among many rows), so the first chunk starts small and
-	// doubles as keys arrive.
-	t.chunks = [][]int64{make([]int64, 0, min(max(hint, 8), 64)*width)}
+	t.chunks = [][]int64{make([]int64, 0, min(firstRows, arenaChunkRows)*width)}
 	return t
 }
 
@@ -178,14 +185,29 @@ func (t *intTable) grow() {
 	}
 }
 
+// row returns key id as a tuple sharing the arena storage, its capacity
+// clipped so an append on it can never write into the next key.
+func (t *intTable) row(id int32) Tuple {
+	return Tuple(t.keyAt(id)[:t.width:t.width])
+}
+
 // rows materializes the distinct keys as tuples sharing the arena storage.
 func (t *intTable) rows() []Tuple {
 	out := make([]Tuple, t.n)
 	for id := range out {
-		k := t.keyAt(int32(id))
-		out[id] = Tuple(k[:t.width:t.width])
+		out[id] = t.row(int32(id))
 	}
 	return out
+}
+
+// reset empties the table, keeping its slot array and arena chunks for
+// the keys inserted next.
+func (t *intTable) reset() {
+	clear(t.slots)
+	for c := range t.chunks {
+		t.chunks[c] = t.chunks[c][:0]
+	}
+	t.n = 0
 }
 
 // tupleArena hands out row storage carved from flat []int64 chunks, so that
