@@ -185,10 +185,10 @@ func TestCompactDifferential(t *testing.T) {
 	}
 	heldOnce := func(c *Counted, width, step int) {
 		t.Helper()
-		ix := c.lookupIdx.Load()
 		if width == 0 {
 			return
 		}
+		ix := c.lookupIdx.Load()
 		if ix == nil || !ix.owned || ix.rowOf != nil {
 			t.Fatalf("width %d step %d: patched table does not own its index (%+v)", width, step, ix)
 		}
