@@ -41,8 +41,14 @@ import (
 type Update = relation.Update
 
 // DefaultBulkThreshold is the batch size at which Apply abandons per-tuple
-// delta propagation for one full rebuild.
-const DefaultBulkThreshold = 64
+// delta propagation for one full rebuild. Where one beats the other
+// depends on the query: on the paper's ego-network queries (225 nodes),
+// a batch of Apply plus LS() rebuilds faster from about 90 updates on qw,
+// about 430 on q◦, and about 1,000 on q△ and q*. At 1,024 the default
+// picks the faster path in 14 of 16 measured cells (batches of 64 to
+// 4,096 on those four queries); docs/INCREMENTAL.md ("Bulk batches")
+// gives the figures.
+const DefaultBulkThreshold = 1024
 
 // Options configures a Session. The embedded core.Options must be exact
 // (TopK = 0); Decomposition, SkipRelations, Parallelism, and Pool carry
@@ -273,8 +279,10 @@ func (s *Session) Delete(rel string, row relation.Tuple) error {
 }
 
 // Apply replays a batch of updates. Batches at or above BulkThreshold are
-// applied to the database and answered with one full rebuild — past that
-// size, re-running the O(N) passes beats per-tuple delta propagation.
+// applied to the database and answered with one full rebuild, which costs
+// the O(N) passes once, however large the batch; per-tuple propagation
+// costs each update's delta work. Which is faster depends on the query
+// (see DefaultBulkThreshold).
 // Validation errors (unknown relation, arity mismatch, deleting an absent
 // tuple) abort the batch at the failing update; updates before it remain
 // applied and the session stays consistent.

@@ -90,45 +90,18 @@ func FromRelation(r *Relation) *Counted {
 // group them again.
 func GroupRows(attrs []string, rows []Tuple, idxs []int, keep func(Tuple) bool) *Counted {
 	out := &Counted{Attrs: append([]string(nil), attrs...)}
-	switch len(idxs) {
-	case 0:
-		var n int64
-		any := false
-		for _, t := range rows {
-			if keep != nil && !keep(t) {
-				continue
-			}
-			n = AddSat(n, 1)
-			any = true
+	agg := newGroupAgg(len(idxs), len(rows))
+	key := make([]int64, len(idxs))
+	for _, t := range rows {
+		if keep != nil && !keep(t) {
+			continue
 		}
-		if any {
-			out.Rows = []Tuple{{}}
-			out.Cnt = []int64{n}
+		for k, x := range idxs {
+			key[k] = t[x]
 		}
-	case 1:
-		agg := newGroupAgg(1, len(rows))
-		x := idxs[0]
-		for _, t := range rows {
-			if keep != nil && !keep(t) {
-				continue
-			}
-			agg.add1(t[x], 1)
-		}
-		agg.emit(out)
-	default:
-		agg := newGroupAgg(len(idxs), len(rows))
-		scratch := make([]int64, len(idxs))
-		for _, t := range rows {
-			if keep != nil && !keep(t) {
-				continue
-			}
-			for k, ix := range idxs {
-				scratch[k] = t[ix]
-			}
-			agg.add(scratch, 1)
-		}
-		agg.emit(out)
+		agg.add(key, 1)
 	}
+	agg.emit(out)
 	return out
 }
 
@@ -181,9 +154,9 @@ func encodeTuple(dst []byte, t Tuple) []byte {
 // result is exact over the projected active domain and callers must treat it
 // as an upper bound (this matches the top-k approximation contract).
 //
-// Single-column keys aggregate through a map[int64] with no byte encoding;
-// wider keys go through an open-addressing table whose key arena doubles as
-// the output row storage.
+// Keys of any width from one column up aggregate through an open-addressing
+// table over their int64 columns, whose key arena doubles as the output row
+// storage.
 func (c *Counted) GroupBy(attrs []string) (*Counted, error) {
 	idxs, err := c.attrIndexes(attrs)
 	if err != nil {
@@ -193,30 +166,15 @@ func (c *Counted) GroupBy(attrs []string) (*Counted, error) {
 	if len(attrs) == len(c.Attrs) {
 		out.Default = c.Default
 	}
-	switch len(idxs) {
-	case 0:
-		if len(c.Rows) > 0 {
-			out.Rows = []Tuple{{}}
-			out.Cnt = []int64{c.SumCnt()}
+	agg := newGroupAgg(len(idxs), len(c.Rows))
+	key := make([]int64, len(idxs))
+	for i, t := range c.Rows {
+		for k, x := range idxs {
+			key[k] = t[x]
 		}
-	case 1:
-		agg := newGroupAgg(1, len(c.Rows))
-		x := idxs[0]
-		for i, t := range c.Rows {
-			agg.add1(t[x], c.Cnt[i])
-		}
-		agg.emit(out)
-	default:
-		agg := newGroupAgg(len(idxs), len(c.Rows))
-		scratch := make([]int64, len(idxs))
-		for i, t := range c.Rows {
-			for k, ix := range idxs {
-				scratch[k] = t[ix]
-			}
-			agg.add(scratch, c.Cnt[i])
-		}
-		agg.emit(out)
+		agg.add(key, c.Cnt[i])
 	}
+	agg.emit(out)
 	return out, nil
 }
 
@@ -260,9 +218,9 @@ func planJoin(a, b *Counted) (*joinPlan, error) {
 // subset of a's: rows of a whose key is absent from b then join with count
 // Default, preserving the upper-bound property.
 //
-// The hash index on b keys int64 columns directly (map[int64] for a single
-// shared column, open addressing above that); output rows are carved from
-// flat arena chunks.
+// b is indexed on the shared columns by a RowIndex, whose ascending row
+// chains give the output order; output rows are carved from flat arena
+// chunks.
 func Join(a, b *Counted) (*Counted, error) {
 	p, err := planJoin(a, b)
 	if err != nil {
@@ -288,17 +246,16 @@ func Join(a, b *Counted) (*Counted, error) {
 		return out, nil
 	}
 
-	ix := buildJoinIndex(b, p.bIdx)
+	ix := newRowIndex(b, p.bIdx)
 	ar := newTupleArena(len(out.Attrs), len(a.Rows))
-	if ix.unique {
+	if ix.tbl.n == len(b.Rows) {
 		// Unique-keyed build side (e.g. any group-by output): at most one
 		// output row per probe, so presize exactly once.
 		out.Rows = make([]Tuple, 0, len(a.Rows))
 		out.Cnt = make([]int64, 0, len(a.Rows))
 	}
-	scratch := make([]int64, len(p.bIdx))
 	for i, t := range a.Rows {
-		j := ix.probe(t, p.aIdx, scratch)
+		j := ix.probe(t, p.aIdx)
 		if j < 0 {
 			if b.Default > 0 {
 				row := ar.alloc()
@@ -380,10 +337,9 @@ func JoinGroup(a, b *Counted, attrs []string) (*Counted, error) {
 		return out, nil
 	}
 
-	ix := buildJoinIndex(b, p.bIdx)
-	scratch := make([]int64, len(p.bIdx))
+	ix := newRowIndex(b, p.bIdx)
 	for i, t := range a.Rows {
-		j := ix.probe(t, p.aIdx, scratch)
+		j := ix.probe(t, p.aIdx)
 		if j < 0 {
 			if b.Default > 0 {
 				for k, s := range srcA {
@@ -619,34 +575,9 @@ func Semijoin(a, b *Counted) (*Counted, error) {
 		}
 		return out, nil
 	}
-	if len(shared) == 1 {
-		bx := bIdx[0]
-		keys := make(map[int64]struct{}, groupHint(len(b.Rows)))
-		for _, t := range b.Rows {
-			keys[t[bx]] = struct{}{}
-		}
-		ax := aIdx[0]
-		for i, t := range a.Rows {
-			if _, ok := keys[t[ax]]; ok {
-				out.Rows = append(out.Rows, t)
-				out.Cnt = append(out.Cnt, a.Cnt[i])
-			}
-		}
-		return out, nil
-	}
-	tbl := newIntTable(len(bIdx), groupHint(len(b.Rows)))
-	scratch := make([]int64, len(bIdx))
-	for _, t := range b.Rows {
-		for k, ix := range bIdx {
-			scratch[k] = t[ix]
-		}
-		tbl.insert(scratch)
-	}
+	ix := newRowIndex(b, bIdx)
 	for i, t := range a.Rows {
-		for k, ix := range aIdx {
-			scratch[k] = t[ix]
-		}
-		if tbl.find(scratch) >= 0 {
+		if ix.probe(t, aIdx) >= 0 {
 			out.Rows = append(out.Rows, t)
 			out.Cnt = append(out.Cnt, a.Cnt[i])
 		}

@@ -180,10 +180,10 @@ func (c *Counted) Compact() {
 }
 
 // RowIndex is a secondary index over a subset of a counted relation's
-// attributes, mapping each key to the rows holding it. Unlike the per-call
-// join indexes of the hash kernels it survives in-place count patches, and
-// Sync extends it over rows appended since the last call (e.g. by
-// ApplyDelta), so an index built once serves every later delta.
+// attributes, mapping each key to the rows holding it. The hash joins build
+// one per call over their build side; the incremental engine keeps one
+// across deltas, since it survives in-place count patches and Sync extends
+// it over rows appended since the last call (e.g. by ApplyDelta).
 //
 // Each key's rows form an ascending chain through flat arrays (the first
 // and last row per key, the next row per row), so the index holds no
@@ -198,6 +198,7 @@ type RowIndex struct {
 	first []int32 // key id -> first row holding the key
 	last  []int32 // key id -> last row holding the key
 	next  []int32 // row -> next row holding its key; -1 ends the chain
+	key   []int64 // scratch key of Sync and probe
 }
 
 // NewRowIndex indexes c's rows on the non-empty attribute subset attrs.
@@ -209,15 +210,22 @@ func NewRowIndex(c *Counted, attrs []string) (*RowIndex, error) {
 	if err != nil {
 		return nil, err
 	}
+	ix := newRowIndex(c, idxs)
+	ix.attrs = append([]string(nil), attrs...)
+	return ix, nil
+}
+
+// newRowIndex indexes c's rows on the columns idxs (len(idxs) >= 1).
+func newRowIndex(c *Counted, idxs []int) *RowIndex {
 	ix := &RowIndex{
-		c:     c,
-		attrs: append([]string(nil), attrs...),
-		idxs:  idxs,
-		tbl:   newIntTable(len(idxs), groupHint(len(c.Rows))),
-		next:  make([]int32, 0, len(c.Rows)),
+		c:    c,
+		idxs: idxs,
+		tbl:  newIntTable(len(idxs), groupHint(len(c.Rows))),
+		next: make([]int32, 0, len(c.Rows)),
+		key:  make([]int64, len(idxs)),
 	}
 	ix.Sync()
-	return ix, nil
+	return ix
 }
 
 // Attrs returns the key attributes, in index order.
@@ -236,16 +244,12 @@ func (ix *RowIndex) Reindex() {
 // Sync indexes the rows appended to the underlying relation since the index
 // was built or last synced.
 func (ix *RowIndex) Sync() {
-	if len(ix.next) == len(ix.c.Rows) {
-		return
-	}
-	scratch := make([]int64, len(ix.idxs))
 	for r := len(ix.next); r < len(ix.c.Rows); r++ {
 		t := ix.c.Rows[r]
 		for k, x := range ix.idxs {
-			scratch[k] = t[x]
+			ix.key[k] = t[x]
 		}
-		id, added := ix.tbl.insert(scratch)
+		id, added := ix.tbl.insert(ix.key)
 		ix.next = append(ix.next, -1)
 		if added {
 			ix.first = append(ix.first, int32(r))
@@ -269,6 +273,16 @@ func (ix *RowIndex) First(key Tuple) int32 {
 
 // Next returns the row after r holding r's key, or -1 after the last.
 func (ix *RowIndex) Next(r int32) int32 { return ix.next[r] }
+
+// probe returns the first row whose key equals the columns idxs of t (in
+// the index's key order), or -1. It writes the index's scratch key, so
+// probes of one index must not run concurrently.
+func (ix *RowIndex) probe(t Tuple, idxs []int) int32 {
+	for k, x := range idxs {
+		ix.key[k] = t[x]
+	}
+	return ix.First(ix.key)
+}
 
 // IndexProvider supplies RowIndexes over table attribute subsets, letting a
 // caller (the incremental session) share one maintained index across every

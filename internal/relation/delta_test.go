@@ -388,6 +388,39 @@ func TestRowIndexReindexAllocs(t *testing.T) {
 	}
 }
 
+// TestRowIndexSyncAllocs pins Sync over one appended row to no allocation
+// once the chain arrays have room for it: the index keeps its scratch key,
+// where a key made per call would cost one allocation per update that
+// appends to an indexed table.
+func TestRowIndexSyncAllocs(t *testing.T) {
+	const rows, extra = 1000, 101
+	c := &Counted{Attrs: []string{"A", "B"}, Rows: make([]Tuple, 0, rows+extra), Cnt: make([]int64, 0, rows+extra)}
+	for i := 0; i < rows+extra; i++ {
+		c.Rows = append(c.Rows, Tuple{int64(i % 10), int64(i)})
+		c.Cnt = append(c.Cnt, 1)
+	}
+	appended := c.Rows[rows:]
+	c.Rows, c.Cnt = c.Rows[:rows], c.Cnt[:rows]
+	ix, err := NewRowIndex(c, []string{"A"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each row holds a key the index already has, so only the next array
+	// grows; the first append grows it past its exact initial size.
+	appendOne := func() {
+		c.Rows = append(c.Rows, appended[len(c.Rows)-rows])
+		c.Cnt = append(c.Cnt, 1)
+		ix.Sync()
+	}
+	appendOne()
+	if allocs := testing.AllocsPerRun(extra-2, appendOne); allocs != 0 {
+		t.Errorf("Sync over one appended row allocates %v times, want 0", allocs)
+	}
+	if got := chain(ix, Tuple{3}); len(got) != (rows+extra)/10 || got[len(got)-1] != rows+extra-8 {
+		t.Fatalf("rows of key 3 after the appends: %v", got)
+	}
+}
+
 // chain lists the rows a RowIndex holds for key, nil when it holds none.
 func chain(ix *RowIndex, key Tuple) []int32 {
 	var rows []int32

@@ -4,8 +4,8 @@ package relation
 // operators: a tag-filtered open-addressing hash table over fixed-width
 // int64 keys held in a chunked arena (no per-row byte encoding or string
 // interning), a chunked tuple arena that batches row storage into flat
-// []int64 blocks, a chained join index over one side of a hash join, and a
-// group-by aggregator with a map[int64] fast path for single-column keys.
+// []int64 blocks, and a group-by aggregator over that table for keys of any
+// width. Hash joins index their build side with a RowIndex (delta.go).
 // Every structure is deterministic: iteration follows insertion order,
 // never Go map order.
 
@@ -46,19 +46,22 @@ func hashKey(key []int64) uint64 {
 // newSizedIntTable gave it, up to a full chunk), moving its keys each time;
 // later chunks are allocated full-size once, so a growing table never copies
 // the keys of a full chunk, and its unused capacity stays under one chunk.
-// grow rehashes from the arena, a sequential read.
+// grow rehashes from the arena, a sequential read. The first chunk's slice
+// header lives in the table itself, so a table of one chunk costs no
+// allocation for its chunk list.
 type intTable struct {
 	width  int
 	slots  []uint32 // tag | id+1; 0 means empty
 	mask   uint64   // len(slots)-1
 	idMask uint32   // low bits of a slot holding id+1
 	chunks [][]int64
+	chunk0 [1][]int64 // chunks' backing array until a second chunk is added
 	n      int
 	growAt int
 }
 
-// groupHint caps the initial sizing of tables and maps keyed by distinct
-// values: distinct counts are routinely far below the row count, and an
+// groupHint caps the initial sizing of tables keyed by distinct values:
+// distinct counts are routinely far below the row count, and an
 // oversized zeroed table costs more (allocation, memclr, GC scan) than the
 // geometric growth it avoids.
 func groupHint(n int) int {
@@ -84,7 +87,8 @@ func newSizedIntTable(width, hint, firstRows int) *intTable {
 	}
 	t := &intTable{width: width}
 	t.resize(size)
-	t.chunks = [][]int64{make([]int64, 0, min(firstRows, arenaChunkRows)*width)}
+	t.chunk0[0] = make([]int64, 0, min(firstRows, arenaChunkRows)*width)
+	t.chunks = t.chunk0[:]
 	return t
 }
 
@@ -252,84 +256,12 @@ func (ar *tupleArena) alloc() Tuple {
 	return Tuple(ar.chunk[off : off+ar.width : off+ar.width])
 }
 
-// joinIndex hashes one side of a join on its key columns, chaining rows with
-// equal keys through a next array (no per-bucket slice allocations). Chains
-// enumerate rows in ascending row order.
-type joinIndex struct {
-	width  int
-	single map[int64]int32 // width==1: key -> chain head
-	multi  *intTable       // width>=2: key -> id
-	first  []int32         // multi: id -> chain head
-	next   []int32         // row -> next row with the same key, -1 ends
-	unique bool            // no key occurs twice: probes yield at most one row
-}
-
-// buildJoinIndex indexes c's rows on the key columns idxs (len(idxs) >= 1).
-func buildJoinIndex(c *Counted, idxs []int) *joinIndex {
-	ix := &joinIndex{width: len(idxs), next: make([]int32, len(c.Rows)), unique: true}
-	if ix.width == 1 {
-		x := idxs[0]
-		ix.single = make(map[int64]int32, groupHint(len(c.Rows)))
-		// Reverse insertion keeps chains in ascending row order.
-		for j := len(c.Rows) - 1; j >= 0; j-- {
-			v := c.Rows[j][x]
-			if h, ok := ix.single[v]; ok {
-				ix.next[j] = h
-				ix.unique = false
-			} else {
-				ix.next[j] = -1
-			}
-			ix.single[v] = int32(j)
-		}
-		return ix
-	}
-	ix.multi = newIntTable(ix.width, groupHint(len(c.Rows)))
-	scratch := make([]int64, ix.width)
-	for j := len(c.Rows) - 1; j >= 0; j-- {
-		t := c.Rows[j]
-		for k, x := range idxs {
-			scratch[k] = t[x]
-		}
-		id, added := ix.multi.insert(scratch)
-		if added {
-			ix.first = append(ix.first, int32(j))
-			ix.next[j] = -1
-		} else {
-			ix.next[j] = ix.first[id]
-			ix.first[id] = int32(j)
-			ix.unique = false
-		}
-	}
-	return ix
-}
-
-// probe returns the chain head for the key columns of t at idxs, or -1.
-// scratch must have the index width and is only used during the call.
-func (ix *joinIndex) probe(t Tuple, idxs []int, scratch []int64) int32 {
-	if ix.width == 1 {
-		if h, ok := ix.single[t[idxs[0]]]; ok {
-			return h
-		}
-		return -1
-	}
-	for k, x := range idxs {
-		scratch[k] = t[x]
-	}
-	id := ix.multi.find(scratch)
-	if id < 0 {
-		return -1
-	}
-	return ix.first[id]
-}
-
 // groupAgg accumulates (key, count) pairs into distinct groups, preserving
-// first-seen order. Keys of width one go through a map[int64] with the key
-// arena kept separately; wider keys use the open-addressing table.
+// first-seen order. Keys of width one or more go through an intTable whose
+// key arena becomes the output rows; width zero has the one keyless group.
 type groupAgg struct {
 	width   int
-	single  map[int64]int32
-	keys1   []int64
-	multi   *intTable
+	tbl     *intTable
 	cnt     []int64
 	zeroCnt int64 // width==0: the single (keyless) group
 	zeroAny bool
@@ -337,64 +269,38 @@ type groupAgg struct {
 
 func newGroupAgg(width, hint int) *groupAgg {
 	g := &groupAgg{width: width}
-	hint = groupHint(hint)
-	switch {
-	case width == 1:
-		g.single = make(map[int64]int32, hint)
-		g.keys1 = make([]int64, 0, hint)
-		g.cnt = make([]int64, 0, hint)
-	case width > 1:
-		g.multi = newIntTable(width, hint)
+	if width > 0 {
+		hint = groupHint(hint)
+		g.tbl = newIntTable(width, hint)
 		g.cnt = make([]int64, 0, hint)
 	}
 	return g
 }
 
-// add1 accumulates into the single-column aggregator.
-func (g *groupAgg) add1(key, cnt int64) {
-	if id, ok := g.single[key]; ok {
-		g.cnt[id] = AddSat(g.cnt[id], cnt)
-		return
-	}
-	g.single[key] = int32(len(g.keys1))
-	g.keys1 = append(g.keys1, key)
-	g.cnt = append(g.cnt, cnt)
-}
-
-// add accumulates one key of any width.
+// add accumulates one key of the aggregator's width.
 func (g *groupAgg) add(key []int64, cnt int64) {
-	switch g.width {
-	case 0:
+	if g.width == 0 {
 		g.zeroCnt = AddSat(g.zeroCnt, cnt)
 		g.zeroAny = true
-	case 1:
-		g.add1(key[0], cnt)
-	default:
-		id, added := g.multi.insert(key)
-		if added {
-			g.cnt = append(g.cnt, cnt)
-		} else {
-			g.cnt[id] = AddSat(g.cnt[id], cnt)
-		}
+		return
+	}
+	id, added := g.tbl.insert(key)
+	if added {
+		g.cnt = append(g.cnt, cnt)
+	} else {
+		g.cnt[id] = AddSat(g.cnt[id], cnt)
 	}
 }
 
 // emit writes the accumulated groups into out.Rows / out.Cnt.
 func (g *groupAgg) emit(out *Counted) {
-	switch g.width {
-	case 0:
+	if g.width == 0 {
 		if g.zeroAny {
 			out.Rows = []Tuple{{}}
 			out.Cnt = []int64{g.zeroCnt}
 		}
-	case 1:
-		out.Rows = make([]Tuple, len(g.keys1))
-		for i := range g.keys1 {
-			out.Rows[i] = Tuple(g.keys1[i : i+1 : i+1])
-		}
-		out.Cnt = g.cnt
-	default:
-		out.Rows = g.multi.rows()
-		out.Cnt = g.cnt
+		return
 	}
+	out.Rows = g.tbl.rows()
+	out.Cnt = g.cnt
 }

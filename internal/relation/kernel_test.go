@@ -211,7 +211,7 @@ func TestIntTable(t *testing.T) {
 }
 
 // TestIntTableAgainstMap is a differential test of intTable against a Go
-// map for key widths 2–4: random, negative and extreme int64 keys with
+// map for key widths 1–4: random, negative and extreme int64 keys with
 // duplicates, inserted through at least 12 slot-array doublings and across
 // several key-arena chunks. It checks every id (those at the chunk
 // boundaries explicitly), misses, and that rows() lists the distinct keys
@@ -219,7 +219,7 @@ func TestIntTable(t *testing.T) {
 func TestIntTableAgainstMap(t *testing.T) {
 	const distinct = 30000 // > 3/4 of 8<<12 slots: at least 12 doublings
 	extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
-	for width := 2; width <= 4; width++ {
+	for width := 1; width <= 4; width++ {
 		rng := rand.New(rand.NewSource(int64(width)))
 		randKey := func() [4]int64 {
 			var k [4]int64
@@ -308,8 +308,8 @@ func benchRelPair(n int) (*Counted, *Counted) {
 	return a, b
 }
 
-// TestJoinSingleColumnAllocs pins the allocation count of the single-column
-// join fast path: it must stay O(output/chunk), not O(rows).
+// TestJoinSingleColumnAllocs pins the allocation count of a join on one
+// shared column: it must stay O(output/chunk), not O(rows).
 func TestJoinSingleColumnAllocs(t *testing.T) {
 	a, b := benchRelPair(1024)
 	allocs := testing.AllocsPerRun(10, func() {
@@ -325,8 +325,8 @@ func TestJoinSingleColumnAllocs(t *testing.T) {
 	}
 }
 
-// TestGroupBySingleColumnAllocs pins the allocation count of the
-// single-column group-by fast path.
+// TestGroupBySingleColumnAllocs pins the allocation count of a group-by
+// onto one column.
 func TestGroupBySingleColumnAllocs(t *testing.T) {
 	a, _ := benchRelPair(1024)
 	allocs := testing.AllocsPerRun(10, func() {
@@ -353,8 +353,8 @@ func TestJoinGroupFusedAllocs(t *testing.T) {
 	}
 }
 
-// TestGroupByTwoColumnAllocs pins the multi-column group-by, which runs on
-// intTable: its slot array and chunked key arena must cost O(groups/chunk)
+// TestGroupByTwoColumnAllocs pins a group-by onto two columns: its
+// intTable's slot array and chunked key arena must cost O(groups/chunk)
 // allocations, not one per group (1,024 groups here).
 func TestGroupByTwoColumnAllocs(t *testing.T) {
 	a, _ := benchRelPair(1024)

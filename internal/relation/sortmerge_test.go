@@ -24,19 +24,31 @@ func canonical(t *testing.T, c *Counted) []string {
 	return out
 }
 
+// TestJoinSortedMatchesHashJoin cross-checks the hash Join against the
+// sort-merge reference, and Semijoin against a nested-loop scan, on random
+// inputs sharing one column, two columns, or none.
 func TestJoinSortedMatchesHashJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 100; trial++ {
-		a := &Counted{Attrs: []string{"A", "B"}}
-		for i := 0; i < rng.Intn(10); i++ {
-			a.Rows = append(a.Rows, Tuple{int64(rng.Intn(4)), int64(rng.Intn(4))})
-			a.Cnt = append(a.Cnt, int64(rng.Intn(3))+1)
+	schemas := []struct{ a, b []string }{
+		{[]string{"A", "B"}, []string{"B", "C"}},           // one shared column
+		{[]string{"A", "B", "C"}, []string{"C", "D", "B"}}, // two, in another order
+		{[]string{"A", "B"}, []string{"C"}},                // none: cross product
+	}
+	mk := func(attrs []string) *Counted {
+		c := &Counted{Attrs: attrs}
+		for n := rng.Intn(12); len(c.Rows) < n; {
+			row := make(Tuple, len(attrs))
+			for k := range row {
+				row[k] = int64(rng.Intn(4))
+			}
+			c.Rows = append(c.Rows, row)
+			c.Cnt = append(c.Cnt, int64(rng.Intn(3))+1)
 		}
-		b := &Counted{Attrs: []string{"B", "C"}}
-		for i := 0; i < rng.Intn(10); i++ {
-			b.Rows = append(b.Rows, Tuple{int64(rng.Intn(4)), int64(rng.Intn(4))})
-			b.Cnt = append(b.Cnt, int64(rng.Intn(3))+1)
-		}
+		return c
+	}
+	for trial := 0; trial < 300; trial++ {
+		sc := schemas[trial%len(schemas)]
+		a, b := mk(sc.a), mk(sc.b)
 		h, err := Join(a, b)
 		if err != nil {
 			t.Fatal(err)
@@ -47,11 +59,42 @@ func TestJoinSortedMatchesHashJoin(t *testing.T) {
 		}
 		ch, cs := canonical(t, h), canonical(t, s)
 		if len(ch) != len(cs) {
-			t.Fatalf("trial %d: %d vs %d distinct rows", trial, len(ch), len(cs))
+			t.Fatalf("trial %d (%v ⋈ %v): %d vs %d distinct rows", trial, sc.a, sc.b, len(ch), len(cs))
 		}
 		for i := range ch {
 			if ch[i] != cs[i] {
-				t.Fatalf("trial %d: row %d differs", trial, i)
+				t.Fatalf("trial %d (%v ⋈ %v): row %d differs", trial, sc.a, sc.b, i)
+			}
+		}
+
+		semi, err := Semijoin(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := Intersect(a.Attrs, b.Attrs)
+		aIdx, _ := a.attrIndexes(shared)
+		bIdx, _ := b.attrIndexes(shared)
+		want := &Counted{Attrs: a.Attrs}
+		for i, ta := range a.Rows {
+			for _, tb := range b.Rows {
+				match := true
+				for k := range aIdx {
+					match = match && ta[aIdx[k]] == tb[bIdx[k]]
+				}
+				if match {
+					want.Rows = append(want.Rows, ta)
+					want.Cnt = append(want.Cnt, a.Cnt[i])
+					break
+				}
+			}
+		}
+		if len(semi.Rows) != len(want.Rows) {
+			t.Fatalf("trial %d (%v ⋉ %v): Semijoin kept %d rows, nested loop %d", trial, sc.a, sc.b, len(semi.Rows), len(want.Rows))
+		}
+		for i := range want.Rows {
+			if !semi.Rows[i].Equal(want.Rows[i]) || semi.Cnt[i] != want.Cnt[i] {
+				t.Fatalf("trial %d (%v ⋉ %v): row %d is %v=%d, nested loop %v=%d",
+					trial, sc.a, sc.b, i, semi.Rows[i], semi.Cnt[i], want.Rows[i], want.Cnt[i])
 			}
 		}
 	}

@@ -381,10 +381,9 @@ func TestServeCompactsLoneQuery(t *testing.T) {
 
 // TestServeBulkBatchStaysInStore pins that a served session takes the
 // per-update delta path for every batch: on one shard with BatchSize 128, a
-// lone query fed batches of 64 and 128 updates (each at or past the
-// library's default bulk threshold) never rebuilds and never leaves its
-// shard's store, whose clock counts every applied update, and every view
-// equals a from-scratch solve.
+// lone query fed batches of 64 and 128 updates never rebuilds and never
+// leaves its shard's store, whose clock counts every applied update, and
+// every view equals a from-scratch solve.
 func TestServeBulkBatchStaysInStore(t *testing.T) {
 	db := testDB(t, 20, 6, 47, "R1", "R2", "R3")
 	srv, err := New(db, Options{Shards: 1, BatchSize: 128})

@@ -18,7 +18,8 @@ func TestSessionPublicAPI(t *testing.T) {
 	pool := NewWorkerPool(4)
 	defer pool.Close()
 	opts := Options{Parallelism: 4, Pool: pool}
-	sess, err := OpenSession(q, db, SessionOptions{Options: opts})
+	// The second half of the stream, 100 updates, must take the bulk path.
+	sess, err := OpenSession(q, db, SessionOptions{Options: opts, BulkThreshold: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
