@@ -16,6 +16,7 @@ package tsens
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -452,6 +453,66 @@ func BenchmarkServeManyQueries(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nq), "ns/update/query")
 		})
+	}
+}
+
+// BenchmarkServeRegister: registering the bench's fanout mix on a 2-shard
+// server over the paper-scale Facebook data. Per Facebook query (q△, qw,
+// q◦, q*) it registers 16 identical copies and 4 copies each of 4 >=
+// selections on the first column of its primary private relation, at that
+// column's 25th, 50th, 75th and 90th percentile (nearest rank): 128 queries
+// over 20 plans. One iteration registers all 128 on a new server; building
+// and closing the server are not timed, so allocs/op and B/op count
+// registration alone.
+func BenchmarkServeRegister(b *testing.B) {
+	db := workload.FacebookData(benchSeed)
+	var queries []ServerQuery
+	for _, s := range workload.Facebook() {
+		for c := 0; c < 16; c++ {
+			queries = append(queries, ServerQuery{ID: fmt.Sprintf("%s-c%02d", s.Name, c), Query: s.Query, Options: s.Options()})
+		}
+		atom, _ := s.Query.Atom(s.PrimaryPrivate)
+		var col []int64
+		for _, t := range db.Relation(s.PrimaryPrivate).Rows {
+			col = append(col, t[0])
+		}
+		slices.Sort(col)
+		for _, pm := range []int{250, 500, 750, 900} {
+			at := col[(len(col)*pm+999)/1000-1]
+			sel := map[string][]Predicate{s.PrimaryPrivate: {{Var: atom.Vars[0], Op: Ge, Value: at}}}
+			q, err := NewQuery(s.Name, s.Query.Atoms, sel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for c := 0; c < 4; c++ {
+				queries = append(queries, ServerQuery{ID: fmt.Sprintf("%s-ge%d-c%d", s.Name, pm/10, c), Query: q, Options: s.Options()})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		srv, err := NewServer(db, ServerOptions{Shards: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, q := range queries {
+			if _, _, err := srv.Register(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		subs := 0
+		for _, d := range srv.PlanStats() {
+			subs += d.Subscribers
+		}
+		srv.Close()
+		if subs != 20 {
+			b.Fatalf("%d sessions for %d queries, want 20 plans", subs, len(queries))
+		}
+		b.StartTimer()
 	}
 }
 

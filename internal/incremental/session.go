@@ -86,9 +86,9 @@ type Options struct {
 type memberRef struct{ ui, mi int }
 
 // Session is a stateful sensitivity engine over a copy of the database
-// kept in its plan store. Obtain one with Open; feed it updates with
-// Insert, Delete, or Apply; read LS(), Count(), or a SensitivityFn at any
-// point.
+// kept in its plan store. Obtain one with Open or PlanStore.Open; feed it
+// updates with Insert, Delete, or Apply; read LS(), Count(), or a
+// SensitivityFn at any point.
 type Session struct {
 	q    *query.Query
 	opts Options
@@ -122,10 +122,10 @@ type Session struct {
 	arity map[string]int
 
 	// Plan-store attachment (see shared.go): store holds the relations and
-	// maintained tables — a store of the session's own after Open and every
-	// rebuild, a shared one after Adopt. pos is the session's cursor in the
-	// store's update stream, and srows[rel]/sbase[ui][mi]/snode[ui] the
-	// refcounted entries the session holds.
+	// maintained tables — the store the session was opened in, or one of
+	// its own after a rebuild. pos is the session's cursor in the store's
+	// update stream, and srows[rel]/sbase[ui][mi]/snode[ui] the refcounted
+	// entries the session holds.
 	store *PlanStore
 	pos   int64
 	srows map[string]*internedRows
@@ -144,32 +144,51 @@ type Session struct {
 	compactionsTotal *obs.Counter
 }
 
-// Open pins q's join tree over a private clone of db and materializes the
-// session state. It fails exactly where the one-shot solver would (cyclic
-// query without a decomposition, arity mismatches) and additionally rejects
-// the top-k approximation, whose truncation does not commute with deltas.
+// Open pins q's join tree over a private clone of db, in a store of the
+// session's own: NewPlanStore().Open(q, db, opts).
 func Open(q *query.Query, db *relation.Database, opts Options) (*Session, error) {
+	return NewPlanStore().Open(q, db, opts)
+}
+
+// Open pins q's join tree over db and materializes the session state in
+// the store: the session reads the store's copy of every relation q
+// references that the store holds and clones only the others, runs the
+// one-shot passes, and takes every base projection, unit relation and
+// botjoin the store already interns in place of its own. db must be at the
+// state of the store's subscribers. A refused open leaves the store
+// untouched: Open refuses a poisoned store (Err), one a subscriber is
+// mid-round in, and a relation (arity and row count, in O(1)) or table that
+// disagrees with the store's copy. It also fails where the one-shot solver
+// would, and rejects the top-k approximation, whose truncation does not
+// commute with deltas.
+func (ps *PlanStore) Open(q *query.Query, db *relation.Database, opts Options) (*Session, error) {
 	if opts.TopK > 0 {
 		return nil, fmt.Errorf("incremental: sessions require exact mode (TopK=0)")
 	}
 	if opts.BulkThreshold == 0 {
 		opts.BulkThreshold = DefaultBulkThreshold
 	}
-	// Clone only the relations the query references: unreferenced ones can
-	// never affect |Q(D)| or LS, so carrying them through every registered
-	// session is pure overhead.
-	referenced := make(map[string]bool, len(q.Atoms))
-	for _, a := range q.Atoms {
-		referenced[a.Relation] = true
-	}
 	s := &Session{q: q, opts: opts, arity: make(map[string]int)}
 	rows := make([]*sharedRows, 0, len(q.Atoms))
+	ps.mu.Lock()
+	err := ps.ready()
 	for _, name := range db.Names() {
 		r := db.Relation(name)
 		s.arity[name] = len(r.Attrs)
-		if referenced[name] {
-			rows = append(rows, newSharedRows(r.Clone()))
+		if _, ok := q.Atom(name); !ok || err != nil {
+			continue // refused, or a relation that cannot affect |Q(D)| or LS
 		}
+		if e, ok := ps.rows.Lookup(name); !ok {
+			rows = append(rows, newSharedRows(r.Clone()))
+		} else if c := e.Val.rel; len(c.Attrs) != len(r.Attrs) || len(c.Rows) != len(r.Rows) {
+			err = errCollision
+		} else {
+			rows = append(rows, e.Val)
+		}
+	}
+	ps.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	if opts.Metrics != nil {
 		s.updateSecs = opts.Metrics.Histogram("tsens_session_update_seconds",
@@ -183,16 +202,17 @@ func Open(q *query.Query, db *relation.Database, opts Options) (*Session, error)
 		s.compactionsTotal = opts.Metrics.Counter("tsens_session_compactions_total",
 			"Maintained tables compacted in place past the tombstone watermark, across sessions.")
 	}
-	if err := s.build(rows); err != nil {
+	if err := s.build(ps, rows); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
 // build runs the one-shot passes over rows, derives every maintained
-// structure from them, and puts the rows and tables in a new store of the
-// session's own. It is the shared body of Open and Rebuild.
-func (s *Session) build(rows []*sharedRows) error {
+// structure from them, checks the tables against the entries store already
+// holds, and subscribes the session to store. It is the shared body of Open
+// and Rebuild, which builds into a new store.
+func (s *Session) build(store *PlanStore, rows []*sharedRows) error {
 	rels := make([]*relation.Relation, len(rows))
 	for i, sr := range rows {
 		rels[i] = sr.rel
@@ -262,7 +282,13 @@ func (s *Session) build(rows []*sharedRows) error {
 			home(g.Table)
 		}
 	}
-	s.attach(NewPlanStore(), sol.PlanShape(), rows)
+	shape := sol.PlanShape()
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	if err := s.compatible(store, shape); err != nil {
+		return err
+	}
+	s.attach(store, shape, rows)
 	return nil
 }
 
@@ -593,7 +619,7 @@ func (s *Session) rebuild(rows []*sharedRows) error {
 		s.rebuildsTotal.Inc()
 		defer s.rebuildSecs.ObserveSince(start)
 	}
-	err := s.build(rows)
+	err := s.build(NewPlanStore(), rows)
 	if s.opts.Logger != nil {
 		if err != nil {
 			s.opts.Logger.Error("session rebuild failed",

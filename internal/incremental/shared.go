@@ -1,11 +1,13 @@
 package incremental
 
 // Plan stores: every session keeps its maintained tables in a PlanStore.
-// Open and every rebuild give a session a store of its own, as its only
-// subscriber; Adopt moves it into a shared store, which hash-conses the
-// maintained tables of sessions with overlapping join-tree structure into
-// refcounted nodes, so one delta patch per node fans out to every
-// subscribed query instead of being recomputed per session.
+// PlanStore.Open opens a session inside a store, reading what the store
+// already holds and building only what it lacks (Open and every rebuild
+// use a new store, where the session is the only subscriber). A store
+// shared by several sessions hash-conses the maintained tables of sessions
+// with overlapping join-tree structure into refcounted nodes, so one delta
+// patch per node fans out to every subscribed query instead of being
+// recomputed per session.
 //
 // Member base projections, unit (bag) relations, and botjoin tables intern
 // per join-tree subtree, keyed by the structural fingerprints of
@@ -38,10 +40,10 @@ package incremental
 // rows tier and the node slots rely on this, since each keeps one position
 // only: a follower reads them only at the position they were written for,
 // and applyRow fails a subscriber that finds the rows further ahead.
-// Adopt and ReleaseShared may be called from other goroutines — they touch
-// only the refcount maps, under the store mutex — but Adopt additionally
-// requires the store quiescent (no round in flight), which the serving
-// layer guarantees by adopting inside the shard loop at a round boundary.
+// Open reads the store's rows, so it runs on the stepping goroutine too, and
+// it requires the store quiescent (no round in flight), which the serving
+// layer guarantees by opening inside the shard loop at a round boundary.
+// Stats may be called from any goroutine.
 
 import (
 	"errors"
@@ -54,8 +56,8 @@ import (
 	"tsens/internal/relation"
 )
 
-// errCollision refuses an Adopt whose fingerprint hit a store entry that
-// disagrees with the session's table.
+// errCollision refuses an Open whose relation or fingerprint hit a store
+// entry that disagrees with the session's.
 var errCollision = errors.New("incremental: plan store entry does not match the session's table (fingerprint collision)")
 
 // sharedTabs is the index home of one maintained table: the secondary
@@ -178,9 +180,8 @@ type (
 )
 
 // PlanStore owns the hash-cons maps and refcounts of one sharing domain.
-// Every session starts in a store of its own; create a shared one per
-// group of sessions fed an identical update stream (the serving layer
-// keeps one per shard) and Adopt them into it.
+// Create one per group of sessions fed an identical update stream (the
+// serving layer keeps one per shard) and Open them in it.
 type PlanStore struct {
 	mu    sync.Mutex
 	bases *relation.Interner[*sharedBase]
@@ -190,7 +191,7 @@ type PlanStore struct {
 
 	// clock is the number of stream updates fully applied through the
 	// store: every interned entry sits at pos == clock whenever the store
-	// is quiescent, and Adopt aligns a new subscriber's cursor to it.
+	// is quiescent, and Open aligns a new subscriber's cursor to it.
 	// Atomic: the stepping goroutine bumps it without the store lock
 	// (the step-group discipline serializes subscribers), while Stats
 	// reads it from arbitrary goroutines.
@@ -210,21 +211,6 @@ func NewPlanStore() *PlanStore {
 		rows:  relation.NewInterner[*sharedRows](),
 		subs:  make(map[*Session]struct{}),
 	}
-}
-
-// AdoptStats reports what a session's Adopt call shared versus donated.
-type AdoptStats struct {
-	// BasesShared/NodesShared count tables adopted from the store
-	// (another session donated them first); the *Donated counters are
-	// this session's tables interned as new canonical entries.
-	BasesShared, BasesDonated int
-	NodesShared, NodesDonated int
-}
-
-// FullShare reports whether every botjoin node was adopted from the store
-// — the "second registration shares 100% of its botjoin nodes" property.
-func (a AdoptStats) FullShare() bool {
-	return a.NodesDonated == 0 && a.BasesDonated == 0 && a.NodesShared > 0
 }
 
 // PlanStoreStats is a point-in-time summary of a store. The json tags
@@ -264,12 +250,12 @@ func (ps *PlanStore) Stats() PlanStoreStats {
 }
 
 // tablesCompatible is the defensive check backing every fingerprint hit: a
-// canonical table must agree with the adopter's private one on schema and
-// live cardinality before the pointers are spliced. The comparison is
+// canonical table must agree with the opening session's own one on schema
+// and live cardinality before the pointers are spliced. The comparison is
 // logical, not physical: a canonical table that has lived through deletes
-// carries zero-count tombstones a freshly solved adopter lacks, and those
+// carries zero-count tombstones a freshly solved session lacks, and those
 // must not block a share. Fingerprints are content hashes, so a logical
-// mismatch means a bug (or an adopt outside a quiescent point); refusing
+// mismatch means a bug (or an open outside a quiescent point); refusing
 // the share keeps every subscriber correct.
 func tablesCompatible(canon, mine *relation.Counted) bool {
 	if canon == mine {
@@ -286,66 +272,37 @@ func tablesCompatible(canon, mine *relation.Counted) bool {
 	return len(canon.Rows)-canon.Tombstones() == len(mine.Rows)-mine.Tombstones()
 }
 
-// Adopt moves the session into store, hash-consing its maintained state:
-// every relation, member base, and join-tree subtree already interned
-// there replaces the session's copy, and everything else is donated as the
-// new canonical entry. The move is all or nothing: every hit is checked
-// (tables with tablesCompatible, relations on arity and row count) before
-// anything is spliced, and on any error the session stays in its own
-// store, untouched. After the move the session reads the store's rows
-// (Rows); its topjoins, factor groups and component totals stay private.
-//
-// The session must be its current store's only subscriber, at the same
-// database state as store's subscribers (same snapshot + same replayed
-// stream), and store must be quiescent — no subscriber mid-update.
-func (s *Session) Adopt(store *PlanStore) (AdoptStats, error) {
-	own := s.store
-	own.mu.Lock()
-	alone := len(own.subs) == 1
-	own.mu.Unlock()
-	if store == own || !alone {
-		return AdoptStats{}, fmt.Errorf("incremental: Adopt needs the session alone in a store other than the target")
-	}
-	shape := s.sol.PlanShape()
-	sbase, snode, srows := s.sbase, s.snode, s.srows
-	rows := s.takeRows()
-	var st AdoptStats
-	store.mu.Lock()
-	err := s.adoptable(store, shape)
-	if err == nil {
-		st = s.attach(store, shape, rows)
-	}
-	store.mu.Unlock()
-	if err != nil {
-		return AdoptStats{}, err
-	}
-	own.release(s, sbase, snode, srows)
-	return st, nil
+// Err reports the propagation error that poisoned the store, or nil. A
+// poisoned store fails every update and refuses every Open; open new
+// sessions in a new store instead.
+func (ps *PlanStore) Err() error {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return ps.fail
 }
 
-// adoptable reports why the session cannot move into store, or nil. Caller
-// holds store.mu.
-func (s *Session) adoptable(store *PlanStore, shape *core.PlanShape) error {
-	if store.fail != nil {
-		return fmt.Errorf("incremental: plan store poisoned: %w", store.fail)
+// ready reports why no session can open in the store now, or nil: it is
+// poisoned, or a subscriber is mid-round (its entries sit at different
+// positions). Caller holds ps.mu.
+func (ps *PlanStore) ready() error {
+	if ps.fail != nil {
+		return fmt.Errorf("incremental: plan store poisoned: %w", ps.fail)
 	}
 	quiet := true
-	clk := store.clock.Load()
-	store.bases.Range(func(e *internedBase) { quiet = quiet && e.Val.pos == clk })
-	store.nodes.Range(func(e *internedNode) { quiet = quiet && e.Val.pos == clk })
-	store.rows.Range(func(e *internedRows) { quiet = quiet && e.Val.pos == clk })
+	clk := ps.clock.Load()
+	ps.bases.Range(func(e *internedBase) { quiet = quiet && e.Val.pos == clk })
+	ps.nodes.Range(func(e *internedNode) { quiet = quiet && e.Val.pos == clk })
+	ps.rows.Range(func(e *internedRows) { quiet = quiet && e.Val.pos == clk })
 	if !quiet {
 		return fmt.Errorf("incremental: plan store not quiescent (round in flight)")
 	}
-	// Relations compare in O(1): arity and row count, no row scan.
-	for name, e := range s.srows {
-		if c, ok := store.rows.Lookup(name); ok {
-			canon, mine := c.Val.rel, e.Val.rel
-			if len(canon.Attrs) != len(mine.Attrs) || len(canon.Rows) != len(mine.Rows) {
-				return errCollision
-			}
-		}
-	}
+	return nil
+}
+
+// compatible reports errCollision when a base projection, unit relation or
+// botjoin of the session disagrees with the store's entry of equal
+// fingerprint (tablesCompatible), or nil. Caller holds store.mu.
+func (s *Session) compatible(store *PlanStore, shape *core.PlanShape) error {
 	sol := s.sol
 	for ui, u := range sol.Units {
 		for mi, md := range u.Members {
@@ -362,13 +319,11 @@ func (s *Session) adoptable(store *PlanStore, shape *core.PlanShape) error {
 }
 
 // attach subscribes the session to store: each relation and fingerprint
-// interned there replaces the session's copy (adoptable has checked every
-// hit), every other relation (from rows) and table is donated as the new
+// interned there replaces the session's copy (Open has checked every hit),
+// every other relation (from rows) and table is donated as the new
 // canonical entry, tables together with their index homes, and everything
-// derived from pointers is re-wired. Caller holds store.mu, or is the
-// store's only user.
-func (s *Session) attach(store *PlanStore, shape *core.PlanShape, rows []*sharedRows) AdoptStats {
-	var st AdoptStats
+// derived from pointers is re-wired. Caller holds store.mu.
+func (s *Session) attach(store *PlanStore, shape *core.PlanShape, rows []*sharedRows) {
 	sol := s.sol
 	clk := store.clock.Load()
 
@@ -407,10 +362,8 @@ func (s *Session) attach(store *PlanStore, shape *core.PlanShape, rows []*shared
 				store.bases.Retain(e)
 				remap[md.Base] = e.Val.table
 				md.Base = e.Val.table
-				st.BasesShared++
 			} else {
 				e = store.bases.Put(key, &sharedBase{table: md.Base, tabs: s.tabs[md.Base], pos: clk})
-				st.BasesDonated++
 			}
 			s.sbase[ui][mi] = e
 			tabs[e.Val.table] = e.Val.tabs
@@ -428,7 +381,6 @@ func (s *Session) attach(store *PlanStore, shape *core.PlanShape, rows []*shared
 			store.nodes.Retain(e)
 			remap[sol.Bot[i]] = e.Val.bot
 			u.Rel, sol.Bot[i] = e.Val.rel, e.Val.bot
-			st.NodesShared++
 		} else {
 			relTabs := tabs[u.Rel]
 			if relTabs == nil {
@@ -439,7 +391,6 @@ func (s *Session) attach(store *PlanStore, shape *core.PlanShape, rows []*shared
 				relTabs: relTabs, botTabs: s.tabs[sol.Bot[i]],
 				pos: clk, at: -1,
 			})
-			st.NodesDonated++
 		}
 		s.snode[i] = e
 		tabs[e.Val.rel] = e.Val.relTabs
@@ -478,7 +429,6 @@ func (s *Session) attach(store *PlanStore, shape *core.PlanShape, rows []*shared
 	s.store = store
 	s.pos = clk
 	store.subs[s] = struct{}{}
-	return st
 }
 
 // takeRows returns the session's relations, ready to move into another
@@ -509,8 +459,8 @@ func (s *Session) detach() []*sharedRows {
 }
 
 // Store returns the plan store holding the session's relations and
-// maintained tables: one of its own after Open and every rebuild, a shared
-// one after Adopt.
+// maintained tables: the one it was opened in, or one of its own after a
+// rebuild.
 func (s *Session) Store() *PlanStore { return s.store }
 
 // ReleaseShared detaches the session from its store, dropping its
@@ -519,33 +469,29 @@ func (s *Session) Store() *PlanStore { return s.store }
 // layer calls this when unregistering a query. (Rebuild and bulk Apply
 // leave a store through detach, which takes the rows private first.)
 func (s *Session) ReleaseShared() {
-	if s.store == nil {
+	ps := s.store
+	if ps == nil {
 		return
 	}
-	s.store.release(s, s.sbase, s.snode, s.srows)
+	ps.mu.Lock()
+	for _, row := range s.sbase {
+		for _, e := range row {
+			ps.bases.Release(e)
+		}
+	}
+	for _, e := range s.snode {
+		ps.nodes.Release(e)
+	}
+	for _, e := range s.srows {
+		ps.rows.Release(e)
+	}
+	delete(ps.subs, s)
+	ps.mu.Unlock()
 	s.store = nil
 	s.pos = 0
 	s.sbase = nil
 	s.snode = nil
 	s.srows = nil
-}
-
-// release drops one subscriber's references to the given entries.
-func (ps *PlanStore) release(s *Session, sbase [][]*internedBase, snode []*internedNode, srows map[string]*internedRows) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for _, row := range sbase {
-		for _, e := range row {
-			ps.bases.Release(e)
-		}
-	}
-	for _, e := range snode {
-		ps.nodes.Release(e)
-	}
-	for _, e := range srows {
-		ps.rows.Release(e)
-	}
-	delete(ps.subs, s)
 }
 
 // advance moves the session's stream cursor past one applied update,

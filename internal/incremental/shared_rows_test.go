@@ -33,8 +33,8 @@ func errText(err error) string {
 
 // TestSharedRowsLockstepDifferential feeds one random stream, including
 // deletes of absent rows, wrong-arity rows and an unknown relation, to
-// identical, partially overlapping and pruned-relation sessions adopted
-// into one store, stepped in lockstep from a rotating seat, and to a
+// identical, partially overlapping and pruned-relation sessions opened in
+// one store, stepped in lockstep from a rotating seat, and to a
 // private twin of each. After every step each shared session must match its
 // twin on the error, Count, LS, Has and the Rows multiset of every relation,
 // while all shared sessions read one copy of each relation they reference.
@@ -56,7 +56,7 @@ func TestSharedRowsLockstepDifferential(t *testing.T) {
 	store := NewPlanStore()
 	var shared, private []*Session
 	for _, q := range queries {
-		s, _ := openAdopted(t, q, db, opts, store)
+		s := openIn(t, store, q, db, opts)
 		p, err := Open(q, db, Options{Options: opts})
 		if err != nil {
 			t.Fatal(err)
@@ -64,7 +64,7 @@ func TestSharedRowsLockstepDifferential(t *testing.T) {
 		shared, private = append(shared, s), append(private, p)
 	}
 	if st := store.Stats(); st.Rows != 3 || st.SharedRows != 3 {
-		t.Fatalf("store after adopts: %+v, want 3 relations, each shared", st)
+		t.Fatalf("store after opens: %+v, want 3 relations, each shared", st)
 	}
 
 	rels := []string{"R1", "R2", "R3"}
@@ -149,11 +149,8 @@ func TestSharedRowsRebuildAndBulkApply(t *testing.T) {
 	store := NewPlanStore()
 	var ss []*Session
 	for i := 0; i < 3; i++ {
-		s, err := Open(q, db, Options{Options: opts, BulkThreshold: 4})
+		s, err := store.Open(q, db, Options{Options: opts, BulkThreshold: 4})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Adopt(store); err != nil {
 			t.Fatal(err)
 		}
 		ss = append(ss, s)
@@ -225,37 +222,34 @@ func TestSharedRowsRebuildAndBulkApply(t *testing.T) {
 	}
 }
 
-// TestSharedRowsAdoptRowCountMismatch pins the O(1) rows check of Adopt: a
-// session whose relation differs from the store's copy only by a duplicate
-// row — so every join table still matches in schema and live rows — is
-// refused with errCollision and stays, exact, in its own store.
-func TestSharedRowsAdoptRowCountMismatch(t *testing.T) {
+// TestSharedRowsOpenRowCountMismatch pins the O(1) rows check of an open:
+// an open over a relation that differs from the store's copy only by a
+// duplicate row — so every join table would still match in schema and live
+// rows — is refused with errCollision and leaves the store's subscribers
+// and entries as they were.
+func TestSharedRowsOpenRowCountMismatch(t *testing.T) {
 	tc := streamCases()[0] // path
 	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(71)), 12, 4)
 	store := NewPlanStore()
-	openAdopted(t, q, db, opts, store)
+	incumbent := openIn(t, store, q, db, opts)
 
 	dup := db.Clone()
 	r := dup.Relation("R1")
 	r.Rows = append(r.Rows, r.Rows[0].Clone())
-	s, err := Open(q, dup, Options{Options: opts})
-	if err != nil {
-		t.Fatal(err)
+	before, stats := storeState(store, 1), store.Stats()
+	if _, err := store.Open(q, dup, Options{Options: opts}); !errors.Is(err, errCollision) {
+		t.Fatalf("open over a row-count mismatch: %v, want errCollision", err)
 	}
-	own := s.Store()
-	if _, err := s.Adopt(store); !errors.Is(err, errCollision) {
-		t.Fatalf("Adopt over a row-count mismatch: %v, want errCollision", err)
+	if got := storeState(store, 1); !reflect.DeepEqual(got, before) || store.Stats() != stats {
+		t.Fatalf("refused open changed the store:\n got %v\nwant %v", got, before)
 	}
-	if s.Store() != own || own.Stats().Subscribers != 1 || store.Stats().Subscribers != 1 {
-		t.Fatal("refused Adopt moved the session")
-	}
-	m := newMirror(dup)
+	m := newMirror(db)
 	up := Update{Rel: "R1", Row: relation.Tuple{1, 1}, Insert: true}
 	m.apply(t, up)
-	if err := s.Apply([]Update{up}); err != nil {
+	if err := incumbent.Apply([]Update{up}); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstScratch(t, s, m, opts, 0)
+	checkAgainstScratch(t, incumbent, m, opts, 0)
 }
 
 // TestSharedRowsOutOfLockstepFails pins the guard behind the rows tier's
@@ -265,8 +259,8 @@ func TestSharedRowsOutOfLockstepFails(t *testing.T) {
 	tc := streamCases()[0] // path
 	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(83)), 12, 4)
 	store := NewPlanStore()
-	a, _ := openAdopted(t, q, db, opts, store)
-	b, _ := openAdopted(t, q, db, opts, store)
+	a := openIn(t, store, q, db, opts)
+	b := openIn(t, store, q, db, opts)
 	ups := []Update{
 		{Rel: "R1", Row: relation.Tuple{7, 7}, Insert: true},
 		{Rel: "R1", Row: relation.Tuple{8, 8}, Insert: true},
@@ -291,25 +285,25 @@ func pathSelQuery(tc streamCase) *query.Query {
 	})
 }
 
-// sharedState renders every entry of a store that more than one session
-// holds — tables, positions, node slots and relation rows — keyed by the
-// entry's key, for before/after checks.
-func sharedState(ps *PlanStore) map[string]string {
+// storeState renders every entry of a store that at least minRefs sessions
+// hold — refcounts, tables, positions, node slots and relation rows — keyed
+// by the entry's key, for before/after checks.
+func storeState(ps *PlanStore, minRefs int) map[string]string {
 	out := make(map[string]string)
 	ps.bases.Range(func(e *internedBase) {
-		if b := e.Val; e.Refs > 1 {
-			out["base "+e.Key] = fmt.Sprint(b.pos, b.table.Rows, b.table.Cnt)
+		if b := e.Val; e.Refs >= minRefs {
+			out["base "+e.Key] = fmt.Sprint(e.Refs, b.pos, b.table.Rows, b.table.Cnt)
 		}
 	})
 	ps.nodes.Range(func(e *internedNode) {
-		if n := e.Val; e.Refs > 1 {
-			out["node "+e.Key] = fmt.Sprintf("%d %v %v %v %v at=%d %p %p",
-				n.pos, n.rel.Rows, n.rel.Cnt, n.bot.Rows, n.bot.Cnt, n.at, n.drel, n.dbot)
+		if n := e.Val; e.Refs >= minRefs {
+			out["node "+e.Key] = fmt.Sprintf("%d %d %v %v %v %v at=%d %p %p",
+				e.Refs, n.pos, n.rel.Rows, n.rel.Cnt, n.bot.Rows, n.bot.Cnt, n.at, n.drel, n.dbot)
 		}
 	})
 	ps.rows.Range(func(e *internedRows) {
-		if r := e.Val; e.Refs > 1 {
-			out["rows "+e.Key] = fmt.Sprint(r.pos, r.at, r.err, r.rel.Rows)
+		if r := e.Val; e.Refs >= minRefs {
+			out["rows "+e.Key] = fmt.Sprint(e.Refs, r.pos, r.at, r.err, r.rel.Rows)
 		}
 	})
 	return out
@@ -324,8 +318,8 @@ func TestSharedSlotOutOfLockstepFails(t *testing.T) {
 	tc := streamCases()[0] // path
 	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(83)), 12, 4)
 	store := NewPlanStore()
-	a, _ := openAdopted(t, q, db, opts, store)
-	b, _ := openAdopted(t, pathSelQuery(tc), db, opts, store)
+	a := openIn(t, store, q, db, opts)
+	b := openIn(t, store, pathSelQuery(tc), db, opts)
 	node := a.snode[a.memberOf["R2"].ui]
 	if node.Refs < 2 || b.snode[b.memberOf["R2"].ui] != node {
 		t.Fatal("R2 does not land in a node both plans share")
@@ -341,11 +335,11 @@ func TestSharedSlotOutOfLockstepFails(t *testing.T) {
 		t.Fatalf("lead left the shared node's slot at position %d (drel %v, dbot %v), want both deltas of position 1",
 			node.Val.at, node.Val.drel, node.Val.dbot)
 	}
-	before := sharedState(store)
+	before := storeState(store, 2)
 	if err := b.Apply(ups[:1]); err == nil {
 		t.Fatal("subscriber two positions behind applied an update")
 	}
-	if got := sharedState(store); !reflect.DeepEqual(got, before) {
+	if got := storeState(store, 2); !reflect.DeepEqual(got, before) {
 		t.Fatalf("failed subscriber changed the store:\n got %v\nwant %v", got, before)
 	}
 }
@@ -360,8 +354,8 @@ func TestSharedLockstepFailureSticks(t *testing.T) {
 	tc := streamCases()[0] // path
 	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(83)), 12, 4)
 	store := NewPlanStore()
-	a, _ := openAdopted(t, q, db, opts, store)
-	b, _ := openAdopted(t, pathSelQuery(tc), db, opts, store)
+	a := openIn(t, store, q, db, opts)
+	b := openIn(t, store, pathSelQuery(tc), db, opts)
 	ups := []Update{
 		{Rel: "R2", Row: relation.Tuple{1, 2}, Insert: true},
 		{Rel: "R2", Row: relation.Tuple{2, 1}, Insert: true},
@@ -396,8 +390,8 @@ func TestSharedLockstepUpdateAllocs(t *testing.T) {
 	tc := streamCases()[0] // path
 	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(73)), 12, 4)
 	store := NewPlanStore()
-	a, _ := openAdopted(t, q, db, opts, store)
-	b, _ := openAdopted(t, pathSelQuery(tc), db, opts, store)
+	a := openIn(t, store, q, db, opts)
+	b := openIn(t, store, pathSelQuery(tc), db, opts)
 	row := relation.Tuple{1, 2}
 	step := func() {
 		for _, insert := range []bool{true, false} {

@@ -1,7 +1,9 @@
 package incremental
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -11,18 +13,14 @@ import (
 	"tsens/internal/relation"
 )
 
-// openAdopted opens a session over db and attaches it to store.
-func openAdopted(t *testing.T, q *query.Query, db *relation.Database, opts core.Options, store *PlanStore) (*Session, AdoptStats) {
+// openIn opens a session over db in store.
+func openIn(t *testing.T, store *PlanStore, q *query.Query, db *relation.Database, opts core.Options) *Session {
 	t.Helper()
-	s, err := Open(q, db, Options{Options: opts})
+	s, err := store.Open(q, db, Options{Options: opts})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("open in store: %v", err)
 	}
-	st, err := s.Adopt(store)
-	if err != nil {
-		t.Fatalf("Adopt: %v", err)
-	}
-	return s, st
+	return s
 }
 
 // TestSharedDifferentialIdentical replays random update streams through
@@ -38,15 +36,18 @@ func TestSharedDifferentialIdentical(t *testing.T) {
 			m := newMirror(db)
 			store := NewPlanStore()
 			var sessions []*Session
+			var first PlanStoreStats
 			for i := 0; i < 3; i++ {
-				s, st := openAdopted(t, q, db, opts, store)
-				if i > 0 && !st.FullShare() {
-					t.Fatalf("session %d of identical query did not fully share: %+v", i, st)
+				sessions = append(sessions, openIn(t, store, q, db, opts))
+				got := store.Stats()
+				if i == 0 {
+					first = got
+				} else if got.Bases != first.Bases || got.Nodes != first.Nodes || got.Rows != first.Rows {
+					t.Fatalf("session %d of identical query did not fully share: %+v, first %+v", i, got, first)
 				}
-				sessions = append(sessions, s)
 			}
 			if got := store.Stats(); got.SharedNodes != got.Nodes || got.Subscribers != 3 {
-				t.Fatalf("store stats after 3 identical adopts: %+v", got)
+				t.Fatalf("store stats after 3 identical opens: %+v", got)
 			}
 			rels := tc.rels
 			if rels == nil {
@@ -103,9 +104,9 @@ func TestSharedDifferentialOverlap(t *testing.T) {
 	m := newMirror(db)
 
 	store := NewPlanStore()
-	a, _ := openAdopted(t, q3, db, opts, store)
-	b, st := openAdopted(t, q2, db, opts, store)
-	if st.NodesShared == 0 || st.BasesShared == 0 {
+	a := openIn(t, store, q3, db, opts)
+	b := openIn(t, store, q2, db, opts)
+	if st := store.Stats(); st.SharedNodes == 0 || st.SharedBases == 0 {
 		t.Fatalf("prefix query shared nothing: %+v", st)
 	}
 
@@ -135,11 +136,12 @@ func TestSharedDifferentialOverlap(t *testing.T) {
 	}
 }
 
-// TestSharedAdoptQuiescence pins the quiescence precondition: when one
+// TestSharedOpenQuiescence pins the quiescence precondition: when one
 // subscriber of a partially-shared store has applied an update the other
-// has not, entries sit at different positions and Adopt must refuse; once
-// the laggard catches up, Adopt succeeds again.
-func TestSharedAdoptQuiescence(t *testing.T) {
+// has not, entries sit at different positions and an open must be refused,
+// leaving the store as it was, even over the caught-up database; once the
+// laggard catches up, an open over that database succeeds.
+func TestSharedOpenQuiescence(t *testing.T) {
 	atoms3 := []query.Atom{
 		{Relation: "R1", Vars: []string{"A", "B"}},
 		{Relation: "R2", Vars: []string{"B", "C"}},
@@ -151,35 +153,96 @@ func TestSharedAdoptQuiescence(t *testing.T) {
 	_, db, opts := buildCase(t, streamCase{name: "path", atoms: atoms3}, rng, 8, 4)
 
 	store := NewPlanStore()
-	a, _ := openAdopted(t, q3, db, opts, store)
-	b, _ := openAdopted(t, q2, db, opts, store)
+	a := openIn(t, store, q3, db, opts)
+	b := openIn(t, store, q2, db, opts)
 
 	up := Update{Rel: "R1", Row: relation.Tuple{9, 9}, Insert: true}
+	m := newMirror(db)
+	m.apply(t, up)
+	caughtUp := m.database(t)
 	if err := b.Apply([]Update{up}); err != nil {
 		t.Fatal(err)
 	}
-	mid, err := Open(q3, db, Options{Options: opts})
-	if err != nil {
-		t.Fatal(err)
+	before := store.Stats()
+	if _, err := store.Open(q3, caughtUp, Options{Options: opts}); err == nil {
+		t.Fatal("open succeeded in a mid-round store")
 	}
-	if _, err := mid.Adopt(store); err == nil {
-		t.Fatal("Adopt succeeded against a mid-round store")
+	if got := store.Stats(); got != before {
+		t.Fatalf("refused open changed the store: %+v, was %+v", got, before)
 	}
 	if err := a.Apply([]Update{up}); err != nil {
 		t.Fatal(err)
 	}
-	late, err := Open(q3, db, Options{Options: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := late.Insert("R1", relation.Tuple{9, 9}); err != nil {
-		t.Fatal(err) // catch the newcomer up to the stream before adopting
-	}
-	if _, err := late.Adopt(store); err != nil {
-		t.Fatalf("Adopt at quiescence: %v", err)
-	}
+	late := openIn(t, store, q3, caughtUp, opts)
 	if a.Count() != late.Count() {
-		t.Fatalf("adopted newcomer count %d, incumbent %d", late.Count(), a.Count())
+		t.Fatalf("newcomer count %d, incumbent %d", late.Count(), a.Count())
+	}
+	checkAgainstScratch(t, late, m, opts, 0)
+}
+
+// TestSharedOpenReadsHeldRows pins that an open in a store that already
+// holds every relation the query reads copies none of them: the session's
+// Rows alias the store's copy, and the open allocates at least one object
+// per row of those relations fewer than the same open in an empty store,
+// which clones each row and builds a row multiset keyed per row.
+func TestSharedOpenReadsHeldRows(t *testing.T) {
+	tc := streamCases()[0] // path
+	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(89)), 12, 4)
+	store := NewPlanStore()
+	incumbent := openIn(t, store, pathSelQuery(tc), db, opts)
+	s := openIn(t, store, q, db, opts)
+	rows := 0
+	for _, a := range q.Atoms {
+		got, want := s.Rows(a.Relation), incumbent.Rows(a.Relation)
+		if len(got) == 0 || &got[0] != &want[0] {
+			t.Fatalf("session reads its own copy of %s", a.Relation)
+		}
+		rows += len(want)
+	}
+	s.ReleaseShared()
+	openAndRelease := func(ps *PlanStore) func() {
+		return func() {
+			s, err := ps.Open(q, db, Options{Options: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.ReleaseShared()
+		}
+	}
+	held := testing.AllocsPerRun(20, openAndRelease(store))
+	empty := testing.AllocsPerRun(20, openAndRelease(NewPlanStore()))
+	t.Logf("open: %v allocs in a store holding its %d rows, %v in an empty store", held, rows, empty)
+	if empty-held < float64(rows) {
+		t.Fatalf("open in a store holding every relation: %v allocs, in an empty store %v: want at least %d (one per row) fewer",
+			held, empty, rows)
+	}
+}
+
+// TestSharedOpenPoisonedStore pins that a poisoned store refuses an open,
+// leaving its subscribers and entries as they were, and reports the poison
+// through Err, as its subscribers' updates do.
+func TestSharedOpenPoisonedStore(t *testing.T) {
+	tc := streamCases()[0] // path
+	q, db, opts := buildCase(t, tc, rand.New(rand.NewSource(97)), 12, 4)
+	store := NewPlanStore()
+	a := openIn(t, store, q, db, opts)
+	if err := store.Err(); err != nil {
+		t.Fatalf("fresh store reports %v", err)
+	}
+	poison := errors.New("propagation failed")
+	a.poisonStore(poison)
+	if err := store.Err(); err != poison {
+		t.Fatalf("poisoned store reports %v, want %v", err, poison)
+	}
+	before, stats := storeState(store, 1), store.Stats()
+	if _, err := store.Open(pathSelQuery(tc), db, Options{Options: opts}); !errors.Is(err, poison) {
+		t.Fatalf("open in a poisoned store: %v, want the poison", err)
+	}
+	if got := storeState(store, 1); !reflect.DeepEqual(got, before) || store.Stats() != stats {
+		t.Fatalf("refused open changed the store:\n got %v\nwant %v", got, before)
+	}
+	if err := a.Insert("R1", relation.Tuple{1, 1}); !errors.Is(err, poison) {
+		t.Fatalf("update in a poisoned store: %v, want the poison", err)
 	}
 }
 
@@ -192,9 +255,9 @@ func TestSharedReleaseAndRefcounts(t *testing.T) {
 	q, db, opts := buildCase(t, tc, rng, 12, 4)
 	m := newMirror(db)
 	store := NewPlanStore()
-	a, _ := openAdopted(t, q, db, opts, store)
-	b, st := openAdopted(t, q, db, opts, store)
-	if !st.FullShare() {
+	a := openIn(t, store, q, db, opts)
+	b := openIn(t, store, q, db, opts)
+	if st := store.Stats(); st.SharedNodes != st.Nodes || st.SharedBases != st.Bases || st.SharedRows != st.Rows {
 		t.Fatalf("identical query did not fully share: %+v", st)
 	}
 
@@ -252,8 +315,8 @@ func TestSharedRebuildDetaches(t *testing.T) {
 	q, db, opts := buildCase(t, tc, rng, 12, 4)
 	m := newMirror(db)
 	store := NewPlanStore()
-	a, _ := openAdopted(t, q, db, opts, store)
-	b, _ := openAdopted(t, q, db, opts, store)
+	a := openIn(t, store, q, db, opts)
+	b := openIn(t, store, q, db, opts)
 
 	rels := []string{"R1", "R2", "R3"}
 	for step := 0; step < 10; step++ {
@@ -305,12 +368,9 @@ func TestSharedStoreCompacts(t *testing.T) {
 	store := NewPlanStore()
 	var sessions []*Session
 	for _, qq := range []*query.Query{q, pathSelQuery(tc)} {
-		s, err := Open(qq, db, Options{Options: opts, RebuildTombstoneRatio: watermark, Metrics: reg})
+		s, err := store.Open(qq, db, Options{Options: opts, RebuildTombstoneRatio: watermark, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if _, err := s.Adopt(store); err != nil {
-			t.Fatalf("Adopt: %v", err)
 		}
 		sessions = append(sessions, s)
 	}

@@ -10,9 +10,9 @@ package difftest
 // REFUSES to promote, because promoting would void acknowledged writes and
 // resurrect spent ε — and the old leader restarts from its own directory
 // instead. After every transition and at every flush point the surviving
-// leader must match the from-scratch solver exactly, the follower's views
-// must match the from-scratch solver at each view's own epoch (never past
-// the durable horizon), and at quiesce points the follower must be
+// leader must match both references of checkView exactly, the follower's
+// views must match them at each view's own epoch (never past the durable
+// horizon), and at quiesce points the follower must be
 // byte-identical to the leader: views, per-relation maxima, and ledger
 // totals, with replayed releases repeating the recorded noisy value across
 // failovers.
@@ -29,7 +29,6 @@ import (
 	"testing"
 	"time"
 
-	"tsens/internal/core"
 	"tsens/internal/mechanism"
 	"tsens/internal/relation"
 	"tsens/internal/serve"
@@ -208,20 +207,11 @@ func RunCluster(t *testing.T, cfg Config) {
 			if err != nil {
 				fatalf("%s: view %s: %v", when, id, err)
 			}
-			want, err := core.LocalSensitivity(c.mk(), cursor.db, core.Options{})
-			if err != nil {
-				fatalf("%s: scratch %s: %v", when, id, err)
+			if v.Epoch != total {
+				fatalf("%s: view %s at epoch %d after waiting for %d", when, id, v.Epoch, total)
 			}
-			if v.Epoch != total || v.Count != want.Count || v.LS.LS != want.LS {
-				fatalf("%s: epoch %d, query %s: served (epoch %d, count %d, LS %d), scratch (%d, %d)",
-					when, total, id, v.Epoch, v.Count, v.LS.LS, want.Count, want.LS)
-			}
-			for rel, tr := range want.PerRelation {
-				got := v.LS.PerRelation[rel]
-				if got == nil || got.Sensitivity != tr.Sensitivity {
-					fatalf("%s: epoch %d, query %s, relation %s: served %v, scratch %d",
-						when, total, id, rel, got, tr.Sensitivity)
-				}
+			if err := checkView(c.mk(), cursor.db, v); err != nil {
+				fatalf("%s: epoch %d, query %s: %v", when, total, id, err)
 			}
 		}
 		for _, info := range srv.Queries() {
@@ -233,8 +223,8 @@ func RunCluster(t *testing.T, cfg Config) {
 
 	// verifyFollower checks the invariants that hold at ANY instant of the
 	// follower's life: nothing applied past the leader's durable horizon, and
-	// every served view exact against the from-scratch solver at the view's
-	// OWN epoch (the follower lags; it must never be wrong).
+	// every served view exact against both references of checkView at the
+	// view's OWN epoch (the follower lags; it must never be wrong).
 	verifyFollower := func(when string) {
 		t.Helper()
 		fsrv := fol.Server()
@@ -259,13 +249,8 @@ func RunCluster(t *testing.T, cfg Config) {
 			}
 			m := newModel(base)
 			m.advance(log[:v.Epoch])
-			want, err := core.LocalSensitivity(c.mk(), m.db, core.Options{})
-			if err != nil {
-				fatalf("%s: scratch %s at %d: %v", when, info.ID, v.Epoch, err)
-			}
-			if v.Count != want.Count || v.LS.LS != want.LS {
-				fatalf("%s: follower %s at epoch %d: served (count %d, LS %d), scratch (%d, %d)",
-					when, info.ID, v.Epoch, v.Count, v.LS.LS, want.Count, want.LS)
+			if err := checkView(c.mk(), m.db, v); err != nil {
+				fatalf("%s: follower %s at epoch %d: %v", when, info.ID, v.Epoch, err)
 			}
 		}
 	}

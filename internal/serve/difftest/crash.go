@@ -7,8 +7,8 @@ package difftest
 // torn partial frame appended to the newest segment to simulate dying
 // mid-write — then reopened from the WAL directory alone and driven on.
 // After every reopen and at every flush point the recovered server must
-// match the from-scratch solver exactly (counts, LS, per-relation maxima)
-// and the ledger model exactly (spent ε, replayed noisy values), i.e. the
+// match both references of checkView exactly (counts, LS, per-relation
+// maxima) and the ledger model exactly (spent ε, replayed noisy values), i.e. the
 // interrupted run is observationally identical to an uninterrupted one.
 
 import (
@@ -22,7 +22,6 @@ import (
 	"strings"
 	"testing"
 
-	"tsens/internal/core"
 	"tsens/internal/mechanism"
 	"tsens/internal/relation"
 	"tsens/internal/serve"
@@ -110,20 +109,11 @@ func RunCrash(t *testing.T, cfg Config, walDir string, crashes int) {
 			if err != nil {
 				fatalf("%s: view %s: %v", when, id, err)
 			}
-			want, err := core.LocalSensitivity(c.mk(), cursor.db, core.Options{})
-			if err != nil {
-				fatalf("%s: scratch %s: %v", when, id, err)
+			if v.Epoch != total {
+				fatalf("%s: view %s at epoch %d after waiting for %d", when, id, v.Epoch, total)
 			}
-			if v.Epoch != total || v.Count != want.Count || v.LS.LS != want.LS {
-				fatalf("%s: epoch %d, query %s: served (epoch %d, count %d, LS %d), scratch (%d, %d)",
-					when, total, id, v.Epoch, v.Count, v.LS.LS, want.Count, want.LS)
-			}
-			for rel, tr := range want.PerRelation {
-				got := v.LS.PerRelation[rel]
-				if got == nil || got.Sensitivity != tr.Sensitivity {
-					fatalf("%s: epoch %d, query %s, relation %s: served %v, scratch %d",
-						when, total, id, rel, got, tr.Sensitivity)
-				}
+			if err := checkView(c.mk(), cursor.db, v); err != nil {
+				fatalf("%s: epoch %d, query %s: %v", when, total, id, err)
 			}
 		}
 		for _, info := range srv.Queries() {

@@ -2,10 +2,12 @@
 // sharded serving stack: it drives a seeded random interleaving of inserts,
 // deletes (including deliberate deletes of absent tuples), registrations,
 // releases, and unregistrations against a live serve.Server, and at every
-// synchronized epoch replays the same script through the from-scratch
-// solver (core.LocalSensitivity), asserting exact equality of count and LS
-// for every registered query plus exact ledger totals for every
-// budget-accounted release.
+// synchronized epoch replays the same script through two references —
+// the from-scratch solver (core.LocalSensitivity) and the brute-force
+// oracle of Theorem 3.1 (core.NaiveLocalSensitivity), which shares no join
+// kernel with the engine — asserting exact equality of count, LS and every
+// per-relation sensitivity for every registered query (checkView) plus
+// exact ledger totals for every budget-accounted release.
 //
 // The script is fully determined by Config.Seed; the seed is logged up
 // front and embedded in every failure message, so a CI failure replays with
@@ -149,6 +151,37 @@ func baseDB(rng *rand.Rand) *relation.Database {
 	return relation.MustNewDatabase(mk("S1", 18), mk("S2", 15), mk("S3", 12), mk("P1", 15), mk("P2", 15))
 }
 
+// checkView compares a served view's count, LS and per-relation
+// sensitivities with both references at database state db: the
+// from-scratch solver, and the naive oracle, which re-counts the join by
+// brute force for every deleted or inserted candidate tuple and so shares
+// no kernel the engine runs. The fixture (5 relations of 12–18 rows over a
+// 6×4 domain) keeps the oracle cheap. It returns the first mismatch.
+func checkView(q *query.Query, db *relation.Database, v *serve.View) error {
+	scratch, err := core.LocalSensitivity(q, db, core.Options{})
+	if err != nil {
+		return fmt.Errorf("scratch: %w", err)
+	}
+	naive, err := core.NaiveLocalSensitivity(q, db, core.NaiveOptions{})
+	if err != nil {
+		return fmt.Errorf("naive oracle: %w", err)
+	}
+	for _, ref := range []struct {
+		name string
+		res  *core.Result
+	}{{"scratch", scratch}, {"naive oracle", naive}} {
+		if v.Count != ref.res.Count || v.LS.LS != ref.res.LS {
+			return fmt.Errorf("served (count %d, LS %d), %s (%d, %d)", v.Count, v.LS.LS, ref.name, ref.res.Count, ref.res.LS)
+		}
+		for rel, tr := range ref.res.PerRelation {
+			if got := v.LS.PerRelation[rel]; got == nil || got.Sensitivity != tr.Sensitivity {
+				return fmt.Errorf("relation %s: served %v, %s %d", rel, got, ref.name, tr.Sensitivity)
+			}
+		}
+	}
+	return nil
+}
+
 // Run executes one scripted differential run. Every failure message leads
 // with the seed for replay.
 func Run(t *testing.T, cfg Config) {
@@ -248,20 +281,8 @@ func Run(t *testing.T, cfg Config) {
 			if v.Epoch != total {
 				fatalf("view %s at epoch %d after waiting for %d", id, v.Epoch, total)
 			}
-			want, err := core.LocalSensitivity(c.mk(), cursor.db, core.Options{})
-			if err != nil {
-				fatalf("scratch %s: %v", id, err)
-			}
-			if v.Count != want.Count || v.LS.LS != want.LS {
-				fatalf("epoch %d, query %s: served (count %d, LS %d), scratch (%d, %d)",
-					total, id, v.Count, v.LS.LS, want.Count, want.LS)
-			}
-			for rel, tr := range want.PerRelation {
-				got := v.LS.PerRelation[rel]
-				if got == nil || got.Sensitivity != tr.Sensitivity {
-					fatalf("epoch %d, query %s, relation %s: served %v, scratch %d",
-						total, id, rel, got, tr.Sensitivity)
-				}
+			if err := checkView(c.mk(), cursor.db, v); err != nil {
+				fatalf("epoch %d, query %s: %v", total, id, err)
 			}
 		}
 		for _, info := range srv.Queries() {

@@ -579,21 +579,7 @@ func (s *Server) checkpointSync() error {
 // ones are recovered by loading the newest checkpoint and replaying the WAL
 // tail through the ordinary serving machinery.
 func openDurable(db *relation.Database, opts Options) (*Server, error) {
-	wlog, err := wal.Open(opts.WALDir, wal.Options{SyncEvery: opts.SyncEvery, FS: opts.WALFS, Metrics: opts.Metrics})
-	if err != nil {
-		return nil, err
-	}
-	codec := opts.WALCodec
-	if codec == nil {
-		codec = IntCodec{}
-	}
-	dl := &durableLog{
-		log:      wlog,
-		codec:    codec,
-		ckptCh:   make(chan *checkpoint, 1),
-		ckptDone: make(chan struct{}),
-	}
-	has, err := wlog.HasState()
+	dl, has, err := openWAL(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -605,7 +591,7 @@ func openDurable(db *relation.Database, opts Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := wlog.StartAppending(); err != nil {
+		if err := dl.log.StartAppending(); err != nil {
 			s.CloseNow()
 			return nil, err
 		}
@@ -625,6 +611,30 @@ func openDurable(db *relation.Database, opts Options) (*Server, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// openWAL opens opts.WALDir with the server's codec (IntCodec unless
+// opts.WALCodec is set) and reports whether the directory holds any state
+// to recover.
+func openWAL(opts Options) (*durableLog, bool, error) {
+	wlog, err := wal.Open(opts.WALDir, wal.Options{SyncEvery: opts.SyncEvery, FS: opts.WALFS, Metrics: opts.Metrics})
+	if err != nil {
+		return nil, false, err
+	}
+	codec := opts.WALCodec
+	if codec == nil {
+		codec = IntCodec{}
+	}
+	has, err := wlog.HasState()
+	if err != nil {
+		return nil, false, err
+	}
+	return &durableLog{
+		log:      wlog,
+		codec:    codec,
+		ckptCh:   make(chan *checkpoint, 1),
+		ckptDone: make(chan struct{}),
+	}, has, nil
 }
 
 // recoverDurable rebuilds a server from the WAL directory: checkpoint state
@@ -711,21 +721,7 @@ func OpenFollower(opts Options) (*Server, error) {
 	if opts.WALDir == "" {
 		return nil, fmt.Errorf("serve: follower requires WALDir")
 	}
-	wlog, err := wal.Open(opts.WALDir, wal.Options{SyncEvery: opts.SyncEvery, FS: opts.WALFS, Metrics: opts.Metrics})
-	if err != nil {
-		return nil, err
-	}
-	codec := opts.WALCodec
-	if codec == nil {
-		codec = IntCodec{}
-	}
-	dl := &durableLog{
-		log:      wlog,
-		codec:    codec,
-		ckptCh:   make(chan *checkpoint, 1),
-		ckptDone: make(chan struct{}),
-	}
-	has, err := wlog.HasState()
+	dl, has, err := openWAL(opts)
 	if err != nil {
 		return nil, err
 	}

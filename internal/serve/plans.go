@@ -4,21 +4,23 @@ package serve
 // A session's maintained state depends only on the join plan and the
 // database, so registered queries with equal plan keys share one
 // incremental.Session, each keeping its own view, ledger and sensitivity
-// vector. Every session keeps its maintained tables in an
-// incremental.PlanStore and moves from a store of its own into its shard's
-// store, where sessions of different plans share the relation rows and the
-// subtrees they have in common. incremental.PlanStore correctness rests on
+// vector. Every session is opened inside its shard's incremental.PlanStore,
+// where sessions of different plans share the relation rows and the
+// subtrees they have in common: the open reads what the store holds and
+// builds only what it lacks. incremental.PlanStore correctness rests on
 // every subscriber being fed the same update sequence, and every session on
 // a shard is fed the same stream — every valid batch, round by round — so
 // one store per shard is a sound sharing domain.
 //
-// Only the shard's goroutine attaches, detaches and steps its sessions, and
-// it attaches and detaches them between rounds, when its store is
-// quiescent: registrations and drops arrive on the shard's FIFO (shard.go).
-// A session stays in the shard's store until its last query is dropped or
-// it fails: served sessions take the per-update delta path for every batch
-// (no bulk rebuild), and tombstones are compacted in place, table by table
-// (incremental.Options.RebuildTombstoneRatio).
+// Only the shard's goroutine opens, detaches and steps its sessions, and it
+// opens and detaches them between rounds, when its store is quiescent:
+// registrations and drops arrive on the shard's FIFO (shard.go). A session
+// stays in the shard's store until its last query is dropped or it fails:
+// served sessions take one update at a time (no bulk rebuild), and
+// tombstones are compacted in place, table by table
+// (incremental.Options.RebuildTombstoneRatio). A propagation error poisons
+// the store for all its sessions; the shard then opens new sessions in a
+// new store.
 
 import (
 	"fmt"
@@ -73,8 +75,8 @@ func planKey(q *query.Query, opts core.Options) string {
 
 // register attaches c's query at c.cut, the cut the shard has folded when
 // it reaches c: to the session the shard keeps for the query's plan, or to
-// one opened from c.snap and moved into the shard's store. It returns the
-// query's first view. A query whose first view fails is not attached.
+// one opened from c.snap in the shard's store. It returns the query's first
+// view. A query whose open or first view fails is not attached.
 func (sh *shard) register(s *Server, c *change) (*View, error) {
 	sq := c.sq
 	var p *plan
@@ -85,12 +87,11 @@ func (sh *shard) register(s *Server, c *change) (*View, error) {
 	}
 	fresh := p == nil
 	if fresh {
-		sess, err := incremental.Open(sq.q, c.snap, s.sessionOptions(sq.sopts))
+		sess, err := sh.openStore().Open(sq.q, c.snap, s.sessionOptions(sq.sopts))
 		if err != nil {
 			return nil, err
 		}
 		p = &plan{key: sq.key, sess: sess}
-		sh.adopt(s, p)
 		p.refresh()
 	}
 	sq.plan = p
@@ -123,14 +124,16 @@ func (sh *shard) drop(s *Server, sq *servedQuery) {
 	s.refreshPlanGauges()
 }
 
-// adopt moves a plan's session into the shard's store. An Adopt that fails
-// (it errors only before touching any state) leaves the session in a store
-// of its own for good; it shares nothing, and the shard steps it beside the
-// store's subscribers.
-func (sh *shard) adopt(s *Server, p *plan) {
-	if _, err := p.sess.Adopt(sh.store); err != nil {
-		s.logger.Warn("serve.plan_adopt_failed", "query", p.sess.Query().Name, "shard", sh.id, "err", err.Error())
+// openStore returns the store the shard opens new sessions in: its store,
+// or a new one in its place once a propagation error has poisoned it. The
+// poisoned store's sessions fail at their next update and leave it.
+func (sh *shard) openStore() *incremental.PlanStore {
+	ps := sh.store.Load()
+	if ps.Err() != nil {
+		ps = incremental.NewPlanStore()
+		sh.store.Store(ps)
 	}
+	return ps
 }
 
 // endRound finishes a round: a session that failed leaves the shard (its
@@ -156,7 +159,7 @@ func (sh *shard) endRound(s *Server) {
 func (s *Server) refreshPlanGauges() {
 	var nodes, shared, refs, subs int
 	for _, sh := range s.shards {
-		st := sh.store.Stats()
+		st := sh.store.Load().Stats()
 		nodes += st.Nodes
 		shared += st.SharedNodes
 		refs += st.NodeRefs
@@ -179,7 +182,7 @@ type PlanDomainStats struct {
 func (s *Server) PlanStats() []PlanDomainStats {
 	out := make([]PlanDomainStats, len(s.shards))
 	for i, sh := range s.shards {
-		out[i] = PlanDomainStats{Shard: i, PlanStoreStats: sh.store.Stats()}
+		out[i] = PlanDomainStats{Shard: i, PlanStoreStats: sh.store.Load().Stats()}
 	}
 	return out
 }

@@ -332,7 +332,7 @@ func checkCompacted(t *testing.T, srv *Server, db *relation.Database, stream []r
 	if n := sess.Rebuilds(); n != 0 {
 		t.Fatalf("%s rebuilt %d times by epoch %d, want no rebuild", id, n, v.Epoch)
 	}
-	if sess.Store() != srv.shards[sq.shard].store {
+	if sess.Store() != srv.shards[sq.shard].store.Load() {
 		t.Fatalf("%s: session left its shard's store", id)
 	}
 	if r := sess.TombstoneRatio(); r > DefaultRebuildTombstoneRatio {
@@ -379,14 +379,15 @@ func TestServeCompactsLoneQuery(t *testing.T) {
 	checkCompacted(t, srv, db, stream, "p2")
 }
 
-// TestServeBulkBatchStaysInStore pins that a served session takes the
-// per-update delta path for every batch: on one shard with BatchSize 128, a
-// lone query fed batches of 64 and 128 updates never rebuilds and never
-// leaves its shard's store, whose clock counts every applied update, and
-// every view equals a from-scratch solve.
+// TestServeBulkBatchStaysInStore pins that a served session takes one
+// update at a time for every batch: on one shard with BatchSize twice
+// incremental.DefaultBulkThreshold, a lone query fed one batch larger than
+// that threshold, which Apply would answer with a rebuild, never rebuilds
+// and never leaves its shard's store, whose clock counts every applied
+// update, and every view equals a from-scratch solve.
 func TestServeBulkBatchStaysInStore(t *testing.T) {
 	db := testDB(t, 20, 6, 47, "R1", "R2", "R3")
-	srv, err := New(db, Options{Shards: 1, BatchSize: 128})
+	srv, err := New(db, Options{Shards: 1, BatchSize: 2 * incremental.DefaultBulkThreshold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,10 +395,10 @@ func TestServeBulkBatchStaysInStore(t *testing.T) {
 	if _, _, err := srv.Register(QueryConfig{ID: "p", Query: pathQuery(t)}); err != nil {
 		t.Fatal(err)
 	}
-	sizes := []int{64, 128, 64, 128}
-	stream := churnStream(db, 384, 48)
+	bulk := incremental.DefaultBulkThreshold + 64
+	stream := churnStream(db, 1280, 48)
 	from := 0
-	for _, n := range sizes {
+	for _, n := range []int{bulk, len(stream) - bulk} {
 		_, to, err := srv.Append(stream[from : from+n])
 		if err != nil {
 			t.Fatal(err)
@@ -408,7 +409,7 @@ func TestServeBulkBatchStaysInStore(t *testing.T) {
 		from += n
 		checkCompacted(t, srv, db, stream, "p")
 		applied := to - srv.Stats().Skipped
-		if clk := srv.shards[0].store.Stats().Clock; clk != applied {
+		if clk := srv.shards[0].store.Load().Stats().Clock; clk != applied {
 			t.Fatalf("shard store clock %d after %d applied updates: the session left the store", clk, applied)
 		}
 	}

@@ -478,7 +478,8 @@ func newServer(master *relation.Database, opts Options, init serverInit, dl *dur
 	}
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
-		sh := &shard{id: i, patch: s.m.shardPatch.With(shardLabel(i)), store: incremental.NewPlanStore()}
+		sh := &shard{id: i, patch: s.m.shardPatch.With(shardLabel(i))}
+		sh.store.Store(incremental.NewPlanStore())
 		sh.cond = sync.NewCond(&sh.mu)
 		sh.watermark.Store(init.epoch)
 		s.m.shardEpoch.With(shardLabel(i)).Set(float64(init.epoch))
@@ -743,14 +744,12 @@ func (s *Server) snapshot(q *query.Query) *relation.Database {
 }
 
 // sessionOptions are the options of every session the server opens, for
-// the solver options a query registered with. Sessions never take the bulk
-// rebuild, which would move a session out of its shard's store (plans.go).
+// the solver options a query registered with.
 func (s *Server) sessionOptions(opts core.Options) incremental.Options {
 	opts.Parallelism = s.opts.Parallelism
 	opts.Pool = s.pool
 	return incremental.Options{
 		Options:               opts,
-		BulkThreshold:         -1,
 		RebuildTombstoneRatio: DefaultRebuildTombstoneRatio,
 		Metrics:               s.m.reg,
 		Logger:                s.logger,

@@ -91,9 +91,10 @@ type shard struct {
 	// shard's goroutine touches them (plans.go).
 	plans []*plan
 
-	// store is the shard's sharing domain: every session the shard opens
-	// moves into it (plans.go).
-	store *incremental.PlanStore
+	// store is the shard's sharing domain: every session the shard opens is
+	// opened in it (plans.go). Only the shard's goroutine replaces it (when
+	// it is poisoned); Stats readers load it from any goroutine.
+	store atomic.Pointer[incremental.PlanStore]
 
 	// mu/cond/q is the shard's task queue: unbounded FIFO so a slow shard
 	// never backpressures the coordinator onto its siblings (a bounded
@@ -199,25 +200,26 @@ func (sh *shard) run(s *Server) {
 }
 
 // stepGroup applies one round to the shard's sessions, one update at a time
-// across all of them: the store keeps the rows and node deltas of one stream
-// position only, so every subscriber must sit at the same position before
-// the next update's deltas are computed (a partially sharing session's
-// private delta-joins also read shared operand tables, which therefore must
-// not have advanced past the update at hand). A session whose Adopt was
-// refused shares nothing, so stepping it in the same loop is harmless.
+// across all of them, through Insert and Delete (a batch handed to Apply
+// could take the bulk rebuild, which moves a session out of the store): the
+// store keeps the rows and node deltas of one stream position only, so
+// every subscriber must sit at the same position before the next update's
+// deltas are computed (a partially sharing session's private delta-joins
+// also read shared operand tables, which therefore must not have advanced
+// past the update at hand).
 func stepGroup(plans []*plan, rd *round) {
 	if len(rd.valid) == 0 {
 		return // the cached outputs still describe the unchanged sessions
 	}
-	one := make([]relation.Update, 1)
 	for _, up := range rd.valid {
-		one[0] = up
 		for _, p := range plans {
 			if p.err != nil {
 				continue // a propagation error poisons the store; peers fail fast below
 			}
-			if err := p.sess.Apply(one); err != nil {
-				p.err = err
+			if up.Insert {
+				p.err = p.sess.Insert(up.Rel, up.Row)
+			} else {
+				p.err = p.sess.Delete(up.Rel, up.Row)
 			}
 		}
 	}
