@@ -16,6 +16,7 @@ package tsens
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -456,16 +457,11 @@ func BenchmarkServeManyQueries(b *testing.B) {
 	}
 }
 
-// BenchmarkServeRegister: registering the bench's fanout mix on a 2-shard
-// server over the paper-scale Facebook data. Per Facebook query (q△, qw,
-// q◦, q*) it registers 16 identical copies and 4 copies each of 4 >=
-// selections on the first column of its primary private relation, at that
-// column's 25th, 50th, 75th and 90th percentile (nearest rank): 128 queries
-// over 20 plans. One iteration registers all 128 on a new server; building
-// and closing the server are not timed, so allocs/op and B/op count
-// registration alone.
-func BenchmarkServeRegister(b *testing.B) {
-	db := workload.FacebookData(benchSeed)
+// fanoutMix is the bench's fanout mix over db: per Facebook query (q△, qw,
+// q◦, q*) 16 identical copies and 4 copies each of 4 >= selections on the
+// first column of its primary private relation, at that column's 25th,
+// 50th, 75th and 90th percentile (nearest rank): 128 queries over 20 plans.
+func fanoutMix(b *testing.B, db *Database) []ServerQuery {
 	var queries []ServerQuery
 	for _, s := range workload.Facebook() {
 		for c := 0; c < 16; c++ {
@@ -489,6 +485,16 @@ func BenchmarkServeRegister(b *testing.B) {
 			}
 		}
 	}
+	return queries
+}
+
+// BenchmarkServeRegister: registering the bench's fanout mix (fanoutMix)
+// on a 2-shard server over the paper-scale Facebook data. One iteration
+// registers all 128 queries on a new server; building and closing the
+// server are not timed, so allocs/op and B/op count registration alone.
+func BenchmarkServeRegister(b *testing.B) {
+	db := workload.FacebookData(benchSeed)
+	queries := fanoutMix(b, db)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -514,6 +520,59 @@ func BenchmarkServeRegister(b *testing.B) {
 		}
 		b.StartTimer()
 	}
+}
+
+// BenchmarkServeFanoutHeap: the live heap of a 2-shard server holding the
+// fanout mix (fanoutMix) over the paper-scale Facebook data, taken as the
+// bench takes its live_heap_mb (collect garbage, then read HeapAlloc, less
+// the heap before the server was built): right after registration
+// (updates=0), and after a deterministic workload.UpdateStream of 2,000
+// updates, half of them deletes, appended 64 at a time (updates=2000). It
+// reports live-MB; time per op covers building, registering, updating and
+// closing one server.
+func BenchmarkServeFanoutHeap(b *testing.B) {
+	db := workload.FacebookData(benchSeed)
+	queries := fanoutMix(b, db)
+	for _, n := range []int{0, 2000} {
+		ups := workload.UpdateStream(db, n, 0.5, benchSeed)
+		b.Run(fmt.Sprintf("updates=%d", n), func(b *testing.B) {
+			var live uint64
+			for i := 0; i < b.N; i++ {
+				base := liveHeapBytes()
+				srv, err := NewServer(db, ServerOptions{Shards: 2})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, q := range queries {
+					if _, _, err := srv.Register(q); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for lo := 0; lo < len(ups); lo += 64 {
+					if _, _, err := srv.Append(ups[lo:min(lo+64, len(ups))]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := srv.WaitApplied(int64(len(ups))); err != nil {
+					b.Fatal(err)
+				}
+				if st := srv.Stats(); st.Skipped != 0 {
+					b.Fatalf("%d of %d updates skipped", st.Skipped, len(ups))
+				}
+				live = liveHeapBytes() - base
+				srv.Close()
+			}
+			b.ReportMetric(float64(live)/(1<<20), "live-MB")
+		})
+	}
+}
+
+// liveHeapBytes collects garbage and returns the bytes of live heap objects.
+func liveHeapBytes() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // Micro-benchmark: the TupleSensitivities evaluator TSensDP depends on.

@@ -90,8 +90,10 @@ func ExampleMaterialize() {
 		log.Fatal(err)
 	}
 	fmt.Println(out.Attrs)
-	fmt.Println(out.Rows)
+	for i := range out.Len() {
+		fmt.Println(out.Row(i), out.Cnt[i])
+	}
 	// Output:
 	// [X Y Z]
-	// [[1 5 7]]
+	// [1 5 7] 1
 }

@@ -302,17 +302,19 @@ func DBLookup(q *query.Query, db *relation.Database) InDBFunc {
 	}
 }
 
-// maxRow is Counted.MaxRow over the rows of c that satisfy md's selection
-// predicates (Section 5.4: tuples failing a selection have zero
-// sensitivity), without materializing the filtered table.
+// maxRow returns the row of c with the largest count among those that
+// satisfy md's selection predicates (Section 5.4: tuples failing a
+// selection have zero sensitivity), and that count; a Default above every
+// count wins with a nil row. It reads the filtered maximum without
+// materializing the filtered table.
 func (md *Member) maxRow(c *relation.Counted) (relation.Tuple, int64) {
 	keep := md.PredFilter(c.Attrs)
 	var best relation.Tuple
 	bestCnt := int64(0)
 	for i, v := range c.Cnt {
-		if v > bestCnt && (keep == nil || keep(c.Rows[i])) {
+		if v > bestCnt && (keep == nil || keep(c.Row(i))) {
 			bestCnt = v
-			best = c.Rows[i]
+			best = c.Row(i)
 		}
 	}
 	if c.Default > bestCnt {

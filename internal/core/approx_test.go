@@ -88,8 +88,9 @@ func TestGroupPiecesPartitioning(t *testing.T) {
 }
 
 func TestOrderPiecesApproxOnlyPair(t *testing.T) {
-	a := &relation.Counted{Attrs: []string{"A"}, Rows: []relation.Tuple{{1}}, Cnt: []int64{1}, Default: 2}
-	b := &relation.Counted{Attrs: []string{"A"}, Rows: []relation.Tuple{{1}}, Cnt: []int64{1}, Default: 2}
+	a := relation.NewCounted([]string{"A"}, []relation.Tuple{{1}}, []int64{1})
+	b := relation.NewCounted([]string{"A"}, []relation.Tuple{{1}}, []int64{1})
+	a.Default, b.Default = 2, 2
 	if _, _, err := orderPieces([]*relation.Counted{a, b}); err == nil {
 		t.Fatal("two approximate pieces joined")
 	}
@@ -103,7 +104,7 @@ func TestOrderPiecesApproxOnlyPair(t *testing.T) {
 		t.Fatalf("singleton approx group: %v %v %v", ordered, attrs, err)
 	}
 	gt, err := GroupTable([]*relation.Counted{a}, []string{"A"})
-	if err != nil || gt.Default != 2 || len(gt.Rows) != 1 {
+	if err != nil || gt.Default != 2 || gt.Len() != 1 {
 		t.Fatalf("singleton approx groupTable: %+v %v", gt, err)
 	}
 }

@@ -94,7 +94,8 @@ func TestPropertyDownwardAgainstReEvaluation(t *testing.T) {
 		var want int64
 		for _, a := range atoms {
 			distinct := relation.FromRelation(db.Relation(a.Relation))
-			for _, row := range distinct.Rows {
+			for i := range distinct.Len() {
+				row := distinct.Row(i)
 				mod := db.Clone()
 				if err := removeOne(mod.Relation(a.Relation), row); err != nil {
 					t.Fatal(err)

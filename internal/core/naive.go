@@ -58,7 +58,8 @@ func NaiveLocalSensitivity(q *query.Query, db *relation.Database, opts NaiveOpti
 
 		// Downward sensitivity: delete one copy of each distinct tuple.
 		distinct := relation.FromRelation(r)
-		for _, t := range distinct.Rows {
+		for i := range distinct.Len() {
+			t := distinct.Row(i)
 			if budget--; budget < 0 {
 				return nil, fmt.Errorf("core: naive oracle exceeded the candidate budget")
 			}

@@ -84,8 +84,8 @@ func TestBagVarsAndAtoms(t *testing.T) {
 
 func TestMaterializeTriangleBag(t *testing.T) {
 	// R1={ (1,2) }, R2={ (2,3) } in bag; join should give (1,2,3).
-	r1 := &relation.Counted{Attrs: []string{"A", "B"}, Rows: []relation.Tuple{{1, 2}}, Cnt: []int64{2}}
-	r2 := &relation.Counted{Attrs: []string{"B", "C"}, Rows: []relation.Tuple{{2, 3}}, Cnt: []int64{3}}
+	r1 := relation.NewCounted([]string{"A", "B"}, []relation.Tuple{{1, 2}}, []int64{2})
+	r2 := relation.NewCounted([]string{"B", "C"}, []relation.Tuple{{2, 3}}, []int64{3})
 	m, err := Materialize([]*relation.Counted{r1, r2})
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +99,8 @@ func TestMaterializeTriangleBag(t *testing.T) {
 }
 
 func TestMaterializeCrossProductFallback(t *testing.T) {
-	a := &relation.Counted{Attrs: []string{"A"}, Rows: []relation.Tuple{{1}}, Cnt: []int64{2}}
-	b := &relation.Counted{Attrs: []string{"B"}, Rows: []relation.Tuple{{2}}, Cnt: []int64{5}}
+	a := relation.NewCounted([]string{"A"}, []relation.Tuple{{1}}, []int64{2})
+	b := relation.NewCounted([]string{"B"}, []relation.Tuple{{2}}, []int64{5})
 	m, err := Materialize([]*relation.Counted{a, b})
 	if err != nil {
 		t.Fatal(err)

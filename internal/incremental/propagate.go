@@ -57,7 +57,7 @@ func (s *Session) apply(c, d *relation.Counted) ([]int, error) {
 		return nil, err
 	}
 	s.tabs[c].sync()
-	if w := s.opts.RebuildTombstoneRatio; w > 0 && float64(c.Tombstones()) > w*float64(len(c.Rows)) {
+	if w := s.opts.RebuildTombstoneRatio; w > 0 && float64(c.Tombstones()) > w*float64(c.Len()) {
 		s.marked = append(s.marked, c)
 	}
 	return changed, nil
@@ -85,7 +85,7 @@ func (g *gtState) note(changed []int) {
 	}
 	for _, r := range changed {
 		cnt := g.table.Cnt[r]
-		if g.keepFn != nil && !g.keepFn(g.table.Rows[r]) {
+		if g.keepFn != nil && !g.keepFn(g.table.Row(r)) {
 			continue
 		}
 		if cnt > g.max {
@@ -125,7 +125,7 @@ func (g *gtState) maxRow() (relation.Tuple, int64) {
 			if cnt <= g.max {
 				continue
 			}
-			if g.keepFn != nil && !g.keepFn(g.table.Rows[r]) {
+			if g.keepFn != nil && !g.keepFn(g.table.Row(r)) {
 				continue
 			}
 			g.argmax, g.max = r, cnt
@@ -135,7 +135,7 @@ func (g *gtState) maxRow() (relation.Tuple, int64) {
 	if g.argmax < 0 || g.max <= 0 {
 		return nil, 0
 	}
-	return g.table.Rows[g.argmax], g.max
+	return g.table.Row(g.argmax), g.max
 }
 
 // edgeDelta evaluates γ_keep(delta ⋈ others) through a plan cached per
@@ -207,13 +207,13 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 		if err != nil {
 			return err
 		}
-		if len(drel.Rows) > 0 {
+		if drel.Len() > 0 {
 			if _, err := s.apply(u.Rel, drel); err != nil {
 				return err
 			}
 		}
 	}
-	if lnLead && len(drel.Rows) > 0 {
+	if lnLead && drel.Len() > 0 {
 		ln.record(s.pos, drel, nil)
 	}
 
@@ -223,7 +223,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 		delta *relation.Counted
 	}
 	var botDeltas []botChange
-	if len(drel.Rows) > 0 {
+	if drel.Len() > 0 {
 		var dbot *relation.Counted
 		if lnLead {
 			childBots := make([]*relation.Counted, len(node.Children))
@@ -239,7 +239,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 			dbot = &relation.Counted{Attrs: node.ConnectorVars()}
 		}
 		child, dchild := node, dbot
-		for len(dchild.Rows) > 0 {
+		for dchild.Len() > 0 {
 			if sn := s.snode[child.Index].Val; sn.pos == s.pos {
 				if _, err := s.apply(sol.Bot[child.Index], dchild); err != nil {
 					return err
@@ -287,7 +287,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 		src, delta *relation.Counted
 	}
 	var queue []topJob
-	if len(drel.Rows) > 0 {
+	if drel.Len() > 0 {
 		for _, c := range node.Children {
 			queue = append(queue, topJob{c, u.Rel, drel})
 		}
@@ -319,7 +319,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 		if err != nil {
 			return err
 		}
-		if len(dtop.Rows) == 0 {
+		if dtop.Len() == 0 {
 			continue
 		}
 		if _, err := s.apply(sol.Top[i], dtop); err != nil {
@@ -356,7 +356,7 @@ func (s *Session) propagate(ref memberRef, dbase *relation.Counted) error {
 			if err != nil {
 				return err
 			}
-			if len(dgt.Rows) == 0 {
+			if dgt.Len() == 0 {
 				continue
 			}
 			changed, err := s.apply(st.table, dgt)

@@ -98,6 +98,7 @@ type Session struct {
 
 	memberOf map[string]memberRef
 	effPos   map[string][]int // relation → EffVars positions in atom vars
+	proj     relation.Tuple   // scratch projection of an update's row
 	selFn    map[string]func(relation.Tuple) bool
 
 	// tabs maps every maintained table to its index home (see sharedTabs).
@@ -446,11 +447,11 @@ func (s *Session) applyOne(up Update) error {
 	if !up.Insert {
 		delta = -1
 	}
-	proj := make(relation.Tuple, len(md.EffVars))
-	for k, x := range s.effPos[up.Rel] {
-		proj[k] = up.Row[x]
+	s.proj = s.proj[:0]
+	for _, x := range s.effPos[up.Rel] {
+		s.proj = append(s.proj, up.Row[x])
 	}
-	dbase := &relation.Counted{Attrs: md.EffVars, Rows: []relation.Tuple{proj}, Cnt: []int64{delta}}
+	dbase := relation.NewCounted(md.EffVars, []relation.Tuple{s.proj}, []int64{delta})
 	if err := s.propagate(ref, dbase); err != nil {
 		s.marked = nil
 		s.poisonStore(err)
@@ -469,7 +470,7 @@ func (s *Session) TombstoneRatio() float64 {
 	zero, total := 0, 0
 	for c := range s.tabs {
 		zero += c.Tombstones()
-		total += len(c.Rows)
+		total += c.Len()
 	}
 	if total == 0 {
 		return 0

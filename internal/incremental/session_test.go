@@ -140,8 +140,8 @@ func checkAgainstScratch(t *testing.T, s *Session, m *mirror, opts core.Options,
 func checkTombstoneBound(t *testing.T, s *Session, watermark float64, step int) {
 	t.Helper()
 	for c := range s.tabs {
-		if float64(c.Tombstones()) > watermark*float64(len(c.Rows)) {
-			t.Fatalf("step %d: table over %v holds %d tombstones in %d rows, past the %v watermark", step, c.Attrs, c.Tombstones(), len(c.Rows), watermark)
+		if float64(c.Tombstones()) > watermark*float64(c.Len()) {
+			t.Fatalf("step %d: table over %v holds %d tombstones in %d rows, past the %v watermark", step, c.Attrs, c.Tombstones(), c.Len(), watermark)
 		}
 	}
 }

@@ -269,7 +269,7 @@ func tablesCompatible(canon, mine *relation.Counted) bool {
 			return false
 		}
 	}
-	return len(canon.Rows)-canon.Tombstones() == len(mine.Rows)-mine.Tombstones()
+	return canon.Len()-canon.Tombstones() == mine.Len()-mine.Tombstones()
 }
 
 // Err reports the propagation error that poisoned the store, or nil. A

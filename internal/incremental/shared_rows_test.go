@@ -292,13 +292,13 @@ func storeState(ps *PlanStore, minRefs int) map[string]string {
 	out := make(map[string]string)
 	ps.bases.Range(func(e *internedBase) {
 		if b := e.Val; e.Refs >= minRefs {
-			out["base "+e.Key] = fmt.Sprint(e.Refs, b.pos, b.table.Rows, b.table.Cnt)
+			out["base "+e.Key] = fmt.Sprint(e.Refs, b.pos, rowsOf(b.table), b.table.Cnt)
 		}
 	})
 	ps.nodes.Range(func(e *internedNode) {
 		if n := e.Val; e.Refs >= minRefs {
 			out["node "+e.Key] = fmt.Sprintf("%d %d %v %v %v %v at=%d %p %p",
-				e.Refs, n.pos, n.rel.Rows, n.rel.Cnt, n.bot.Rows, n.bot.Cnt, n.at, n.drel, n.dbot)
+				e.Refs, n.pos, rowsOf(n.rel), n.rel.Cnt, rowsOf(n.bot), n.bot.Cnt, n.at, n.drel, n.dbot)
 		}
 	})
 	ps.rows.Range(func(e *internedRows) {
@@ -379,9 +379,10 @@ func TestSharedLockstepFailureSticks(t *testing.T) {
 
 // sharedUpdateAllocs pins the allocations of one insert plus one delete of
 // an R2 row applied in lockstep to the path query and a selection variant
-// in one store: 271 with one delta slot per node, 277 while nodes kept a
-// memo map.
-const sharedUpdateAllocs = 271
+// in one store: 257 (255 measured) since delta outputs keep their rows in
+// the group table's key arena, 271 (269) while every output row carried a
+// []Tuple header, 277 while nodes kept a memo map.
+const sharedUpdateAllocs = 257
 
 // TestSharedLockstepUpdateAllocs pins two subscribers' allocations for one
 // insert plus one delete, each applied to both in lockstep, at
@@ -409,10 +410,12 @@ func TestSharedLockstepUpdateAllocs(t *testing.T) {
 }
 
 // soleUpdateAllocs pins the allocations of one insert plus one delete on a
-// standalone path-query session: 155 since a sole subscriber's delta
-// records stopped allocating (first by writing no memo, now a slot write),
-// 159 while it wrote a delta memo per patched node.
-const soleUpdateAllocs = 155
+// standalone path-query session: 147 since delta outputs keep their rows in
+// the group table's key arena, 155 while every output row carried a []Tuple
+// header (a sole subscriber's delta records stopped allocating, first by
+// writing no memo, now a slot write), 159 while it wrote a delta memo per
+// patched node.
+const soleUpdateAllocs = 147
 
 // TestSoleSubscriberUpdateAllocs pins a standalone session's allocations
 // for one insert plus one delete at soleUpdateAllocs.

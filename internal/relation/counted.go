@@ -17,14 +17,23 @@ import (
 // active-domain values are clamped to the k-th largest count. A Counted with
 // Default == 0 is exact.
 //
+// The table is columnar: its rows, len(Attrs) int64 values each, live in
+// one chunked arena, read through Row and counted by Len, and Cnt[i] is the
+// multiplicity of row i. No row carries a slice header of its own. Build one
+// from literal rows with NewCounted; the operators build theirs in arenas
+// directly.
+//
 // Counted values must be used through pointers (they carry the lazy Lookup
 // index state). A Counted is safe for concurrent reads, including Probe and
 // Lookup, once BuildIndex has run; the operators never mutate their inputs.
 type Counted struct {
 	Attrs   []string
-	Rows    []Tuple
 	Cnt     []int64
 	Default int64
+
+	// rows holds row i as arena row i; nil while the table has no rows. A
+	// table ApplyDelta has patched shares its lookup index's key arena.
+	rows *arena
 
 	// zeroes counts the rows at count zero (tombstones); see Tombstones.
 	zeroes int
@@ -40,15 +49,12 @@ type Counted struct {
 type lookupIndex struct {
 	tbl   *intTable
 	rowOf []int32 // id -> first row index; nil while ids are row numbers
-	n     int     // len(Rows) when built, to detect staleness
-	// owned: Rows[i] is a view of key i in tbl's arena, so each key is
-	// held once (see ApplyDelta and Compact).
-	owned bool
+	n     int     // Len() when built, to detect staleness
 }
 
 // add indexes row r, which follows every row indexed so far, and returns
 // the id of its key.
-func (ix *lookupIndex) add(t Tuple, r int) int32 {
+func (ix *lookupIndex) add(t []int64, r int) int32 {
 	id, added := ix.tbl.insert(t)
 	switch {
 	case added && ix.rowOf != nil:
@@ -108,7 +114,46 @@ func GroupRows(attrs []string, rows []Tuple, idxs []int, keep func(Tuple) bool) 
 // Constant returns a zero-attribute Counted holding a single row with the
 // given count. It is the identity element of Join.
 func Constant(cnt int64) *Counted {
-	return &Counted{Attrs: nil, Rows: []Tuple{{}}, Cnt: []int64{cnt}}
+	return NewCounted(nil, []Tuple{{}}, []int64{cnt})
+}
+
+// NewCounted returns a Counted over attrs holding a copy of rows, with
+// cnt[i] (copied too) the count of rows[i]. It panics unless every row has
+// len(attrs) values and there is one count per row.
+func NewCounted(attrs []string, rows []Tuple, cnt []int64) *Counted {
+	if len(rows) != len(cnt) {
+		panic(fmt.Sprintf("relation: NewCounted with %d rows but %d counts", len(rows), len(cnt)))
+	}
+	c := &Counted{Attrs: attrs, Cnt: append([]int64(nil), cnt...)}
+	if len(rows) > 0 {
+		c.rows = newArena(len(attrs), len(rows))
+		for _, t := range rows {
+			if len(t) != len(attrs) {
+				panic(fmt.Sprintf("relation: NewCounted row %v does not fit attributes %v", t, attrs))
+			}
+			copy(c.rows.alloc(), t)
+		}
+	}
+	return c
+}
+
+// Len returns the number of rows.
+func (c *Counted) Len() int { return len(c.Cnt) }
+
+// Row returns row i (0 <= i < Len()), in Attrs order, without allocating.
+// The row is a read-only view of the table's storage, not a copy. Its
+// values never change, not even when ApplyDelta or Compact later patch,
+// grow or compact the table, so a caller may keep it; writing through it
+// is a bug.
+func (c *Counted) Row(i int) Tuple {
+	_ = c.Cnt[i] // an arena's spare capacity lies past its last row
+	return c.rows.at(i)
+}
+
+// span returns rows [i, j) of c as one flat slice of stride len(c.Attrs),
+// j being Len() or the end of i's arena chunk; see arena.span.
+func (c *Counted) span(i int) ([]int64, int) {
+	return c.rows.span(i, len(c.Cnt))
 }
 
 // AttrIndex returns the position of attribute a, or -1.
@@ -166,13 +211,18 @@ func (c *Counted) GroupBy(attrs []string) (*Counted, error) {
 	if len(attrs) == len(c.Attrs) {
 		out.Default = c.Default
 	}
-	agg := newGroupAgg(len(idxs), len(c.Rows))
+	n, w := c.Len(), len(c.Attrs)
+	agg := newGroupAgg(len(idxs), n)
 	key := make([]int64, len(idxs))
-	for i, t := range c.Rows {
-		for k, x := range idxs {
-			key[k] = t[x]
+	for i := 0; i < n; {
+		flat, j := c.span(i)
+		for off := 0; i < j; i, off = i+1, off+w {
+			t := flat[off : off+w]
+			for k, x := range idxs {
+				key[k] = t[x]
+			}
+			agg.add(key, c.Cnt[i])
 		}
-		agg.add(key, c.Cnt[i])
 	}
 	agg.emit(out)
 	return out, nil
@@ -219,64 +269,78 @@ func planJoin(a, b *Counted) (*joinPlan, error) {
 // Default, preserving the upper-bound property.
 //
 // b is indexed on the shared columns by a RowIndex, whose ascending row
-// chains give the output order; output rows are carved from flat arena
-// chunks.
+// chains give the output order; a's rows are scanned and the output rows
+// written chunk by chunk.
 func Join(a, b *Counted) (*Counted, error) {
 	p, err := planJoin(a, b)
 	if err != nil {
 		return nil, err
 	}
 	out := &Counted{Attrs: Union(a.Attrs, b.Attrs)}
-	if len(p.shared) == 0 {
-		// With no shared attributes every probe matches every row of b (a
-		// cross product) — unless b is empty, in which case a Default on b
-		// (necessarily zero-attribute, by the containment check) applies to
-		// every row of a.
-		if len(b.Rows) == 0 && b.Default > 0 {
-			ar := newTupleArena(len(a.Attrs), len(a.Rows))
-			for i, t := range a.Rows {
-				row := ar.alloc()
-				copy(row, t)
-				out.Rows = append(out.Rows, row)
-				out.Cnt = append(out.Cnt, MulSat(a.Cnt[i], b.Default))
-			}
-			return out, nil
-		}
+	if len(p.shared) == 0 && (b.Len() > 0 || b.Default == 0) {
 		crossProductInto(out, a, b)
 		return out, nil
 	}
-
-	ix := newRowIndex(b, p.bIdx)
-	ar := newTupleArena(len(out.Attrs), len(a.Rows))
-	if ix.tbl.n == len(b.Rows) {
+	// With no shared attributes and b empty, a Default on b (necessarily
+	// zero-attribute, by the containment check) applies to every row of a:
+	// every probe below misses.
+	var ix *RowIndex
+	if len(p.shared) > 0 {
+		ix = newRowIndex(b, p.bIdx)
+	}
+	na, wa := a.Len(), len(a.Attrs)
+	out.rows = newArena(len(out.Attrs), na)
+	if ix != nil && ix.tbl.n == b.Len() {
 		// Unique-keyed build side (e.g. any group-by output): at most one
 		// output row per probe, so presize exactly once.
-		out.Rows = make([]Tuple, 0, len(a.Rows))
-		out.Cnt = make([]int64, 0, len(a.Rows))
+		out.Cnt = make([]int64, 0, na)
 	}
-	for i, t := range a.Rows {
-		j := ix.probe(t, p.aIdx)
-		if j < 0 {
-			if b.Default > 0 {
-				row := ar.alloc()
+	for i := 0; i < na; {
+		flat, j := a.span(i)
+		for off := 0; i < j; i, off = i+1, off+wa {
+			t := flat[off : off+wa]
+			r := int32(-1)
+			if ix != nil {
+				r = ix.probe(t, p.aIdx)
+			}
+			if r < 0 {
+				if b.Default > 0 {
+					copy(out.rows.alloc(), t)
+					out.Cnt = append(out.Cnt, MulSat(a.Cnt[i], b.Default))
+				}
+				continue
+			}
+			for ; r >= 0; r = ix.next[r] {
+				row := out.rows.alloc()
 				copy(row, t)
-				out.Rows = append(out.Rows, row)
-				out.Cnt = append(out.Cnt, MulSat(a.Cnt[i], b.Default))
+				br := b.rows.at(int(r))
+				for x, e := range p.extraIdx {
+					row[wa+x] = br[e]
+				}
+				out.Cnt = append(out.Cnt, MulSat(a.Cnt[i], b.Cnt[r]))
 			}
-			continue
-		}
-		for ; j >= 0; j = ix.next[j] {
-			row := ar.alloc()
-			copy(row, t)
-			br := b.Rows[j]
-			for x, e := range p.extraIdx {
-				row[len(t)+x] = br[e]
-			}
-			out.Rows = append(out.Rows, row)
-			out.Cnt = append(out.Cnt, MulSat(a.Cnt[i], b.Cnt[j]))
 		}
 	}
 	return out, nil
+}
+
+// crossProductInto writes the cross product of a and b into out, whose
+// Attrs must already be Union(a.Attrs, b.Attrs).
+func crossProductInto(out *Counted, a, b *Counted) {
+	na, nb, wa, wb := a.Len(), b.Len(), len(a.Attrs), len(b.Attrs)
+	out.rows = newArena(wa+wb, na*nb)
+	for i := 0; i < na; i++ {
+		ta := a.rows.at(i)
+		for j := 0; j < nb; {
+			flat, end := b.span(j)
+			for off := 0; j < end; j, off = j+1, off+wb {
+				row := out.rows.alloc()
+				copy(row, ta)
+				copy(row[wa:], flat[off:off+wb])
+				out.Cnt = append(out.Cnt, MulSat(a.Cnt[i], b.Cnt[j]))
+			}
+		}
+	}
 }
 
 // JoinGroup is the composite γ_attrs(r⋈(a, b)) used on every edge of the
@@ -307,58 +371,62 @@ func JoinGroup(a, b *Counted, attrs []string) (*Counted, error) {
 		srcA[i], srcB[i] = -1, j
 	}
 	out := &Counted{Attrs: append([]string(nil), attrs...)}
-	agg := newGroupAgg(len(attrs), len(a.Rows))
+	na, wa := a.Len(), len(a.Attrs)
+	agg := newGroupAgg(len(attrs), na)
 	key := make([]int64, len(attrs))
-
-	if len(p.shared) == 0 {
-		if len(b.Rows) == 0 && b.Default > 0 {
-			for i, t := range a.Rows {
-				for k, s := range srcA {
-					key[k] = t[s] // b ⊆ a, so every column resolves to a
-				}
-				agg.add(key, MulSat(a.Cnt[i], b.Default))
+	// fill sets key from row t of a and row br of b (nil when b has no
+	// row to contribute, as every column then resolves to a).
+	fill := func(t, br []int64) {
+		for k := range key {
+			if srcA[k] >= 0 {
+				key[k] = t[srcA[k]]
+			} else {
+				key[k] = br[srcB[k]]
 			}
-			agg.emit(out)
-			return out, nil
 		}
-		for i, t := range a.Rows {
-			for j, br := range b.Rows {
-				for k := range key {
-					if srcA[k] >= 0 {
-						key[k] = t[srcA[k]]
-					} else {
-						key[k] = br[srcB[k]]
-					}
+	}
+
+	if len(p.shared) == 0 && (b.Len() > 0 || b.Default == 0) {
+		nb, wb := b.Len(), len(b.Attrs)
+		for i := 0; i < na; i++ {
+			t := a.rows.at(i)
+			for j := 0; j < nb; {
+				flat, end := b.span(j)
+				for off := 0; j < end; j, off = j+1, off+wb {
+					fill(t, flat[off:off+wb])
+					agg.add(key, MulSat(a.Cnt[i], b.Cnt[j]))
 				}
-				agg.add(key, MulSat(a.Cnt[i], b.Cnt[j]))
 			}
 		}
 		agg.emit(out)
 		return out, nil
 	}
 
-	ix := newRowIndex(b, p.bIdx)
-	for i, t := range a.Rows {
-		j := ix.probe(t, p.aIdx)
-		if j < 0 {
-			if b.Default > 0 {
-				for k, s := range srcA {
-					key[k] = t[s]
-				}
-				agg.add(key, MulSat(a.Cnt[i], b.Default))
+	// As in Join, an empty zero-attribute b with a Default misses on every
+	// row of a.
+	var ix *RowIndex
+	if len(p.shared) > 0 {
+		ix = newRowIndex(b, p.bIdx)
+	}
+	for i := 0; i < na; {
+		flat, j := a.span(i)
+		for off := 0; i < j; i, off = i+1, off+wa {
+			t := flat[off : off+wa]
+			r := int32(-1)
+			if ix != nil {
+				r = ix.probe(t, p.aIdx)
 			}
-			continue
-		}
-		for ; j >= 0; j = ix.next[j] {
-			br := b.Rows[j]
-			for k := range key {
-				if srcA[k] >= 0 {
-					key[k] = t[srcA[k]]
-				} else {
-					key[k] = br[srcB[k]]
+			if r < 0 {
+				if b.Default > 0 {
+					fill(t, nil) // b ⊆ a, so every column resolves to a
+					agg.add(key, MulSat(a.Cnt[i], b.Default))
 				}
+				continue
 			}
-			agg.add(key, MulSat(a.Cnt[i], b.Cnt[j]))
+			for ; r >= 0; r = ix.next[r] {
+				fill(t, b.rows.at(int(r)))
+				agg.add(key, MulSat(a.Cnt[i], b.Cnt[r]))
+			}
 		}
 	}
 	agg.emit(out)
@@ -386,7 +454,7 @@ func GreedyJoinOrder(pieces []*Counted) []*Counted {
 			if len(Intersect(attrs, p.Attrs)) == 0 {
 				continue
 			}
-			if pick < 0 || len(p.Rows) < len(remaining[pick].Rows) {
+			if pick < 0 || p.Len() < remaining[pick].Len() {
 				pick = i
 			}
 		}
@@ -470,16 +538,20 @@ func buildLookupOp(a, b *Counted) *lookupOp {
 	}
 	ix := b.index()
 	op.tbl = ix.tbl
-	if ix.tbl.n == len(b.Rows) { // key-distinct: ids are row numbers
+	if ix.tbl.n == b.Len() { // key-distinct: ids are row numbers
 		op.cnt = b.Cnt
 		return op
 	}
 	// Duplicate rows: sum counts per distinct key, probing the same cached
 	// index (no second table build).
 	op.cnt = make([]int64, ix.tbl.n)
-	for i, t := range b.Rows {
-		id := ix.tbl.find(t)
-		op.cnt[id] = AddSat(op.cnt[id], b.Cnt[i])
+	n, w := b.Len(), op.width
+	for i := 0; i < n; {
+		flat, j := b.span(i)
+		for off := 0; i < j; i, off = i+1, off+w {
+			id := ix.tbl.find(flat[off : off+w])
+			op.cnt[id] = AddSat(op.cnt[id], b.Cnt[i])
+		}
 	}
 	return op
 }
@@ -487,7 +559,7 @@ func buildLookupOp(a, b *Counted) *lookupOp {
 // lookup returns the summed count matching row t of the probing relation,
 // with ok=false on a miss (before Default handling). scratch must have the
 // op's width.
-func (op *lookupOp) lookup(t Tuple, scratch []int64) (int64, bool) {
+func (op *lookupOp) lookup(t, scratch []int64) (int64, bool) {
 	if op.width == 0 {
 		if op.hasRow {
 			return op.scalar, true
@@ -528,28 +600,33 @@ func joinGroupLookup(a *Counted, bs []*Counted, attrs []string) (*Counted, error
 		}
 	}
 	out := &Counted{Attrs: append([]string(nil), attrs...)}
-	agg := newGroupAgg(len(attrs), len(a.Rows))
+	n, w := a.Len(), len(a.Attrs)
+	agg := newGroupAgg(len(attrs), n)
 	key := make([]int64, len(attrs))
 	scratch := make([]int64, maxW)
 
-rows:
-	for i, t := range a.Rows {
-		cnt := a.Cnt[i]
-		for _, op := range ops {
-			s, ok := op.lookup(t, scratch)
-			if !ok {
-				if op.def > 0 {
-					s = op.def
-				} else {
-					continue rows
+	for i := 0; i < n; {
+		flat, j := a.span(i)
+	rows:
+		for off := 0; i < j; i, off = i+1, off+w {
+			t := flat[off : off+w]
+			cnt := a.Cnt[i]
+			for _, op := range ops {
+				s, ok := op.lookup(t, scratch)
+				if !ok {
+					if op.def > 0 {
+						s = op.def
+					} else {
+						continue rows
+					}
 				}
+				cnt = MulSat(cnt, s)
 			}
-			cnt = MulSat(cnt, s)
+			for k, x := range srcA {
+				key[k] = t[x]
+			}
+			agg.add(key, cnt)
 		}
-		for k, x := range srcA {
-			key[k] = t[x]
-		}
-		agg.add(key, cnt)
 	}
 	agg.emit(out)
 	return out, nil
@@ -567,34 +644,27 @@ func Semijoin(a, b *Counted) (*Counted, error) {
 		return nil, err
 	}
 	out := &Counted{Attrs: append([]string(nil), a.Attrs...), Default: a.Default}
-	if len(shared) == 0 {
-		// Zero-width keys: every row of a survives iff b is non-empty.
-		if len(b.Rows) > 0 {
-			out.Rows = append(out.Rows, a.Rows...)
-			out.Cnt = append(out.Cnt, a.Cnt...)
-		}
+	if b.Len() == 0 {
 		return out, nil
 	}
-	ix := newRowIndex(b, bIdx)
-	for i, t := range a.Rows {
-		if ix.probe(t, aIdx) >= 0 {
-			out.Rows = append(out.Rows, t)
-			out.Cnt = append(out.Cnt, a.Cnt[i])
+	// Zero-width keys: every row of a survives, as b is non-empty.
+	var ix *RowIndex
+	if len(shared) > 0 {
+		ix = newRowIndex(b, bIdx)
+	}
+	n, w := a.Len(), len(a.Attrs)
+	out.rows = newArena(w, n)
+	for i := 0; i < n; {
+		flat, j := a.span(i)
+		for off := 0; i < j; i, off = i+1, off+w {
+			t := flat[off : off+w]
+			if ix == nil || ix.probe(t, aIdx) >= 0 {
+				copy(out.rows.alloc(), t)
+				out.Cnt = append(out.Cnt, a.Cnt[i])
+			}
 		}
 	}
 	return out, nil
-}
-
-// Filter returns the rows of c for which keep is true.
-func (c *Counted) Filter(keep func(Tuple) bool) *Counted {
-	out := &Counted{Attrs: append([]string(nil), c.Attrs...), Default: c.Default}
-	for i, t := range c.Rows {
-		if keep(t) {
-			out.Rows = append(out.Rows, t)
-			out.Cnt = append(out.Cnt, c.Cnt[i])
-		}
-	}
-	return out
 }
 
 // SumCnt returns the total multiplicity, i.e. |Q(D)| when c is a full join
@@ -607,40 +677,21 @@ func (c *Counted) SumCnt() int64 {
 	return s
 }
 
-// MaxRow returns the row with the largest count and that count. The second
-// return is 0 (with a nil row) when c is empty. When c carries a Default
-// larger than every explicit count, the Default wins and the returned row is
-// nil, signaling "any unlisted value".
-func (c *Counted) MaxRow() (Tuple, int64) {
-	var best Tuple
-	bestCnt := int64(0)
-	for i, v := range c.Cnt {
-		if v > bestCnt {
-			bestCnt = v
-			best = c.Rows[i]
-		}
-	}
-	if c.Default > bestCnt {
-		return nil, c.Default
-	}
-	return best, bestCnt
-}
-
 // TopK truncates c to its k most frequent rows and records the k-th count as
 // the Default for all other values (Section 5.4, "Efficient
 // approximations"). If c has at most k rows it is returned unchanged.
 func (c *Counted) TopK(k int) *Counted {
-	if k <= 0 || len(c.Rows) <= k {
+	if k <= 0 || c.Len() <= k {
 		return c
 	}
-	order := make([]int, len(c.Rows))
+	order := make([]int, c.Len())
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(x, y int) bool { return c.Cnt[order[x]] > c.Cnt[order[y]] })
-	out := &Counted{Attrs: append([]string(nil), c.Attrs...)}
+	out := &Counted{Attrs: append([]string(nil), c.Attrs...), rows: newArena(len(c.Attrs), k)}
 	for _, i := range order[:k] {
-		out.Rows = append(out.Rows, c.Rows[i])
+		copy(out.rows.alloc(), c.rows.at(i))
 		out.Cnt = append(out.Cnt, c.Cnt[i])
 	}
 	out.Default = c.Cnt[order[k-1]]
@@ -654,17 +705,22 @@ func (c *Counted) TopK(k int) *Counted {
 // were appended since the last build) it under the lock and publishing it
 // atomically so concurrent probes are lock-free afterwards.
 func (c *Counted) index() *lookupIndex {
-	if ix := c.lookupIdx.Load(); ix != nil && ix.n == len(c.Rows) {
+	n := c.Len()
+	if ix := c.lookupIdx.Load(); ix != nil && ix.n == n {
 		return ix
 	}
 	c.lookupMu.Lock()
 	defer c.lookupMu.Unlock()
-	if ix := c.lookupIdx.Load(); ix != nil && ix.n == len(c.Rows) {
+	if ix := c.lookupIdx.Load(); ix != nil && ix.n == n {
 		return ix
 	}
-	ix := &lookupIndex{tbl: newIntTable(len(c.Attrs), groupHint(len(c.Rows))), n: len(c.Rows)}
-	for i, t := range c.Rows {
-		ix.add(t, i)
+	w := len(c.Attrs)
+	ix := &lookupIndex{tbl: newIntTable(w, groupHint(n)), n: n}
+	for i := 0; i < n; {
+		flat, j := c.span(i)
+		for off := 0; i < j; i, off = i+1, off+w {
+			ix.add(flat[off:off+w], i)
+		}
 	}
 	c.lookupIdx.Store(ix)
 	return ix
@@ -687,7 +743,7 @@ func (c *Counted) Probe(key Tuple) (int64, bool) {
 		return 0, false
 	}
 	if len(c.Attrs) == 0 {
-		if len(c.Rows) > 0 {
+		if c.Len() > 0 {
 			return c.Cnt[0], true
 		}
 		return 0, false
@@ -723,24 +779,4 @@ func (c *Counted) Lookup(attrs []string, vals Tuple) (int64, error) {
 		return cnt, nil
 	}
 	return c.Default, nil
-}
-
-// Clone deep-copies c (without the lazy lookup index).
-func (c *Counted) Clone() *Counted {
-	out := &Counted{
-		Attrs:   append([]string(nil), c.Attrs...),
-		Cnt:     append([]int64(nil), c.Cnt...),
-		Default: c.Default,
-		zeroes:  c.zeroes,
-	}
-	if len(c.Rows) > 0 {
-		ar := newTupleArena(len(c.Attrs), len(c.Rows))
-		out.Rows = make([]Tuple, len(c.Rows))
-		for i, t := range c.Rows {
-			row := ar.alloc()
-			copy(row, t)
-			out.Rows[i] = row
-		}
-	}
-	return out
 }

@@ -7,11 +7,61 @@ import (
 	"testing/quick"
 )
 
+// rowsOf lists c's rows as views, for tests that compare or print them.
+func rowsOf(c *Counted) []Tuple {
+	out := make([]Tuple, c.Len())
+	for i := range out {
+		out[i] = c.Row(i)
+	}
+	return out
+}
+
+// appendRow appends a copy of t with count cnt to c, which ApplyDelta has
+// not patched (its rows are not an index's keys).
+func appendRow(c *Counted, t Tuple, cnt int64) {
+	if c.rows == nil {
+		c.rows = newArena(len(c.Attrs), 1)
+	}
+	copy(c.rows.alloc(), t)
+	c.Cnt = append(c.Cnt, cnt)
+}
+
+// withDefault sets c's Default and returns c.
+func withDefault(c *Counted, def int64) *Counted {
+	c.Default = def
+	return c
+}
+
+// TestRowAndLenAllocateNothing pins the accessors to zero allocations:
+// Row returns a view of the arena, not a copy, on a built table and on a
+// patched one alike.
+func TestRowAndLenAllocateNothing(t *testing.T) {
+	built := NewCounted([]string{"A", "B"}, []Tuple{{1, 2}, {3, 4}}, []int64{1, 1})
+	patched := NewCounted([]string{"A", "B"}, []Tuple{{1, 2}}, []int64{1})
+	if _, err := patched.ApplyDelta(NewCounted([]string{"A", "B"}, []Tuple{{5, 6}}, []int64{2})); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Counted{built, patched} {
+		var sum int64
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := range c.Len() {
+				sum += c.Row(i)[1]
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Row and Len allocate %v times per scan, want 0", allocs)
+		}
+		if row := c.Row(1); cap(row) != 2 {
+			t.Errorf("Row(1) has capacity %d, want it clipped to the width 2", cap(row))
+		}
+	}
+}
+
 func TestFromRelationDedup(t *testing.T) {
 	r := MustNew("R", []string{"A", "B"}, []Tuple{{1, 1}, {1, 1}, {2, 1}})
 	c := FromRelation(r)
-	if len(c.Rows) != 2 {
-		t.Fatalf("got %d distinct rows", len(c.Rows))
+	if c.Len() != 2 {
+		t.Fatalf("got %d distinct rows", c.Len())
 	}
 	if c.SumCnt() != 3 {
 		t.Fatalf("SumCnt=%d", c.SumCnt())
@@ -23,17 +73,13 @@ func TestFromRelationDedup(t *testing.T) {
 }
 
 func TestGroupBy(t *testing.T) {
-	c := &Counted{
-		Attrs: []string{"A", "B"},
-		Rows:  []Tuple{{1, 1}, {1, 2}, {2, 1}},
-		Cnt:   []int64{2, 3, 4},
-	}
+	c := NewCounted([]string{"A", "B"}, []Tuple{{1, 1}, {1, 2}, {2, 1}}, []int64{2, 3, 4})
 	g, err := c.GroupBy([]string{"A"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Rows) != 2 {
-		t.Fatalf("groups=%d", len(g.Rows))
+	if g.Len() != 2 {
+		t.Fatalf("groups=%d", g.Len())
 	}
 	cnt, err := g.Lookup([]string{"A"}, Tuple{1})
 	if err != nil || cnt != 5 {
@@ -45,8 +91,8 @@ func TestGroupBy(t *testing.T) {
 }
 
 func TestJoinNatural(t *testing.T) {
-	a := &Counted{Attrs: []string{"A", "B"}, Rows: []Tuple{{1, 1}, {1, 2}}, Cnt: []int64{2, 1}}
-	b := &Counted{Attrs: []string{"B", "C"}, Rows: []Tuple{{1, 7}, {1, 8}, {3, 9}}, Cnt: []int64{5, 1, 1}}
+	a := NewCounted([]string{"A", "B"}, []Tuple{{1, 1}, {1, 2}}, []int64{2, 1})
+	b := NewCounted([]string{"B", "C"}, []Tuple{{1, 7}, {1, 8}, {3, 9}}, []int64{5, 1, 1})
 	j, err := Join(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -64,31 +110,31 @@ func TestJoinNatural(t *testing.T) {
 }
 
 func TestJoinCrossProduct(t *testing.T) {
-	a := &Counted{Attrs: []string{"A"}, Rows: []Tuple{{1}, {2}}, Cnt: []int64{2, 3}}
-	b := &Counted{Attrs: []string{"B"}, Rows: []Tuple{{7}}, Cnt: []int64{4}}
+	a := NewCounted([]string{"A"}, []Tuple{{1}, {2}}, []int64{2, 3})
+	b := NewCounted([]string{"B"}, []Tuple{{7}}, []int64{4})
 	j, err := Join(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(j.Rows) != 2 || j.SumCnt() != 20 {
-		t.Fatalf("cross product rows=%d sum=%d", len(j.Rows), j.SumCnt())
+	if j.Len() != 2 || j.SumCnt() != 20 {
+		t.Fatalf("cross product rows=%d sum=%d", j.Len(), j.SumCnt())
 	}
 }
 
 func TestJoinIdentity(t *testing.T) {
-	a := &Counted{Attrs: []string{"A"}, Rows: []Tuple{{1}}, Cnt: []int64{5}}
+	a := NewCounted([]string{"A"}, []Tuple{{1}}, []int64{5})
 	j, err := Join(a, Constant(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.SumCnt() != 5 || len(j.Rows) != 1 {
+	if j.SumCnt() != 5 || j.Len() != 1 {
 		t.Fatalf("identity join changed the relation: %v", j)
 	}
 }
 
 func TestJoinWithDefault(t *testing.T) {
-	a := &Counted{Attrs: []string{"A", "B"}, Rows: []Tuple{{1, 1}, {2, 2}}, Cnt: []int64{1, 1}}
-	b := &Counted{Attrs: []string{"B"}, Rows: []Tuple{{1}}, Cnt: []int64{10}, Default: 3}
+	a := NewCounted([]string{"A", "B"}, []Tuple{{1, 1}, {2, 2}}, []int64{1, 1})
+	b := withDefault(NewCounted([]string{"B"}, []Tuple{{1}}, []int64{10}), 3)
 	j, err := Join(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +144,7 @@ func TestJoinWithDefault(t *testing.T) {
 		t.Fatalf("SumCnt=%d", j.SumCnt())
 	}
 	// Default operand with attrs outside a must be rejected.
-	c := &Counted{Attrs: []string{"C"}, Rows: []Tuple{{1}}, Cnt: []int64{1}, Default: 2}
+	c := withDefault(NewCounted([]string{"C"}, []Tuple{{1}}, []int64{1}), 2)
 	if _, err := Join(a, c); err == nil {
 		t.Fatal("approximate operand with new attrs accepted")
 	}
@@ -108,43 +154,22 @@ func TestJoinWithDefault(t *testing.T) {
 }
 
 func TestSemijoin(t *testing.T) {
-	a := &Counted{Attrs: []string{"A", "B"}, Rows: []Tuple{{1, 1}, {2, 2}}, Cnt: []int64{1, 5}}
-	b := &Counted{Attrs: []string{"B", "C"}, Rows: []Tuple{{2, 9}}, Cnt: []int64{1}}
+	a := NewCounted([]string{"A", "B"}, []Tuple{{1, 1}, {2, 2}}, []int64{1, 5})
+	b := NewCounted([]string{"B", "C"}, []Tuple{{2, 9}}, []int64{1})
 	s, err := Semijoin(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Rows) != 1 || s.Cnt[0] != 5 {
-		t.Fatalf("semijoin=%v %v", s.Rows, s.Cnt)
-	}
-}
-
-func TestMaxRow(t *testing.T) {
-	c := &Counted{Attrs: []string{"A"}, Rows: []Tuple{{1}, {2}}, Cnt: []int64{3, 9}}
-	row, cnt := c.MaxRow()
-	if cnt != 9 || !row.Equal(Tuple{2}) {
-		t.Fatalf("MaxRow=(%v,%d)", row, cnt)
-	}
-	empty := &Counted{Attrs: []string{"A"}}
-	if row, cnt := empty.MaxRow(); row != nil || cnt != 0 {
-		t.Fatalf("empty MaxRow=(%v,%d)", row, cnt)
-	}
-	c.Default = 100
-	row, cnt = c.MaxRow()
-	if row != nil || cnt != 100 {
-		t.Fatalf("default MaxRow=(%v,%d)", row, cnt)
+	if s.Len() != 1 || s.Cnt[0] != 5 {
+		t.Fatalf("semijoin=%v %v", rowsOf(s), s.Cnt)
 	}
 }
 
 func TestTopK(t *testing.T) {
-	c := &Counted{
-		Attrs: []string{"A"},
-		Rows:  []Tuple{{1}, {2}, {3}, {4}},
-		Cnt:   []int64{10, 7, 5, 1},
-	}
+	c := NewCounted([]string{"A"}, []Tuple{{1}, {2}, {3}, {4}}, []int64{10, 7, 5, 1})
 	k := c.TopK(2)
-	if len(k.Rows) != 2 || k.Default != 7 {
-		t.Fatalf("TopK rows=%d default=%d", len(k.Rows), k.Default)
+	if k.Len() != 2 || k.Default != 7 {
+		t.Fatalf("TopK rows=%d default=%d", k.Len(), k.Default)
 	}
 	// Unaffected when already small.
 	if got := c.TopK(10); got != c {
@@ -156,27 +181,19 @@ func TestTopK(t *testing.T) {
 }
 
 func TestJoinGroupFusion(t *testing.T) {
-	a := &Counted{Attrs: []string{"A", "B"}, Rows: []Tuple{{1, 1}, {2, 1}}, Cnt: []int64{1, 1}}
-	b := &Counted{Attrs: []string{"B", "C"}, Rows: []Tuple{{1, 5}, {1, 6}}, Cnt: []int64{2, 3}}
+	a := NewCounted([]string{"A", "B"}, []Tuple{{1, 1}, {2, 1}}, []int64{1, 1})
+	b := NewCounted([]string{"B", "C"}, []Tuple{{1, 5}, {1, 6}}, []int64{2, 3})
 	g, err := JoinGroup(a, b, []string{"A"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Rows) != 2 {
-		t.Fatalf("groups=%d", len(g.Rows))
+	if g.Len() != 2 {
+		t.Fatalf("groups=%d", g.Len())
 	}
-	for i := range g.Rows {
+	for i := range rowsOf(g) {
 		if g.Cnt[i] != 5 {
-			t.Fatalf("row %v cnt=%d want 5", g.Rows[i], g.Cnt[i])
+			t.Fatalf("row %v cnt=%d want 5", g.Row(i), g.Cnt[i])
 		}
-	}
-}
-
-func TestFilterCounted(t *testing.T) {
-	c := &Counted{Attrs: []string{"A"}, Rows: []Tuple{{1}, {2}}, Cnt: []int64{1, 2}}
-	f := c.Filter(func(t Tuple) bool { return t[0] == 2 })
-	if len(f.Rows) != 1 || f.Cnt[0] != 2 {
-		t.Fatalf("filter=%v %v", f.Rows, f.Cnt)
 	}
 }
 
@@ -200,13 +217,11 @@ func TestJoinCommutativeCount(t *testing.T) {
 	f := func(av, bv []uint8) bool {
 		a := &Counted{Attrs: []string{"A", "B"}}
 		for _, v := range av {
-			a.Rows = append(a.Rows, Tuple{int64(v % 4), int64(v % 3)})
-			a.Cnt = append(a.Cnt, int64(v%5)+1)
+			appendRow(a, Tuple{int64(v % 4), int64(v % 3)}, int64(v%5)+1)
 		}
 		b := &Counted{Attrs: []string{"B", "C"}}
 		for _, v := range bv {
-			b.Rows = append(b.Rows, Tuple{int64(v % 3), int64(v % 7)})
-			b.Cnt = append(b.Cnt, int64(v%5)+1)
+			appendRow(b, Tuple{int64(v % 3), int64(v % 7)}, int64(v%5)+1)
 		}
 		x, err1 := Join(a, b)
 		y, err2 := Join(b, a)
@@ -225,8 +240,7 @@ func TestGroupByPreservesTotal(t *testing.T) {
 	f := func(vals []uint8) bool {
 		c := &Counted{Attrs: []string{"A", "B"}}
 		for _, v := range vals {
-			c.Rows = append(c.Rows, Tuple{int64(v % 5), int64(v % 2)})
-			c.Cnt = append(c.Cnt, int64(v%7)+1)
+			appendRow(c, Tuple{int64(v % 5), int64(v % 2)}, int64(v%7)+1)
 		}
 		g, err := c.GroupBy([]string{"A"})
 		if err != nil {
@@ -250,13 +264,12 @@ func TestTopKUpperBound(t *testing.T) {
 				c.Cnt[j]++
 				continue
 			}
-			seen[key] = len(c.Rows)
-			c.Rows = append(c.Rows, Tuple{key})
-			c.Cnt = append(c.Cnt, 1)
+			seen[key] = c.Len()
+			appendRow(c, Tuple{key}, 1)
 		}
 		k := int(kRaw%5) + 1
 		approx := c.TopK(k)
-		for i, row := range c.Rows {
+		for i, row := range rowsOf(c) {
 			got, err := approx.Lookup([]string{"A"}, row)
 			if err != nil || got < c.Cnt[i] {
 				return false
@@ -269,25 +282,15 @@ func TestTopKUpperBound(t *testing.T) {
 	}
 }
 
-func TestCountedClone(t *testing.T) {
-	c := &Counted{Attrs: []string{"A"}, Rows: []Tuple{{1}}, Cnt: []int64{2}, Default: 1}
-	d := c.Clone()
-	d.Rows[0][0] = 9
-	d.Cnt[0] = 9
-	if c.Rows[0][0] == 9 || c.Cnt[0] == 9 {
-		t.Fatal("Clone shares storage")
-	}
-}
-
 func TestConstant(t *testing.T) {
 	c := Constant(7)
-	if len(c.Rows) != 1 || c.SumCnt() != 7 || len(c.Attrs) != 0 {
+	if c.Len() != 1 || c.SumCnt() != 7 || len(c.Attrs) != 0 {
 		t.Fatalf("Constant=%v", c)
 	}
 }
 
 func TestLookupErrors(t *testing.T) {
-	c := &Counted{Attrs: []string{"A", "B"}, Rows: []Tuple{{1, 2}}, Cnt: []int64{1}}
+	c := NewCounted([]string{"A", "B"}, []Tuple{{1, 2}}, []int64{1})
 	if _, err := c.Lookup([]string{"A"}, Tuple{1, 2}); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
@@ -307,8 +310,7 @@ func TestGroupByDeterministicIndependentOfRowOrder(t *testing.T) {
 		cnts := []int64{1, 2, 3}
 		c := &Counted{Attrs: []string{"A", "B"}}
 		for _, i := range perm {
-			c.Rows = append(c.Rows, base[i])
-			c.Cnt = append(c.Cnt, cnts[i])
+			appendRow(c, base[i], cnts[i])
 		}
 		return c
 	}
@@ -320,8 +322,8 @@ func TestGroupByDeterministicIndependentOfRowOrder(t *testing.T) {
 	}
 	collect := func(g *Counted) []pair {
 		var out []pair
-		for i := range g.Rows {
-			out = append(out, pair{g.Rows[i][0], g.Cnt[i]})
+		for i := range rowsOf(g) {
+			out = append(out, pair{g.Row(i)[0], g.Cnt[i]})
 		}
 		sort.Slice(out, func(x, y int) bool { return out[x].k < out[y].k })
 		return out

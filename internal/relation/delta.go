@@ -32,10 +32,10 @@ type Update struct {
 //
 // The lazy Probe/Lookup index of c is built if need be and maintained
 // incrementally, so probes never trigger an O(n) rebuild after a patch. The
-// patched table holds each key once: the first patch points c.Rows into the
-// index's key arena, and an appended row is a view of the key the index just
-// stored. Existing row storage is never written, so a Tuple read before the
-// call keeps its values.
+// patched table holds each key once: its row storage is the index's key
+// arena, so an appended row is the key the index just stored, and a move of
+// the arena's first chunk moves table and index alike. Existing row storage
+// is never written, so a row read before the call keeps its values.
 //
 // The returned slice lists the indexes of the rows that were patched or
 // appended, for callers tracking derived aggregates (e.g. maxima).
@@ -44,26 +44,27 @@ func (c *Counted) ApplyDelta(d *Counted) ([]int, error) {
 	if d.Default != 0 || c.Default != 0 {
 		return nil, fmt.Errorf("relation: ApplyDelta requires exact relations (Default=0)")
 	}
-	if len(d.Rows) == 0 {
+	if d.Len() == 0 {
 		return nil, nil
 	}
 	if len(d.Attrs) != len(c.Attrs) {
 		return nil, fmt.Errorf("relation: ApplyDelta schema %v does not match %v", d.Attrs, c.Attrs)
 	}
-	changed := make([]int, 0, len(d.Rows))
+	changed := make([]int, 0, d.Len())
 	if len(c.Attrs) == 0 {
-		if len(c.Rows) > 1 {
-			return nil, errNotDistinct(len(c.Rows), 1)
+		if c.Len() > 1 {
+			return nil, errNotDistinct(c.Len(), 1)
 		}
 		var total int64
 		for _, cnt := range d.Cnt {
 			total = AddSat(total, cnt)
 		}
-		if len(c.Rows) > 0 {
+		if c.Len() > 0 {
 			c.patch(0, total)
 			return append(changed, 0), nil
 		}
-		c.Rows = []Tuple{{}}
+		c.rows = newArena(0, 1)
+		c.rows.alloc()
 		c.Cnt = []int64{total}
 		if total == 0 {
 			c.zeroes++
@@ -75,54 +76,40 @@ func (c *Counted) ApplyDelta(d *Counted) ([]int, error) {
 		return nil, err
 	}
 	ix := c.index()
-	if ix.tbl.n != len(c.Rows) {
-		return nil, errNotDistinct(len(c.Rows), ix.tbl.n)
+	if ix.tbl.n != c.Len() {
+		return nil, errNotDistinct(c.Len(), ix.tbl.n)
 	}
-	if !ix.owned {
-		// The index holds a copy of every row: read the rows from it, and
-		// let the storage they were built in go.
-		ix.repoint(c.Rows)
-		ix.owned = true
-	}
-	key := make(Tuple, len(c.Attrs))
-	for i, row := range d.Rows {
-		for k, p := range perm {
-			key[k] = row[p]
-		}
-		first := cap(ix.tbl.chunks[0])
-		id, added := ix.tbl.insert(key)
-		r := int(id) // c is key-distinct: ids are row numbers
-		if !added {
-			c.patch(r, d.Cnt[i])
+	// The index holds a copy of every row: read the rows from it, and let
+	// the storage they were built in go.
+	c.rows = &ix.tbl.arena
+	key := make([]int64, len(c.Attrs))
+	n, w := d.Len(), len(d.Attrs)
+	for i := 0; i < n; {
+		flat, j := d.span(i)
+		for off := 0; i < j; i, off = i+1, off+w {
+			row := flat[off : off+w]
+			for k, p := range perm {
+				key[k] = row[p]
+			}
+			id, added := ix.tbl.insert(key)
+			r := int(id) // c is key-distinct: ids are row numbers
 			changed = append(changed, r)
-			continue
+			if !added {
+				c.patch(r, d.Cnt[i])
+				continue
+			}
+			c.Cnt = append(c.Cnt, d.Cnt[i])
+			if d.Cnt[i] == 0 {
+				c.zeroes++
+			}
+			ix.n = c.Len()
 		}
-		if cap(ix.tbl.chunks[0]) != first {
-			// The first chunk grew by moving; every row so far lives in it.
-			ix.repoint(c.Rows)
-		}
-		c.Rows = append(c.Rows, ix.tbl.row(id))
-		c.Cnt = append(c.Cnt, d.Cnt[i])
-		if d.Cnt[i] == 0 {
-			c.zeroes++
-		}
-		ix.n = len(c.Rows)
-		changed = append(changed, r)
 	}
 	return changed, nil
 }
 
 func errNotDistinct(rows, keys int) error {
 	return fmt.Errorf("relation: ApplyDelta requires a key-distinct table, but its %d rows hold %d distinct keys", rows, keys)
-}
-
-// repoint makes each row a view of its key in the index's arena, where
-// rows are key-distinct and ids are row numbers. Only the row headers are
-// written; the storage they pointed at keeps its values.
-func (ix *lookupIndex) repoint(rows []Tuple) {
-	for r := range rows {
-		rows[r] = ix.tbl.row(int32(r))
-	}
 }
 
 // patch adds delta to row r's count, moving the tombstone tally when the
@@ -146,35 +133,41 @@ func (c *Counted) patch(r int, delta int64) {
 func (c *Counted) Tombstones() int { return c.zeroes }
 
 // Compact drops c's tombstones, keeping the live rows in order. The live
-// rows are inserted into a new lookup index sized for them, and the rows
-// are carved out of that index's key arena, so each key is held once and
-// storage that held dead rows can be freed. Existing row storage is never
-// written: a Tuple read before the call keeps its values. Row positions
-// move, so RowIndexes over c must be Reindexed afterwards. Like ApplyDelta,
-// Compact must not run concurrently with readers of c.
+// rows are inserted into a new lookup index sized for them, whose key arena
+// becomes c's row storage, so each key is held once and storage that held
+// dead rows can be freed. Existing row storage is never written: a row read
+// before the call keeps its values. Row positions move, so RowIndexes over
+// c must be Reindexed afterwards. Like ApplyDelta, Compact must not run
+// concurrently with readers of c.
 func (c *Counted) Compact() {
-	live := len(c.Rows) - c.zeroes
-	rows := make([]Tuple, 0, live)
+	n, w := c.Len(), len(c.Attrs)
+	live := n - c.zeroes
 	cnt := make([]int64, 0, live)
 	var ix *lookupIndex
-	if len(c.Attrs) > 0 {
-		// The first chunk holds every live key (up to a full chunk), so the
-		// rows carved from it never see it move.
-		ix = &lookupIndex{tbl: newSizedIntTable(len(c.Attrs), live, max(live, 1)), owned: true}
+	var rows *arena
+	if w > 0 {
+		ix = &lookupIndex{tbl: newSizedIntTable(w, live, live)}
+		rows = &ix.tbl.arena
+	} else {
+		rows = newArena(0, live)
 	}
-	for i, t := range c.Rows {
-		if c.Cnt[i] == 0 {
-			continue
+	for i := 0; i < n; {
+		flat, j := c.span(i)
+		for off := 0; i < j; i, off = i+1, off+w {
+			if c.Cnt[i] == 0 {
+				continue
+			}
+			if ix != nil {
+				ix.add(flat[off:off+w], len(cnt))
+			} else {
+				rows.alloc()
+			}
+			cnt = append(cnt, c.Cnt[i])
 		}
-		if ix != nil {
-			t = ix.tbl.row(ix.add(t, len(rows)))
-		}
-		rows = append(rows, t)
-		cnt = append(cnt, c.Cnt[i])
 	}
-	c.Rows, c.Cnt, c.zeroes = rows, cnt, 0
+	c.rows, c.Cnt, c.zeroes = rows, cnt, 0
 	if ix != nil {
-		ix.n = len(rows)
+		ix.n = len(cnt)
 		c.lookupIdx.Store(ix)
 	}
 }
@@ -220,8 +213,8 @@ func newRowIndex(c *Counted, idxs []int) *RowIndex {
 	ix := &RowIndex{
 		c:    c,
 		idxs: idxs,
-		tbl:  newIntTable(len(idxs), groupHint(len(c.Rows))),
-		next: make([]int32, 0, len(c.Rows)),
+		tbl:  newIntTable(len(idxs), groupHint(c.Len())),
+		next: make([]int32, 0, c.Len()),
 		key:  make([]int64, len(idxs)),
 	}
 	ix.Sync()
@@ -244,20 +237,24 @@ func (ix *RowIndex) Reindex() {
 // Sync indexes the rows appended to the underlying relation since the index
 // was built or last synced.
 func (ix *RowIndex) Sync() {
-	for r := len(ix.next); r < len(ix.c.Rows); r++ {
-		t := ix.c.Rows[r]
-		for k, x := range ix.idxs {
-			ix.key[k] = t[x]
+	n, w := ix.c.Len(), len(ix.c.Attrs)
+	for r := len(ix.next); r < n; {
+		flat, j := ix.c.span(r)
+		for off := 0; r < j; r, off = r+1, off+w {
+			t := flat[off : off+w]
+			for k, x := range ix.idxs {
+				ix.key[k] = t[x]
+			}
+			id, added := ix.tbl.insert(ix.key)
+			ix.next = append(ix.next, -1)
+			if added {
+				ix.first = append(ix.first, int32(r))
+				ix.last = append(ix.last, int32(r))
+				continue
+			}
+			ix.next[ix.last[id]] = int32(r)
+			ix.last[id] = int32(r)
 		}
-		id, added := ix.tbl.insert(ix.key)
-		ix.next = append(ix.next, -1)
-		if added {
-			ix.first = append(ix.first, int32(r))
-			ix.last = append(ix.last, int32(r))
-			continue
-		}
-		ix.next[ix.last[id]] = int32(r)
-		ix.last[id] = int32(r)
 	}
 }
 
@@ -277,7 +274,7 @@ func (ix *RowIndex) Next(r int32) int32 { return ix.next[r] }
 // probe returns the first row whose key equals the columns idxs of t (in
 // the index's key order), or -1. It writes the index's scratch key, so
 // probes of one index must not run concurrently.
-func (ix *RowIndex) probe(t Tuple, idxs []int) int32 {
+func (ix *RowIndex) probe(t []int64, idxs []int) int32 {
 	for k, x := range idxs {
 		ix.key[k] = t[x]
 	}
@@ -362,8 +359,8 @@ func CompileExpand(deltaAttrs []string, tables []*Counted, keep []string, indexF
 			case shared > 0:
 				kind = 1
 			}
-			if kind > bestKind || (kind == bestKind && len(t.Rows) < bestRows) {
-				best, bestKind, bestRows = i, kind, len(t.Rows)
+			if kind > bestKind || (kind == bestKind && t.Len() < bestRows) {
+				best, bestKind, bestRows = i, kind, t.Len()
 			}
 		}
 		t := remaining[best]
@@ -431,7 +428,7 @@ func CompileExpand(deltaAttrs []string, tables []*Counted, keep []string, indexF
 // so applying it plants no tombstones.
 func (p *ExpandPlan) Run(d *Counted) (*Counted, error) {
 	out := &Counted{Attrs: append([]string(nil), p.keepAttrs...)}
-	if len(d.Rows) == 0 {
+	if d.Len() == 0 {
 		return out, nil
 	}
 	if len(d.Attrs) != len(p.deltaAttrs) {
@@ -450,7 +447,7 @@ func (p *ExpandPlan) Run(d *Counted) (*Counted, error) {
 			st.index.Sync()
 		}
 	}
-	agg := newGroupAgg(len(p.keepPos), len(d.Rows))
+	agg := newGroupAgg(len(p.keepPos), d.Len())
 	accum := make([]int64, p.accumLen)
 	key := make([]int64, len(p.keepPos))
 	var rec func(si int, cnt int64)
@@ -475,15 +472,19 @@ func (p *ExpandPlan) Run(d *Counted) (*Counted, error) {
 			return
 		}
 		if st.scan {
-			for r := range st.table.Rows {
-				if st.table.Cnt[r] == 0 {
-					continue
+			tb := st.table
+			n, w := tb.Len(), len(tb.Attrs)
+			for r := 0; r < n; {
+				flat, j := tb.span(r)
+				for off := 0; r < j; r, off = r+1, off+w {
+					if tb.Cnt[r] == 0 {
+						continue
+					}
+					for k, col := range st.newCols {
+						accum[st.newPos[k]] = flat[off+col]
+					}
+					rec(si+1, MulSat(cnt, tb.Cnt[r]))
 				}
-				row := st.table.Rows[r]
-				for k, col := range st.newCols {
-					accum[st.newPos[k]] = row[col]
-				}
-				rec(si+1, MulSat(cnt, st.table.Cnt[r]))
 			}
 			return
 		}
@@ -494,30 +495,41 @@ func (p *ExpandPlan) Run(d *Counted) (*Counted, error) {
 			if st.table.Cnt[r] == 0 {
 				continue
 			}
-			row := st.table.Rows[r]
+			row := st.table.rows.at(int(r))
 			for k, col := range st.newCols {
 				accum[st.newPos[k]] = row[col]
 			}
 			rec(si+1, MulSat(cnt, st.table.Cnt[r]))
 		}
 	}
-	for i, t := range d.Rows {
-		if d.Cnt[i] == 0 {
-			continue
+	n, w := d.Len(), len(d.Attrs)
+	for i := 0; i < n; {
+		flat, j := d.span(i)
+		for off := 0; i < j; i, off = i+1, off+w {
+			if d.Cnt[i] == 0 {
+				continue
+			}
+			copy(accum[:w], flat[off:off+w])
+			rec(0, d.Cnt[i])
 		}
-		copy(accum[:len(t)], t)
-		rec(0, d.Cnt[i])
 	}
 	agg.emit(out)
-	// Drop zero-net rows so downstream ApplyDelta plants no tombstones.
-	w := 0
-	for i := range out.Rows {
-		if out.Cnt[i] == 0 {
+	// Drop zero-net rows so downstream ApplyDelta plants no tombstones. No
+	// view of out's rows exists yet, so they may move down in place.
+	live := 0
+	for i, cnt := range out.Cnt {
+		if cnt == 0 {
 			continue
 		}
-		out.Rows[w], out.Cnt[w] = out.Rows[i], out.Cnt[i]
-		w++
+		if live != i {
+			copy(out.rows.at(live), out.rows.at(i))
+		}
+		out.Cnt[live] = cnt
+		live++
 	}
-	out.Rows, out.Cnt = out.Rows[:w], out.Cnt[:w]
+	if live < out.Len() {
+		out.Cnt = out.Cnt[:live]
+		out.rows.truncate(live)
+	}
 	return out, nil
 }

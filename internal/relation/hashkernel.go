@@ -1,11 +1,11 @@
 package relation
 
 // This file holds the hash-kernel primitives behind the counted-relation
-// operators: a tag-filtered open-addressing hash table over fixed-width
-// int64 keys held in a chunked arena (no per-row byte encoding or string
-// interning), a chunked tuple arena that batches row storage into flat
-// []int64 blocks, and a group-by aggregator over that table for keys of any
-// width. Hash joins index their build side with a RowIndex (delta.go).
+// operators: the chunked row arena that stores every Counted's rows as flat
+// []int64 blocks, a tag-filtered open-addressing hash table over
+// fixed-width int64 keys held in such an arena (no per-row byte encoding or
+// string interning), and a group-by aggregator over that table for keys of
+// any width. Hash joins index their build side with a RowIndex (delta.go).
 // Every structure is deterministic: iteration follows insertion order,
 // never Go map order.
 
@@ -28,36 +28,112 @@ func hashKey(key []int64) uint64 {
 	return h
 }
 
+// arena stores fixed-width int64 rows in chunks of arenaChunkRows rows: row
+// i lives in chunks[i>>arenaChunkShift] at offset
+// (i&(arenaChunkRows-1))*width. Only the first chunk grows (by doubling,
+// from the size it was made with up to a full chunk), moving its rows each
+// time; later chunks are allocated full-size once, so a growing arena never
+// copies the rows of a full chunk, and its unused capacity stays under one
+// chunk. A stored row is never written again: a move copies it, and appends
+// write past every row handed out, so a view of a row keeps its values.
+// The first chunk's slice header lives in the arena itself, so an arena of
+// one chunk costs no allocation for its chunk list.
+type arena struct {
+	width  int
+	n      int // rows stored
+	chunks [][]int64
+	chunk0 [1][]int64 // chunks' backing array until a second chunk is added
+}
+
+const (
+	arenaChunkShift = 12
+	arenaChunkRows  = 1 << arenaChunkShift
+)
+
+// newArena returns an empty arena whose first chunk has room for firstRows
+// rows (at least one, at most a full chunk).
+func newArena(width, firstRows int) *arena {
+	a := &arena{}
+	a.init(width, firstRows)
+	return a
+}
+
+func (a *arena) init(width, firstRows int) {
+	a.width = width
+	a.chunk0[0] = make([]int64, 0, min(max(firstRows, 1), arenaChunkRows)*width)
+	a.chunks = a.chunk0[:]
+}
+
+// alloc appends a row and returns its storage for the caller to fill.
+func (a *arena) alloc() []int64 {
+	c := a.n >> arenaChunkShift
+	if c == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]int64, 0, arenaChunkRows*a.width))
+	}
+	ch := a.chunks[c]
+	off := len(ch)
+	if off+a.width > cap(ch) { // only the first chunk grows
+		ch = append(make([]int64, 0, min(2*cap(ch), arenaChunkRows*a.width)), ch...)
+	}
+	a.chunks[c] = ch[:off+a.width]
+	a.n++
+	return ch[off : off+a.width : off+a.width]
+}
+
+// at returns row i as a view of the arena's storage, its capacity clipped
+// so an append on it can never write into the next row.
+func (a *arena) at(i int) []int64 {
+	u := uint32(i)
+	off := int(u&(arenaChunkRows-1)) * a.width
+	return a.chunks[u>>arenaChunkShift][off : off+a.width : off+a.width]
+}
+
+// span returns the rows [i, j) as one flat slice, where j is n or the end
+// of the chunk holding row i, whichever comes first. Scans walk an arena
+// chunk by chunk with it (a width of zero gives empty rows):
+//
+//	for i := 0; i < n; {
+//		flat, j := a.span(i, n)
+//		for off := 0; i < j; i, off = i+1, off+w {
+//			row := flat[off : off+w : off+w]
+//		}
+//	}
+func (a *arena) span(i, n int) ([]int64, int) {
+	j := min(n, (i|(arenaChunkRows-1))+1)
+	lo := (i & (arenaChunkRows - 1)) * a.width
+	return a.chunks[i>>arenaChunkShift][lo : lo+(j-i)*a.width], j
+}
+
+// truncate drops the rows from n on. Only the arena's own builder may call
+// it, before any of those rows was handed out.
+func (a *arena) truncate(n int) {
+	a.n = n
+	c := n >> arenaChunkShift
+	if c < len(a.chunks) {
+		a.chunks[c] = a.chunks[c][:(n&(arenaChunkRows-1))*a.width]
+		a.chunks = a.chunks[:c+1]
+	}
+}
+
 // intTable is an open-addressing (linear probing) hash table mapping
 // fixed-width []int64 keys to dense ids 0,1,2,… in insertion order. Distinct
-// keys live in a chunked key arena, so the table doubles as the row storage
-// of a group-by result, and of a table ApplyDelta patches or Compact
-// compacts (its probe index's arena holds its rows).
+// keys live in its arena, key id i as row i, so the table doubles as the
+// row storage of a group-by result, and of a table ApplyDelta patches or
+// Compact compacts (its probe index's arena holds its rows).
 //
 // Each slot is 4 bytes. A table of 2^k slots holds fewer than 2^k ids, so
 // the low k bits hold id+1 (0 means empty) and the 32-k bits above them a
 // tag taken from the high bits of the key's hash (10 or more tag bits below
 // 4M slots). The slot index comes from the low hash bits, so tag and index
 // are independent, and a probe compares keys only on a tag match: a miss
-// almost never reads the arena.
-//
-// The arena stores keys in chunks of arenaChunkRows rows. Only the first
-// chunk grows (by doubling, from at most 64 rows, or the size
-// newSizedIntTable gave it, up to a full chunk), moving its keys each time;
-// later chunks are allocated full-size once, so a growing table never copies
-// the keys of a full chunk, and its unused capacity stays under one chunk.
-// grow rehashes from the arena, a sequential read. The first chunk's slice
-// header lives in the table itself, so a table of one chunk costs no
-// allocation for its chunk list.
+// almost never reads the arena. grow rehashes from the arena, a sequential
+// read.
 type intTable struct {
-	width  int
 	slots  []uint32 // tag | id+1; 0 means empty
 	mask   uint64   // len(slots)-1
 	idMask uint32   // low bits of a slot holding id+1
-	chunks [][]int64
-	chunk0 [1][]int64 // chunks' backing array until a second chunk is added
-	n      int
 	growAt int
+	arena  // the keys; n counts them
 }
 
 // groupHint caps the initial sizing of tables keyed by distinct values:
@@ -85,10 +161,9 @@ func newSizedIntTable(width, hint, firstRows int) *intTable {
 	for size*3 < hint*4 { // keep load factor under 3/4 at the hint
 		size *= 2
 	}
-	t := &intTable{width: width}
+	t := &intTable{}
 	t.resize(size)
-	t.chunk0[0] = make([]int64, 0, min(firstRows, arenaChunkRows)*width)
-	t.chunks = t.chunk0[:]
+	t.init(width, firstRows)
 	return t
 }
 
@@ -107,14 +182,12 @@ func (t *intTable) tag(h uint64) uint32 {
 	return uint32(h>>32) &^ t.idMask
 }
 
-func (t *intTable) keyAt(id int32) []int64 {
+// equalAt reports whether key id equals key. It reads the key unclipped
+// (a clipped view costs the probe loops about 15%), and only reads it.
+func (t *intTable) equalAt(id int32, key []int64) bool {
 	u := uint32(id)
 	off := int(u&(arenaChunkRows-1)) * t.width
-	return t.chunks[u>>arenaChunkShift][off : off+t.width]
-}
-
-func (t *intTable) equalAt(id int32, key []int64) bool {
-	k := t.keyAt(id)
+	k := t.chunks[u>>arenaChunkShift][off : off+t.width]
 	for i, v := range key {
 		if k[i] != v {
 			return false
@@ -151,9 +224,8 @@ func (t *intTable) insert(key []int64) (id int32, added bool) {
 		s := t.slots[i]
 		if s == 0 {
 			id = int32(t.n)
-			t.appendKey(key)
+			copy(t.alloc(), key)
 			t.slots[i] = tag | uint32(id+1)
-			t.n++
 			return id, true
 		}
 		if s&^t.idMask == tag {
@@ -164,44 +236,16 @@ func (t *intTable) insert(key []int64) (id int32, added bool) {
 	}
 }
 
-// appendKey copies key into the arena as row t.n.
-func (t *intTable) appendKey(key []int64) {
-	c := t.n >> arenaChunkShift
-	if c == len(t.chunks) {
-		t.chunks = append(t.chunks, make([]int64, 0, arenaChunkRows*t.width))
-	}
-	ch := t.chunks[c]
-	if len(ch)+t.width > cap(ch) { // only the first chunk grows
-		ch = append(make([]int64, 0, min(2*cap(ch), arenaChunkRows*t.width)), ch...)
-	}
-	t.chunks[c] = append(ch, key...)
-}
-
 func (t *intTable) grow() {
 	t.resize(len(t.slots) * 2)
 	for id := 0; id < t.n; id++ {
-		h := hashKey(t.keyAt(int32(id)))
+		h := hashKey(t.at(id))
 		i := h & t.mask
 		for t.slots[i] != 0 {
 			i = (i + 1) & t.mask
 		}
 		t.slots[i] = t.tag(h) | uint32(id+1)
 	}
-}
-
-// row returns key id as a tuple sharing the arena storage, its capacity
-// clipped so an append on it can never write into the next key.
-func (t *intTable) row(id int32) Tuple {
-	return Tuple(t.keyAt(id)[:t.width:t.width])
-}
-
-// rows materializes the distinct keys as tuples sharing the arena storage.
-func (t *intTable) rows() []Tuple {
-	out := make([]Tuple, t.n)
-	for id := range out {
-		out[id] = t.row(int32(id))
-	}
-	return out
 }
 
 // reset empties the table, keeping its slot array and arena chunks for
@@ -212,48 +256,6 @@ func (t *intTable) reset() {
 		t.chunks[c] = t.chunks[c][:0]
 	}
 	t.n = 0
-}
-
-// tupleArena hands out row storage carved from flat []int64 chunks, so that
-// building an n-row relation costs O(n/arenaChunkRows) allocations instead
-// of one per row. The first chunk is sized to the caller's row-count hint
-// (small joins should not pay for 4096-row blocks); later chunks use the
-// full block size.
-type tupleArena struct {
-	width    int
-	chunk    []int64
-	nextRows int
-}
-
-const (
-	arenaChunkShift = 12
-	arenaChunkRows  = 1 << arenaChunkShift
-)
-
-func newTupleArena(width, hintRows int) *tupleArena {
-	if hintRows > arenaChunkRows {
-		hintRows = arenaChunkRows
-	}
-	if hintRows < 1 {
-		hintRows = 1
-	}
-	return &tupleArena{width: width, nextRows: hintRows}
-}
-
-// alloc returns a zeroed tuple of the arena's width. The capacity of the
-// returned slice is clipped so appends on it can never bleed into the next
-// row.
-func (ar *tupleArena) alloc() Tuple {
-	if ar.width == 0 {
-		return Tuple{}
-	}
-	if len(ar.chunk)+ar.width > cap(ar.chunk) {
-		ar.chunk = make([]int64, 0, ar.nextRows*ar.width)
-		ar.nextRows = arenaChunkRows
-	}
-	off := len(ar.chunk)
-	ar.chunk = ar.chunk[:off+ar.width]
-	return Tuple(ar.chunk[off : off+ar.width : off+ar.width])
 }
 
 // groupAgg accumulates (key, count) pairs into distinct groups, preserving
@@ -292,15 +294,19 @@ func (g *groupAgg) add(key []int64, cnt int64) {
 	}
 }
 
-// emit writes the accumulated groups into out.Rows / out.Cnt.
+// emit hands the accumulated groups to out: the table's key arena becomes
+// out's row storage, and the slot array, which nothing reads any more, is
+// let go.
 func (g *groupAgg) emit(out *Counted) {
 	if g.width == 0 {
 		if g.zeroAny {
-			out.Rows = []Tuple{{}}
+			out.rows = newArena(0, 1)
+			out.rows.alloc()
 			out.Cnt = []int64{g.zeroCnt}
 		}
 		return
 	}
-	out.Rows = g.tbl.rows()
+	g.tbl.slots = nil
+	out.rows = &g.tbl.arena
 	out.Cnt = g.cnt
 }

@@ -13,8 +13,8 @@ import (
 // sorted, plus attrs and Default. Two relations are operator-equivalent iff
 // their canon forms match.
 func canon(c *Counted) string {
-	lines := make([]string, len(c.Rows))
-	for i, t := range c.Rows {
+	lines := make([]string, c.Len())
+	for i, t := range rowsOf(c) {
 		lines[i] = fmt.Sprintf("%v=%d", []int64(t), c.Cnt[i])
 	}
 	sort.Strings(lines)
@@ -30,8 +30,7 @@ func randCounted(rng *rand.Rand, attrs []string, rows, domain int) *Counted {
 		for j := range t {
 			t[j] = int64(rng.Intn(domain))
 		}
-		c.Rows = append(c.Rows, t)
-		c.Cnt = append(c.Cnt, int64(rng.Intn(5))+1)
+		appendRow(c, t, int64(rng.Intn(5))+1)
 	}
 	return c
 }
@@ -57,7 +56,7 @@ func TestJoinGroupFusedEqualsUnfused(t *testing.T) {
 		if trial%3 == 1 && ContainsAll(sc.a, sc.b) {
 			b.Default = int64(rng.Intn(3) + 1) // approximate operand
 			if rng.Intn(2) == 0 {
-				b.Rows, b.Cnt = nil, nil // force the all-miss Default path
+				b.rows, b.Cnt = nil, nil // force the all-miss Default path
 			}
 		}
 		union := Union(a.Attrs, b.Attrs)
@@ -91,16 +90,16 @@ func TestJoinGroupFusedEqualsUnfused(t *testing.T) {
 // TestJoinGroupErrors checks the fused kernel rejects exactly what the
 // composition rejects.
 func TestJoinGroupErrors(t *testing.T) {
-	a := &Counted{Attrs: []string{"A", "B"}, Rows: []Tuple{{1, 2}}, Cnt: []int64{1}}
-	b := &Counted{Attrs: []string{"B", "C"}, Rows: []Tuple{{2, 3}}, Cnt: []int64{1}}
+	a := NewCounted([]string{"A", "B"}, []Tuple{{1, 2}}, []int64{1})
+	b := NewCounted([]string{"B", "C"}, []Tuple{{2, 3}}, []int64{1})
 	if _, err := JoinGroup(a, b, []string{"Z"}); err == nil {
 		t.Fatal("missing group attribute accepted")
 	}
-	approx := &Counted{Attrs: []string{"C"}, Rows: []Tuple{{1}}, Cnt: []int64{1}, Default: 2}
+	approx := withDefault(NewCounted([]string{"C"}, []Tuple{{1}}, []int64{1}), 2)
 	if _, err := JoinGroup(a, approx, []string{"A"}); err == nil {
 		t.Fatal("approximate operand with new attrs accepted")
 	}
-	aDef := &Counted{Attrs: []string{"A"}, Rows: []Tuple{{1}}, Cnt: []int64{1}, Default: 1}
+	aDef := withDefault(NewCounted([]string{"A"}, []Tuple{{1}}, []int64{1}), 1)
 	if _, err := JoinGroup(aDef, b, []string{"A"}); err == nil {
 		t.Fatal("approximate left operand accepted")
 	}
@@ -166,7 +165,7 @@ func TestProbeMatchesScan(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		key := Tuple{int64(rng.Intn(8)), int64(rng.Intn(8))}
 		wantCnt, wantOK := int64(0), false
-		for i, row := range c.Rows {
+		for i, row := range rowsOf(c) {
 			if row.Equal(key) {
 				wantCnt, wantOK = c.Cnt[i], true
 				break
@@ -178,8 +177,7 @@ func TestProbeMatchesScan(t *testing.T) {
 		}
 	}
 	// Index must rebuild when rows are appended after the first probe.
-	c.Rows = append(c.Rows, Tuple{100, 100})
-	c.Cnt = append(c.Cnt, 9)
+	appendRow(c, Tuple{100, 100}, 9)
 	if cnt, ok := c.Probe(Tuple{100, 100}); !ok || cnt != 9 {
 		t.Fatalf("stale index: Probe after append = (%d,%v)", cnt, ok)
 	}
@@ -214,7 +212,7 @@ func TestIntTable(t *testing.T) {
 // map for key widths 1–4: random, negative and extreme int64 keys with
 // duplicates, inserted through at least 12 slot-array doublings and across
 // several key-arena chunks. It checks every id (those at the chunk
-// boundaries explicitly), misses, and that rows() lists the distinct keys
+// boundaries explicitly), misses, and that the arena's spans list the keys
 // in insertion order.
 func TestIntTableAgainstMap(t *testing.T) {
 	const distinct = 30000 // > 3/4 of 8<<12 slots: at least 12 doublings
@@ -261,8 +259,8 @@ func TestIntTableAgainstMap(t *testing.T) {
 		}
 		for _, id := range []int32{0, arenaChunkRows - 1, arenaChunkRows, 2*arenaChunkRows - 1, 2 * arenaChunkRows, distinct - 1} {
 			k := order[id]
-			if got := tbl.keyAt(id); !Tuple(got).Equal(Tuple(k[:width])) {
-				t.Fatalf("width %d: keyAt(%d) = %v, want %v", width, id, got, k[:width])
+			if got := tbl.at(int(id)); !Tuple(got).Equal(Tuple(k[:width])) || cap(got) != width {
+				t.Fatalf("width %d: at(%d) = %v (cap %d), want %v", width, id, got, cap(got), k[:width])
 			}
 		}
 		for k, want := range ids {
@@ -276,13 +274,18 @@ func TestIntTableAgainstMap(t *testing.T) {
 				t.Fatalf("width %d: find %v disagrees with the map", width, k[:width])
 			}
 		}
-		rows := tbl.rows()
-		if len(rows) != len(order) {
-			t.Fatalf("width %d: rows() has %d rows, want %d", width, len(rows), len(order))
+		if tbl.n != len(order) {
+			t.Fatalf("width %d: the arena holds %d rows, want %d", width, tbl.n, len(order))
 		}
-		for i, r := range rows {
-			if !r.Equal(Tuple(order[i][:width])) || cap(r) != width {
-				t.Fatalf("width %d: rows()[%d] = %v (cap %d), want %v", width, i, r, cap(r), order[i][:width])
+		for i := 0; i < tbl.n; {
+			flat, j := tbl.span(i, tbl.n)
+			if len(flat) != (j-i)*width || (j < tbl.n && j%arenaChunkRows != 0) {
+				t.Fatalf("width %d: span(%d) = %d values up to row %d, want whole rows up to a chunk end", width, i, len(flat), j)
+			}
+			for off := 0; i < j; i, off = i+1, off+width {
+				if r := Tuple(flat[off : off+width]); !r.Equal(Tuple(order[i][:width])) {
+					t.Fatalf("width %d: span row %d = %v, want %v", width, i, r, order[i][:width])
+				}
 			}
 		}
 	}
@@ -294,16 +297,9 @@ func TestIntTableAgainstMap(t *testing.T) {
 func benchRelPair(n int) (*Counted, *Counted) {
 	a := &Counted{Attrs: []string{"A", "B"}}
 	b := &Counted{Attrs: []string{"B", "C"}}
-	arA, arB := newTupleArena(2, n), newTupleArena(2, n)
 	for i := 0; i < n; i++ {
-		ra := arA.alloc()
-		ra[0], ra[1] = int64(i), int64(i%97)
-		a.Rows = append(a.Rows, ra)
-		a.Cnt = append(a.Cnt, int64(i%3)+1)
-		rb := arB.alloc()
-		rb[0], rb[1] = int64(i%97), int64(i%13)
-		b.Rows = append(b.Rows, rb)
-		b.Cnt = append(b.Cnt, int64(i%2)+1)
+		appendRow(a, Tuple{int64(i), int64(i % 97)}, int64(i%3)+1)
+		appendRow(b, Tuple{int64(i % 97), int64(i % 13)}, int64(i%2)+1)
 	}
 	return a, b
 }
@@ -320,8 +316,8 @@ func TestJoinSingleColumnAllocs(t *testing.T) {
 	// The seed kernel allocated one string key plus one row per output
 	// tuple (>20000 here); the arena kernel needs only the index, chunks,
 	// and slice growth.
-	if allocs > 200 {
-		t.Errorf("single-column Join allocates %v times per run, want <= 200", allocs)
+	if allocs > 186 {
+		t.Errorf("single-column Join allocates %v times per run, want <= 186", allocs)
 	}
 }
 
@@ -334,8 +330,8 @@ func TestGroupBySingleColumnAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 64 {
-		t.Errorf("single-column GroupBy allocates %v times per run, want <= 64", allocs)
+	if allocs > 63 {
+		t.Errorf("single-column GroupBy allocates %v times per run, want <= 63", allocs)
 	}
 }
 
@@ -348,8 +344,8 @@ func TestJoinGroupFusedAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 64 {
-		t.Errorf("fused JoinGroup allocates %v times per run, want <= 64", allocs)
+	if allocs > 63 {
+		t.Errorf("fused JoinGroup allocates %v times per run, want <= 63", allocs)
 	}
 }
 
@@ -363,8 +359,8 @@ func TestGroupByTwoColumnAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 24 {
-		t.Errorf("two-column GroupBy allocates %v times per run, want <= 24", allocs)
+	if allocs > 23 {
+		t.Errorf("two-column GroupBy allocates %v times per run, want <= 23", allocs)
 	}
 }
 
@@ -378,8 +374,8 @@ func TestJoinGroupTwoColumnAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 64 {
-		t.Errorf("two-column JoinGroup allocates %v times per run, want <= 64", allocs)
+	if allocs > 63 {
+		t.Errorf("two-column JoinGroup allocates %v times per run, want <= 63", allocs)
 	}
 }
 
@@ -393,8 +389,8 @@ func TestFromRelationAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		FromRelation(r)
 	})
-	if allocs > 64 {
-		t.Errorf("FromRelation allocates %v times per run, want <= 64", allocs)
+	if allocs > 63 {
+		t.Errorf("FromRelation allocates %v times per run, want <= 63", allocs)
 	}
 }
 

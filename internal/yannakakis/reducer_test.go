@@ -22,11 +22,11 @@ func TestReduceRemovesDanglingTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reduced[0].Rows) != 1 {
-		t.Fatalf("R1 reduced to %d rows, want 1", len(reduced[0].Rows))
+	if reduced[0].Len() != 1 {
+		t.Fatalf("R1 reduced to %d rows, want 1", reduced[0].Len())
 	}
-	if !reduced[0].Rows[0].Equal(relation.Tuple{1, 1}) {
-		t.Fatalf("wrong surviving tuple: %v", reduced[0].Rows[0])
+	if !reduced[0].Row(0).Equal(relation.Tuple{1, 1}) {
+		t.Fatalf("wrong surviving tuple: %v", reduced[0].Row(0))
 	}
 	// Inputs untouched.
 	if len(db.Relation("R1").Rows) != 2 {
@@ -49,8 +49,8 @@ func TestReduceTopDownPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, a := range q.Atoms {
-		if a.Relation == "R2" && len(reduced[i].Rows) != 1 {
-			t.Fatalf("R2 reduced to %d rows, want 1", len(reduced[i].Rows))
+		if a.Relation == "R2" && reduced[i].Len() != 1 {
+			t.Fatalf("R2 reduced to %d rows, want 1", reduced[i].Len())
 		}
 	}
 }
@@ -65,7 +65,8 @@ func canonicalRows(t *testing.T, c *relation.Counted, vars []string) []string {
 		t.Fatal(err)
 	}
 	var out []string
-	for i, row := range g.Rows {
+	for i := range g.Len() {
+		row := g.Row(i)
 		s := ""
 		for _, v := range row {
 			s += string(rune('0'+v)) + ","

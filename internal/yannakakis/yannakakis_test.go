@@ -59,8 +59,8 @@ func TestBruteForceAgreesFigure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Rows) != 1 {
-		t.Fatalf("BruteForce rows=%d", len(out.Rows))
+	if out.Len() != 1 {
+		t.Fatalf("BruteForce rows=%d", out.Len())
 	}
 }
 

@@ -85,7 +85,9 @@ type (
 	// Dict dictionary-encodes strings to int64 values.
 	Dict = relation.Dict
 	// Counted is a relation with an explicit multiplicity column, the form
-	// returned by Materialize.
+	// returned by Materialize. Its rows live in one columnar arena: read
+	// row i with Row(i), a read-only view whose values never change, count
+	// them with Len(), and read row i's multiplicity as Cnt[i].
 	Counted = relation.Counted
 )
 
